@@ -17,7 +17,7 @@ COVER_FLOOR_LUT       ?= 90
 COVER_FLOOR_HDDIST    ?= 90
 COVER_FLOOR_TELEMETRY ?= 90
 
-.PHONY: test lint race chaos cover bench bench-char bench-fresh bench-gate repro \
+.PHONY: test lint race chaos cover fuzz bench bench-char bench-fresh bench-gate repro \
 	serve-bench serve-fresh serve-load serve-gate
 
 # Tier-1 gate: everything builds, everything passes.
@@ -76,6 +76,18 @@ cover:
 		awk -v t="$$total" -v f="$$floor" 'BEGIN { exit !(t >= f) }' || \
 			{ echo "FAIL: internal/$$pkg coverage $$total% below floor $$floor%"; exit 1; }; \
 	done
+
+# Identity fuzzing, FUZZTIME per target (go test fuzzes one target per
+# invocation): the 64-lane transpose against per-bit packing, the
+# limb-level pair generator against a frozen copy of the per-bit one,
+# and the bit-parallel engine against the scalar simulator. Seed corpora
+# live under each package's testdata/fuzz; a crasher lands there too.
+FUZZTIME ?= 15s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzPackLanes$$' -fuzztime $(FUZZTIME) ./internal/logic
+	$(GO) test -run '^$$' -fuzz '^FuzzPairSource$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime $(FUZZTIME) ./internal/bitsim
 
 # Full benchmark sweep.
 bench:

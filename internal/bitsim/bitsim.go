@@ -285,25 +285,14 @@ func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 	}
 	faultpoint.Delay("bitsim.batch") // chaos: slow batches must not change results
 	w := len(m.inputNets)
-	for i := 0; i < w; i++ {
-		m.uPack[i], m.vPack[i] = 0, 0
-	}
-	for l, u := range us {
-		v := vs[l]
-		if u.Width() != w || v.Width() != w {
+	for l := range us {
+		if us[l].Width() != w || vs[l].Width() != w {
 			panic(fmt.Sprintf("bitsim: input vector widths %d/%d, netlist has %d input bits",
-				u.Width(), v.Width(), w))
-		}
-		bit := uint64(1) << uint(l)
-		for i := 0; i < w; i++ {
-			if u.Bit(i) {
-				m.uPack[i] |= bit
-			}
-			if v.Bit(i) {
-				m.vPack[i] |= bit
-			}
+				us[l].Width(), vs[l].Width(), w))
 		}
 	}
+	logic.PackLanes(m.uPack, us)
+	logic.PackLanes(m.vPack, vs)
 	for i := range m.toggles {
 		m.toggles[i] = 0
 	}

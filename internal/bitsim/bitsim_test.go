@@ -1,6 +1,7 @@
 package bitsim_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -458,5 +459,31 @@ func TestBatchFaultpointArmed(t *testing.T) {
 	m.CycleBatch(us, vs, make([]float64, len(us)))
 	if faultpoint.Hits("bitsim.batch") != before+1 {
 		t.Fatal("bitsim.batch fault point did not fire in CycleBatch")
+	}
+}
+
+// BenchmarkCycleBatch prices full 64-lane batches of random pairs per
+// module and mode, reporting ns/pair; lane packing is part of the cost.
+func BenchmarkCycleBatch(b *testing.B) {
+	for _, mod := range []struct {
+		name  string
+		width int
+	}{{"ripple-adder", 16}, {"kogge-stone-adder", 16}, {"csa-multiplier", 16}} {
+		for _, mode := range []bitsim.Mode{bitsim.ZeroDelay, bitsim.UnitDelay} {
+			b.Run(fmt.Sprintf("%s-%d/%s", mod.name, mod.width, mode), func(b *testing.B) {
+				m, err := bitsim.New(buildModule(b, mod.name, mod.width), mode)
+				if err != nil {
+					b.Fatal(err)
+				}
+				us, vs := randPairs(rand.New(rand.NewSource(1)), m.NumInputBits(), bitsim.Lanes)
+				q := make([]float64, bitsim.Lanes)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.CycleBatch(us, vs, q)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bitsim.Lanes), "ns/pair")
+			})
+		}
 	}
 }

@@ -153,14 +153,3 @@ func (o *CharacterizeOptions) resolveBackend(meter *power.Meter) (Backend, error
 			o.Backend, BackendEvent, BackendBitParallel)
 	}
 }
-
-// backendPool returns per-worker backends: slot 0 is the resolved
-// backend, the rest are clones sharing its immutable topology.
-func backendPool(b Backend, workers int) []Backend {
-	pool := make([]Backend, workers)
-	pool[0] = b
-	for w := 1; w < workers; w++ {
-		pool[w] = b.Clone()
-	}
-	return pool
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 
@@ -255,12 +256,51 @@ func (o *CharacterizeOptions) workerCount() int {
 // mode additionally stratifies the ones-density of the base vector to
 // populate the extreme stable-zero classes of the enhanced model; it is
 // only used for the enhanced coefficient table.
+//
+// The stream is a pure function of (m, seed, mode) and is pinned
+// draw-for-draw: Next builds words limb by limb and replaces rand.Intn by
+// a division-free replica, but consumes exactly the rng draws of the
+// original per-bit generator and produces exactly its bits.
 type PairSource struct {
 	m       int
 	rng     *rand.Rand
-	idx     []int // scratch permutation
-	density bool  // stratify base-vector ones-density
+	idx     []int     // scratch permutation
+	div     []intnDiv // div[n] replicates rng.Intn(n) for n in [1, m]
+	density bool      // stratify base-vector ones-density
+	buf     []uint64  // current limb slab
+	slab    []uint64  // unused tail of buf
 }
+
+// intnDiv replicates (*rand.Rand).Intn(n) for one n in [1, 2^31-1]
+// without a division: Intn draws v = Int31() until v ≤ max, then returns
+// v mod n, which the reciprocal computes exactly for 32-bit v (Lemire,
+// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019).
+type intnDiv struct {
+	n     uint64
+	max   int32  // rejection threshold, (2^31-1) - 2^31 mod n
+	recip uint64 // ceil(2^64 / n) mod 2^64
+}
+
+func newIntnDiv(n int) intnDiv {
+	return intnDiv{
+		n:     uint64(n),
+		max:   int32((1 << 31) - 1 - (1<<31)%uint32(n)),
+		recip: ^uint64(0)/uint64(n) + 1,
+	}
+}
+
+// draw returns exactly what rng.Intn(n) would, from the same draws.
+func (d *intnDiv) draw(rng *rand.Rand) int {
+	v := int32(rng.Int63() >> 32)
+	for v > d.max {
+		v = int32(rng.Int63() >> 32)
+	}
+	r, _ := bits.Mul64(d.recip*uint64(v), d.n)
+	return int(r)
+}
+
+// slabPairs is the number of pairs whose limbs one slab allocation holds.
+const slabPairs = shardPatterns
 
 // NewPairSource returns an unbiased stratified characterization pair
 // source for m-bit input vectors.
@@ -279,36 +319,77 @@ func newPairSource(m int, seed int64, density bool) *PairSource {
 	if m <= 0 {
 		panic(fmt.Sprintf("core: non-positive input width %d", m))
 	}
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
+	ps := &PairSource{
+		m:       m,
+		rng:     rand.New(rand.NewSource(seed)),
+		idx:     make([]int, m),
+		div:     make([]intnDiv, m+1),
+		density: density,
 	}
-	return &PairSource{m: m, rng: rand.New(rand.NewSource(seed)), idx: idx, density: density}
+	for i := range ps.idx {
+		ps.idx[i] = i
+	}
+	for n := 1; n <= m; n++ {
+		ps.div[n] = newIntnDiv(n)
+	}
+	return ps
 }
 
-// Next returns the next characterization pair.
+// reset restarts the stream exactly as newPairSource(m, seed, density)
+// would, reusing the source's rng, tables and limb slab. The words Next
+// returned before the reset share that slab and are overwritten by later
+// draws, so only an owner that has dropped them may reset.
+func (ps *PairSource) reset(seed int64, density bool) {
+	ps.rng.Seed(seed)
+	for i := range ps.idx {
+		ps.idx[i] = i
+	}
+	ps.density = density
+	ps.slab = ps.buf
+}
+
+// intn returns exactly what ps.rng.Intn(n) would, for n in [1, m].
+func (ps *PairSource) intn(n int) int { return ps.div[n].draw(ps.rng) }
+
+// Next returns the next characterization pair. The two words are cut
+// side by side from a limb slab the source owns; words from earlier
+// calls stay valid.
 func (ps *PairSource) Next() (u, v logic.Word) {
+	n := logic.NumLimbs(ps.m)
+	if len(ps.slab) < 2*n {
+		ps.buf = make([]uint64, 2*n*slabPairs)
+		ps.slab = ps.buf
+	}
+	ul, vl := ps.slab[:n], ps.slab[n:2*n]
+	ps.slab = ps.slab[2*n:]
+
 	density := 0.5
 	if ps.density {
 		density = 0.05 + 0.9*ps.rng.Float64()
 	}
-	u = logic.NewWord(ps.m)
-	for b := 0; b < ps.m; b++ {
-		if ps.rng.Float64() < density {
-			u.Set(b, true)
+	// Float64 draws are non-negative, so comparing IEEE bit patterns as
+	// integers orders them exactly as x < density; the borrow of the
+	// subtraction is the bit, with no data-dependent branch.
+	dbits := math.Float64bits(density)
+	for k := range ul {
+		width := min(ps.m-k*logic.WordLimbBits, logic.WordLimbBits)
+		var limb uint64
+		for b := 0; b < width; b++ {
+			limb |= (math.Float64bits(ps.rng.Float64()) - dbits) >> 63 << uint(b)
 		}
+		ul[k] = limb
 	}
-	i := 1 + ps.rng.Intn(ps.m)
+	i := 1 + ps.intn(ps.m)
 	// Partial Fisher-Yates for i distinct flip positions.
 	for k := 0; k < i; k++ {
-		j := k + ps.rng.Intn(ps.m-k)
+		j := k + ps.intn(ps.m-k)
 		ps.idx[k], ps.idx[j] = ps.idx[j], ps.idx[k]
 	}
-	v = u.Clone()
-	for k := 0; k < i; k++ {
-		v.Set(ps.idx[k], !v.Bit(ps.idx[k]))
+	copy(vl, ul)
+	for _, p := range ps.idx[:i] {
+		vl[p/logic.WordLimbBits] ^= 1 << uint(p%logic.WordLimbBits)
 	}
-	return u, v
+	return logic.FromLimbs(ps.m, ul), logic.FromLimbs(ps.m, vl)
 }
 
 // epsilonReservoir bounds the per-class deviation sample kept by classAcc.
@@ -427,11 +508,51 @@ func convergenceWorst(basic []classAcc, prev []float64, prevCount []int64) float
 	return worst
 }
 
-// charPartial holds one shard's partial accumulators.
+// charPartial holds one shard's partial accumulators. Partials are
+// recycled: once merged, or encoded into a ShardResult, a partial is
+// reset and refilled by a later shard of the same phase.
 type charPartial struct {
 	patterns int
 	basic    []classAcc   // nil for biased-phase shards
 	enhanced [][]classAcc // nil unless the enhanced table is being fitted
+}
+
+// newCharPartial allocates an empty partial with the model's class
+// geometry: basic classes unless biased, enhanced rows if enhanced.
+func newCharPartial(model *Model, biased, enhanced bool) *charPartial {
+	m := model.InputBits
+	part := &charPartial{}
+	if !biased {
+		part.basic = make([]classAcc, m)
+	}
+	if enhanced {
+		part.enhanced = make([][]classAcc, m)
+		for i := 1; i <= m; i++ {
+			part.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
+		}
+	}
+	return part
+}
+
+// charPartials returns the partial recycler of one characterization
+// phase.
+func charPartials(model *Model, workers int, biased, enhanced bool) *recycler[*charPartial] {
+	return newRecycler(workers, func() *charPartial { return newCharPartial(model, biased, enhanced) })
+}
+
+// reset empties every accumulator, keeping the reservoirs' capacity.
+func (p *charPartial) reset() {
+	p.patterns = 0
+	resetAccs(p.basic)
+	for _, row := range p.enhanced {
+		resetAccs(row)
+	}
+}
+
+func resetAccs(accs []classAcc) {
+	for i := range accs {
+		accs[i] = classAcc{dev: accs[i].dev[:0]}
+	}
 }
 
 // Phase names reported through Hooks.PhaseStart/PhaseEnd.
@@ -453,36 +574,27 @@ const (
 )
 
 // runCharShard simulates one shard of the characterization stream on the
-// worker's own backend and returns its partial accumulators. The shard's
-// pairs are generated up front and priced as one batch — the event
-// backend walks them in the same order the pre-Backend code did (so its
-// models stay bit-identical), while the bit-parallel backend prices 64 at
-// a time. The model is only read (immutable bucket geometry), so shards
-// may run concurrently.
-func runCharShard(b Backend, model *Model, sh shard, seed int64, biased, enhanced bool) *charPartial {
+// worker's backend and returns its partial accumulators, taken from
+// parts. The shard's pairs are generated up front and priced as one
+// batch — the event backend walks them in the same order the pre-Backend
+// code did (so its models stay bit-identical), while the bit-parallel
+// backend prices 64 at a time. The model is only read (immutable bucket
+// geometry), so shards may run concurrently.
+func (w *shardWorker) runCharShard(parts *recycler[*charPartial], model *Model, sh shard, seed int64, biased bool) *charPartial {
 	faultpoint.Delay("core.shard") // chaos: stragglers must not change the model
-	m := model.InputBits
-	part := &charPartial{patterns: sh.patterns}
-	var ps *PairSource
+	part := parts.get()
+	part.reset()
+	part.patterns = sh.patterns
+	stream := streamBasic
 	if biased {
-		ps = newPairSource(m, shardSeed(seed, streamBiased, sh.index), true)
-	} else {
-		ps = newPairSource(m, shardSeed(seed, streamBasic, sh.index), false)
-		part.basic = make([]classAcc, m)
+		stream = streamBiased
 	}
-	if enhanced {
-		part.enhanced = make([][]classAcc, m)
-		for i := 1; i <= m; i++ {
-			part.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
-		}
-	}
-	us := make([]logic.Word, sh.patterns)
-	vs := make([]logic.Word, sh.patterns)
-	q := make([]float64, sh.patterns)
+	w.ps = restart(w.ps, model.InputBits, shardSeed(seed, stream, sh.index), biased)
+	us, vs, q := w.buffers(sh.patterns)
 	for j := range us {
-		us[j], vs[j] = ps.Next()
+		us[j], vs[j] = w.ps.Next()
 	}
-	b.Charges(us, vs, q)
+	w.b.Charges(us, vs, q)
 	for j := range us {
 		i := logic.Hd(us[j], vs[j])
 		if part.basic != nil {
@@ -562,7 +674,7 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 	if err != nil {
 		return nil, err
 	}
-	backends := backendPool(backend, workers)
+	pool := workerPool(backend, workers)
 
 	conv := newConvTracker(m, opt.ConvergeTol, opt.CheckEvery)
 	checkpoints := opt.ConvergeTol > 0 || opt.Hooks.wantsConvergence()
@@ -610,9 +722,10 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 	var interrupted error
 	opt.Hooks.phaseStart(PhaseBasic, len(plan), opt.Patterns)
 	if !basicDone {
+		parts := charPartials(model, workers, false, opt.Enhanced)
 		merged := runShardsOrdered(len(plan)-basicStart, workers,
 			func(w, idx int) *charPartial {
-				return runCharShard(backends[w], model, plan[basicStart+idx], opt.Seed, false, opt.Enhanced)
+				return pool[w].runCharShard(parts, model, plan[basicStart+idx], opt.Seed, false)
 			},
 			func(idx int, part *charPartial) bool {
 				abs := basicStart + idx + 1 // shards merged so far, this one included
@@ -624,6 +737,7 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 				}
 				patternsUsed += part.patterns
 				opt.Hooks.patterns(part.patterns)
+				parts.put(part)
 				opt.Hooks.shardMerged()
 				// The convergence check must precede any snapshot at this
 				// boundary: a checkpoint taken with a due check still
@@ -683,15 +797,17 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 			}, basic, enhanced, conv)
 		}
 		opt.Hooks.phaseStart(PhaseBiased, usedShards, patternsUsed)
+		parts := charPartials(model, workers, true, true)
 		runShardsOrdered(usedShards-biasedStart, workers,
 			func(w, idx int) *charPartial {
-				return runCharShard(backends[w], model, plan[biasedStart+idx], opt.Seed, true, true)
+				return pool[w].runCharShard(parts, model, plan[biasedStart+idx], opt.Seed, true)
 			},
 			func(idx int, part *charPartial) bool {
 				abs := biasedStart + idx + 1
 				mergeEnhanced(enhanced, part.enhanced)
 				patternsBiased += part.patterns
 				opt.Hooks.patterns(part.patterns)
+				parts.put(part)
 				opt.Hooks.shardMerged()
 				cur := cursor{
 					phase: PhaseBiased, shardsMerged: abs, usedShards: usedShards,

@@ -131,23 +131,41 @@ func LoadPortModel(data []byte) (*PortModel, error) {
 	return &pm, nil
 }
 
-// runPortShard simulates one shard of the port-characterization stream on
-// the worker's own backend and returns its partial (Hd_A, Hd_B) grid.
-func runPortShard(b Backend, widthA, widthB int, sh shard, seed int64) [][]classAcc {
+// newPortPartial allocates an empty (Hd_A, Hd_B) accumulator grid.
+func newPortPartial(widthA, widthB int) [][]classAcc {
 	acc := make([][]classAcc, widthA+1)
 	for ia := range acc {
 		acc[ia] = make([]classAcc, widthB+1)
 	}
-	psA := newPairSource(widthA, shardSeed(seed, streamPortA, sh.index), false)
-	psB := newPairSource(widthB, shardSeed(seed, streamPortB, sh.index), false)
-	us := make([]logic.Word, sh.patterns)
-	vs := make([]logic.Word, sh.patterns)
-	q := make([]float64, sh.patterns)
-	ias := make([]int, sh.patterns)
-	ibs := make([]int, sh.patterns)
-	for k := 0; k < sh.patterns; k++ {
-		uA, vA := psA.Next()
-		uB, vB := psB.Next()
+	return acc
+}
+
+// runPortShard simulates one shard of the port-characterization stream on
+// the worker's backend and returns its partial (Hd_A, Hd_B) grid, taken
+// from parts.
+func (w *shardWorker) runPortShard(parts *recycler[[][]classAcc], widthA, widthB int, sh shard, seed int64) [][]classAcc {
+	acc := parts.get()
+	for _, row := range acc {
+		resetAccs(row)
+	}
+	w.ps = restart(w.ps, widthA, shardSeed(seed, streamPortA, sh.index), false)
+	w.psB = restart(w.psB, widthB, shardSeed(seed, streamPortB, sh.index), false)
+	if len(w.us) == 0 {
+		// Port shards price concatenated words the worker owns, unlike
+		// runCharShard's words straight from the source.
+		size := max(sh.patterns, shardPatterns)
+		w.us, w.vs = make([]logic.Word, size), make([]logic.Word, size)
+		for k := range w.us {
+			w.us[k], w.vs[k] = logic.NewWord(widthA+widthB), logic.NewWord(widthA+widthB)
+		}
+		w.q = make([]float64, size)
+		w.ias, w.ibs = make([]int, size), make([]int, size)
+	}
+	us, vs, q := w.us[:sh.patterns], w.vs[:sh.patterns], w.q[:sh.patterns]
+	ias, ibs := w.ias[:sh.patterns], w.ibs[:sh.patterns]
+	for k := range us {
+		uA, vA := w.ps.Next()
+		uB, vB := w.psB.Next()
 		// The per-port sources always flip at least one bit; to cover the
 		// (ia, 0) and (0, ib) edges, alternately freeze one port. The
 		// freeze schedule follows the absolute pattern index so shard
@@ -158,13 +176,13 @@ func runPortShard(b Backend, widthA, widthB int, sh shard, seed int64) [][]class
 		case 3:
 			vA = uA
 		}
-		us[k] = uA.Concat(uB)
-		vs[k] = vA.Concat(vB)
+		us[k].SetConcat(uA, uB)
+		vs[k].SetConcat(vA, vB)
 		ias[k] = logic.Hd(uA, vA)
 		ibs[k] = logic.Hd(uB, vB)
 	}
-	b.Charges(us, vs, q)
-	for k := 0; k < sh.patterns; k++ {
+	w.b.Charges(us, vs, q)
+	for k := range us {
 		if ias[k] == 0 && ibs[k] == 0 {
 			continue
 		}
@@ -191,10 +209,7 @@ func CharacterizePorts(meter *power.Meter, moduleName string, widthA, widthB int
 			widthA, widthB, m)
 	}
 	pm := &PortModel{Module: moduleName, WidthA: widthA, WidthB: widthB}
-	acc := make([][]classAcc, widthA+1)
-	for ia := range acc {
-		acc[ia] = make([]classAcc, widthB+1)
-	}
+	acc := newPortPartial(widthA, widthB)
 
 	plan := shardPlan(opt.Patterns)
 	workers := opt.workerCount()
@@ -205,10 +220,11 @@ func CharacterizePorts(meter *power.Meter, moduleName string, widthA, widthB int
 	if err != nil {
 		return nil, err
 	}
-	backends := backendPool(backend, workers)
+	pool := workerPool(backend, workers)
+	parts := newRecycler(workers, func() [][]classAcc { return newPortPartial(widthA, widthB) })
 	runShardsOrdered(len(plan), workers,
 		func(w, idx int) [][]classAcc {
-			return runPortShard(backends[w], widthA, widthB, plan[idx], opt.Seed)
+			return pool[w].runPortShard(parts, widthA, widthB, plan[idx], opt.Seed)
 		},
 		func(idx int, part [][]classAcc) bool {
 			for ia := range acc {
@@ -216,6 +232,7 @@ func CharacterizePorts(meter *power.Meter, moduleName string, widthA, widthB int
 					acc[ia][ib].merge(&part[ia][ib])
 				}
 			}
+			parts.put(part)
 			return true
 		})
 

@@ -41,23 +41,47 @@ type ShardResult struct {
 	Enhanced [][]AccState `json:"enhanced,omitempty"`
 }
 
-// result converts a computed shard partial to its wire form.
+// result converts a computed shard partial to its wire form. The result
+// owns its memory — one backing array for the deviation samples, one
+// for the enhanced rows — so the partial can be recycled afterwards.
 func (p *charPartial) result(index int) ShardResult {
 	r := ShardResult{Index: index, Patterns: p.patterns}
+	nDev, nEnh := 0, 0
+	for i := range p.basic {
+		nDev += len(p.basic[i].dev)
+	}
+	for _, row := range p.enhanced {
+		nEnh += len(row)
+		for z := range row {
+			nDev += len(row[z].dev)
+		}
+	}
+	devs := make([]float64, 0, nDev)
+	state := func(a *classAcc) AccState {
+		s := AccState{Count: a.count, Sum: a.sum}
+		if len(a.dev) > 0 {
+			start := len(devs)
+			devs = append(devs, a.dev...)
+			s.Dev = devs[start:len(devs):len(devs)]
+		}
+		return s
+	}
 	if p.basic != nil {
 		r.Basic = make([]AccState, len(p.basic))
 		for i := range p.basic {
-			r.Basic[i] = p.basic[i].state()
+			r.Basic[i] = state(&p.basic[i])
 		}
 	}
 	if p.enhanced != nil {
 		r.Enhanced = make([][]AccState, len(p.enhanced))
-		for i := range p.enhanced {
-			row := make([]AccState, len(p.enhanced[i]))
-			for z := range p.enhanced[i] {
-				row[z] = p.enhanced[i][z].state()
+		flat := make([]AccState, nEnh)
+		for i, row := range p.enhanced {
+			out := flat[:len(row):len(row)]
+			flat = flat[len(row):]
+			for z := range row {
+				out[z] = state(&row[z])
 			}
-			r.Enhanced[i] = row
+			r.Enhanced[i] = out
 		}
 	}
 	return r
@@ -132,13 +156,14 @@ func CharacterizeShardRange(meter *power.Meter, moduleName string, opt Character
 	if err != nil {
 		return nil, err
 	}
-	backends := backendPool(backend, workers)
+	pool := workerPool(backend, workers)
+	parts := charPartials(model, workers, biased, enhanced)
 
 	results := make([]ShardResult, 0, n)
 	var interrupted error
 	runShardsOrdered(n, workers,
 		func(w, idx int) *charPartial {
-			return runCharShard(backends[w], model, plan[start+idx], opt.Seed, biased, enhanced)
+			return pool[w].runCharShard(parts, model, plan[start+idx], opt.Seed, biased)
 		},
 		func(idx int, part *charPartial) bool {
 			if opt.Interrupt != nil {
@@ -148,6 +173,7 @@ func CharacterizeShardRange(meter *power.Meter, moduleName string, opt Character
 				}
 			}
 			results = append(results, part.result(start+idx))
+			parts.put(part)
 			return true
 		})
 	if interrupted != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+
+	"hdpower/internal/logic"
 )
 
 // Characterization parallelism works by sharding the pattern stream, not
@@ -143,4 +145,81 @@ func runShardsOrdered[T any](n, workers int, run func(worker, idx int) T, merge 
 		}
 	}
 	return next
+}
+
+// shardWorker is one worker's backend plus the scratch it reuses from
+// shard to shard — the pair sources (restarted per shard), the pair and
+// charge buffers, and the per-port class indices of port shards — so a
+// steady-state shard allocates nothing. A worker serves a single run,
+// so all its shards are of one kind.
+type shardWorker struct {
+	b        Backend
+	ps, psB  *PairSource // psB: port B of CharacterizePorts
+	us, vs   []logic.Word
+	q        []float64
+	ias, ibs []int
+}
+
+// workerPool returns per-worker engines: slot 0 runs the resolved
+// backend, the rest run clones sharing its immutable topology.
+func workerPool(b Backend, workers int) []*shardWorker {
+	pool := make([]*shardWorker, workers)
+	pool[0] = &shardWorker{b: b}
+	for w := 1; w < workers; w++ {
+		pool[w] = &shardWorker{b: b.Clone()}
+	}
+	return pool
+}
+
+// restart returns ps restarted at seed, or a new m-bit source when ps is
+// nil. The words ps handed out before are overwritten.
+func restart(ps *PairSource, m int, seed int64, density bool) *PairSource {
+	if ps == nil {
+		return newPairSource(m, seed, density)
+	}
+	ps.reset(seed, density)
+	return ps
+}
+
+// buffers returns the worker's pair and charge buffers sized for an
+// n-pair shard.
+func (w *shardWorker) buffers(n int) (us, vs []logic.Word, q []float64) {
+	if cap(w.q) < n {
+		size := max(n, shardPatterns)
+		w.us, w.vs, w.q = make([]logic.Word, size), make([]logic.Word, size), make([]float64, size)
+	}
+	return w.us[:n], w.vs[:n], w.q[:n]
+}
+
+// recycler hands shard partials from the merging goroutine back to the
+// workers once their contents have been merged or encoded, so the pool
+// of partials stops growing after the first few shards. It is safe for
+// concurrent use. A partial returned to a full recycler is left to the
+// garbage collector.
+type recycler[T any] struct {
+	free  chan T
+	alloc func() T
+}
+
+// newRecycler returns a recycler that keeps up to two spare partials per
+// worker (one being merged, one in flight) and allocates with alloc when
+// none is free.
+func newRecycler[T any](workers int, alloc func() T) *recycler[T] {
+	return &recycler[T]{free: make(chan T, 2*workers+1), alloc: alloc}
+}
+
+func (r *recycler[T]) get() T {
+	select {
+	case v := <-r.free:
+		return v
+	default:
+		return r.alloc()
+	}
+}
+
+func (r *recycler[T]) put(v T) {
+	select {
+	case r.free <- v:
+	default:
+	}
 }

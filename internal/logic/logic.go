@@ -29,8 +29,27 @@ func NewWord(width int) Word {
 	if width < 0 {
 		panic(fmt.Sprintf("logic: negative word width %d", width))
 	}
-	n := (width + WordLimbBits - 1) / WordLimbBits
-	return Word{width: width, limbs: make([]uint64, n)}
+	return Word{width: width, limbs: make([]uint64, NumLimbs(width))}
+}
+
+// NumLimbs returns the number of uint64 limbs that back a word of the
+// given width.
+func NumLimbs(width int) int {
+	return (width + WordLimbBits - 1) / WordLimbBits
+}
+
+// FromLimbs returns a word of the given width backed by limbs, without
+// copying, so code that builds many words can fill their limbs itself:
+// bit i of the word is bit i%WordLimbBits of limbs[i/WordLimbBits]. Bits
+// at or above width in the last limb are ignored by every Word method.
+// The word's limb slice is capped at its length, so words cut side by
+// side from one slab never reach into each other. It panics if
+// len(limbs) != NumLimbs(width).
+func FromLimbs(width int, limbs []uint64) Word {
+	if width < 0 || len(limbs) != NumLimbs(width) {
+		panic(fmt.Sprintf("logic: %d limbs for a %d-bit word", len(limbs), width))
+	}
+	return Word{width: width, limbs: limbs[:len(limbs):len(limbs)]}
 }
 
 // FromUint returns a word of the given width holding the low `width` bits
@@ -219,13 +238,32 @@ func (w Word) Bits() []bool {
 // the result has width w.Width()+hi.Width(), with w occupying the LSBs.
 func (w Word) Concat(hi Word) Word {
 	out := NewWord(w.width + hi.width)
-	for i := 0; i < w.width; i++ {
-		out.Set(i, w.Bit(i))
-	}
-	for i := 0; i < hi.width; i++ {
-		out.Set(w.width+i, hi.Bit(i))
-	}
+	out.SetConcat(w, hi)
 	return out
+}
+
+// SetConcat overwrites w with the concatenation of lo (low part) and hi
+// (high part), limb by limb and without allocating. It panics unless
+// w.Width() == lo.Width()+hi.Width().
+func (w *Word) SetConcat(lo, hi Word) {
+	if w.width != lo.width+hi.width {
+		panic(fmt.Sprintf("logic: concatenating %d+%d bits into a %d-bit word",
+			lo.width, hi.width, w.width))
+	}
+	for i := range w.limbs {
+		w.limbs[i] = 0
+	}
+	for i := range lo.limbs {
+		w.limbs[i] = lo.masked(i)
+	}
+	base, sh := lo.width/WordLimbBits, uint(lo.width%WordLimbBits)
+	for i := range hi.limbs {
+		v := hi.masked(i)
+		w.limbs[base+i] |= v << sh
+		if sh != 0 && base+i+1 < len(w.limbs) {
+			w.limbs[base+i+1] |= v >> (WordLimbBits - sh)
+		}
+	}
 }
 
 // Slice returns bits [lo, hi) as a new word of width hi-lo.
@@ -283,4 +321,67 @@ func StableOnes(u, v Word) int {
 		n += bits.OnesCount64(u.masked(i) & v.masked(i))
 	}
 	return n
+}
+
+// PackLanes transposes up to 64 words of equal width into per-bit lane
+// masks, the layout of a bit-parallel simulator: bit l of dst[i] is bit i
+// of words[l]. Lanes at or above len(words) come out zero. It panics
+// unless len(words) <= 64 and every word is len(dst) bits wide.
+//
+// Each limb column of the batch is one 64×64 bit-matrix transpose, so a
+// batch costs a few hundred word operations per limb instead of one
+// Word.Bit call per lane and bit.
+func PackLanes(dst []uint64, words []Word) {
+	if len(words) > WordLimbBits {
+		panic(fmt.Sprintf("logic: %d words exceed %d lanes", len(words), WordLimbBits))
+	}
+	for l := range words {
+		if words[l].width != len(dst) {
+			panic(fmt.Sprintf("logic: packing a %d-bit word into %d lane masks", words[l].width, len(dst)))
+		}
+	}
+	var m [WordLimbBits]uint64
+	for k := 0; k*WordLimbBits < len(dst); k++ {
+		for l := range words {
+			m[l] = words[l].limbs[k]
+		}
+		for l := len(words); l < WordLimbBits; l++ {
+			m[l] = 0
+		}
+		transpose64(&m)
+		copy(dst[k*WordLimbBits:], m[:])
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place (row r is a[r], bit
+// c of a row is column c) by swapping ever smaller off-diagonal blocks:
+// the two 32×32 blocks, then the 16×16 blocks inside each half, down to
+// single bits. Row k pairs with row k+j in the stage of block size j.
+func transpose64(a *[WordLimbBits]uint64) {
+	for k := 0; k < 32; k++ {
+		swapBits(&a[k], &a[k+32], 32, 0x00000000ffffffff)
+	}
+	for k := 0; k < 64; k = (k + 17) &^ 16 {
+		swapBits(&a[k&63], &a[(k+16)&63], 16, 0x0000ffff0000ffff)
+	}
+	for k := 0; k < 64; k = (k + 9) &^ 8 {
+		swapBits(&a[k&63], &a[(k+8)&63], 8, 0x00ff00ff00ff00ff)
+	}
+	for k := 0; k < 64; k = (k + 5) &^ 4 {
+		swapBits(&a[k&63], &a[(k+4)&63], 4, 0x0f0f0f0f0f0f0f0f)
+	}
+	for k := 0; k < 64; k = (k + 3) &^ 2 {
+		swapBits(&a[k&63], &a[(k+2)&63], 2, 0x3333333333333333)
+	}
+	for k := 0; k < 64; k += 2 {
+		swapBits(&a[k&63], &a[(k+1)&63], 1, 0x5555555555555555)
+	}
+}
+
+// swapBits exchanges the mask-selected bits of *y with the bits s places
+// higher in *x: one block swap of the transpose.
+func swapBits(x, y *uint64, s uint, mask uint64) {
+	t := (*x>>s ^ *y) & mask
+	*x ^= t << s
+	*y ^= t
 }

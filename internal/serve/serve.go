@@ -566,6 +566,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, which
+// the streaming batch endpoint uses to switch on full-duplex mode.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // wrap applies panic recovery, per-request timeout, the body size cap,
 // a root span, request-ID propagation, request metrics and the access log
 // to a handler.

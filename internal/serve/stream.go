@@ -125,8 +125,15 @@ func (s *Server) streamLineLegacy(bw *bufio.Writer, sc *estScratch, line []byte)
 // handleEstimateStream is the NDJSON batch endpoint. One request prices
 // an arbitrary number of estimate lines without re-paying per-request
 // HTTP, routing, or middleware costs — the wire format a load generator
-// or a simulation trace exporter wants.
+// or a simulation trace exporter wants. Answers stream back while the
+// batch is still arriving, so a client must read the response as it
+// sends the body.
 func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
+	// Without full duplex an HTTP/1.1 server drains or closes the unread
+	// body at the first flush, cutting any batch whose answer outgrows
+	// the writer. The error only says the writer cannot switch, and
+	// HTTP/2 writers are duplex already.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	br := streamReaderPool.Get().(*bufio.Reader)
 	br.Reset(r.Body)
 	defer func() {

@@ -205,3 +205,40 @@ func TestStreamOversizedLine(t *testing.T) {
 		t.Fatalf("cycles = %d, want %d", got.Cycles, n)
 	}
 }
+
+// TestStreamAnswerOutgrowsWriteBuffer is the regression test for large
+// batches: once the answer outgrows the 64 KiB response writer while the
+// request body is still unread, every line must still come back. Without
+// full-duplex mode net/http drains or closes the unread body at the first
+// flush, and the batch ends early with "unexpected EOF" lines.
+func TestStreamAnswerOutgrowsWriteBuffer(t *testing.T) {
+	_, ts := newTestServer(t, Config{BuildFunc: instantBuilds(4)})
+	buildReady(t, ts.URL, map[string]any{"module": "ripple-adder", "width": 2, "seed": 7})
+
+	const nLines, cycles = 64, 2048
+	var line strings.Builder
+	line.WriteString(`{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[0`)
+	for i := 1; i < cycles; i++ {
+		fmt.Fprintf(&line, ",%d", i%5)
+	}
+	line.WriteString("]}\n")
+	body := strings.Repeat(line.String(), nLines)
+	resp, lines := postNDJSON(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	size := 0
+	for i, l := range lines {
+		size += len(l) + 1
+		var got estimateResponse
+		if err := json.Unmarshal([]byte(l), &got); err != nil || got.Cycles != cycles {
+			t.Fatalf("line %d: %.80s", i, l)
+		}
+	}
+	if len(lines) != nLines {
+		t.Fatalf("got %d lines, want %d", len(lines), nLines)
+	}
+	if size <= streamBufSize {
+		t.Fatalf("answer of %d bytes does not outgrow the %d-byte writer", size, streamBufSize)
+	}
+}
