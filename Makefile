@@ -77,17 +77,23 @@ cover:
 			{ echo "FAIL: internal/$$pkg coverage $$total% below floor $$floor%"; exit 1; }; \
 	done
 
-# Identity fuzzing, FUZZTIME per target (go test fuzzes one target per
-# invocation): the 64-lane transpose against per-bit packing, the
-# limb-level pair generator against a frozen copy of the per-bit one,
-# and the bit-parallel engine against the scalar simulator. Seed corpora
-# live under each package's testdata/fuzz; a crasher lands there too.
+# Identity and decode fuzzing, FUZZTIME per target (go test fuzzes one
+# target per invocation): the 64-lane transpose against per-bit packing,
+# the limb-level pair generator against a frozen copy of the per-bit one,
+# the bit-parallel engine against the scalar simulator, and the two
+# entry points every build's merge state machine takes from bytes —
+# resuming a MergeSession from a decoded checkpoint, and merging a
+# decoded ShardResult, which must leave the session untouched when it
+# rejects it. Seed corpora live under each package's testdata/fuzz; a
+# crasher lands there too.
 FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackLanes$$' -fuzztime $(FUZZTIME) ./internal/logic
 	$(GO) test -run '^$$' -fuzz '^FuzzPairSource$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime $(FUZZTIME) ./internal/bitsim
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Full benchmark sweep.
 bench:

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
 	"runtime"
 
 	"hdpower/internal/faultpoint"
@@ -392,56 +393,87 @@ func (ps *PairSource) Next() (u, v logic.Word) {
 	return logic.FromLimbs(ps.m, ul), logic.FromLimbs(ps.m, vl)
 }
 
-// epsilonReservoir bounds the per-class deviation sample kept by classAcc.
+// epsilonReservoir bounds the per-class deviation sample kept by AccState.
 // Classes keep their first epsilonReservoir charge samples in merged
 // stream order: within a class the stream is i.i.d., so the prefix is an
 // unbiased deviation sample, and — unlike a randomized reservoir — it
 // stays byte-identical under ordered shard merging for any worker count.
 const epsilonReservoir = 512
 
-// classAcc accumulates the charge samples of one switching-event class as
+// AccState accumulates the charge samples of one switching-event class as
 // a streaming (count, sum) pair plus the bounded deviation reservoir, so
-// memory per class is O(1) no matter how long the run is.
-type classAcc struct {
-	count int64
-	sum   float64
-	dev   []float64 // first epsilonReservoir samples, for ε_i
+// memory per class is O(1) no matter how long the run is. The same type
+// is a shard's partial in memory, in a ShardResult on the wire and in a
+// Checkpoint on disk. Sums and deviation samples are float64 and survive
+// the JSON round trip bit-exactly (Go encodes the shortest representation
+// that parses back to the same value), which the bit-identical resume
+// guarantee rests on.
+type AccState struct {
+	Count int64     `json:"count"`
+	Sum   float64   `json:"sum"`
+	Dev   []float64 `json:"dev,omitempty"` // first epsilonReservoir samples, for ε_i
 }
 
-func (a *classAcc) add(q float64) {
-	a.count++
-	a.sum += q
-	if len(a.dev) < epsilonReservoir {
-		a.dev = append(a.dev, q)
+func (a *AccState) add(q float64) {
+	a.Count++
+	a.Sum += q
+	if len(a.Dev) < epsilonReservoir {
+		a.Dev = append(a.Dev, q)
 	}
 }
 
 // merge folds a later shard's partial accumulator into a. Partials must be
 // merged in shard-index order to keep sums and reservoirs deterministic.
-func (a *classAcc) merge(b *classAcc) {
-	a.count += b.count
-	a.sum += b.sum
-	if room := epsilonReservoir - len(a.dev); room > 0 {
-		if room > len(b.dev) {
-			room = len(b.dev)
-		}
-		a.dev = append(a.dev, b.dev[:room]...)
+func (a *AccState) merge(b *AccState) {
+	a.Count += b.Count
+	a.Sum += b.Sum
+	if room := epsilonReservoir - len(a.Dev); room > 0 {
+		a.Dev = append(a.Dev, b.Dev[:min(room, len(b.Dev))]...)
 	}
 }
 
-func (a *classAcc) coef() Coef {
-	if a.count == 0 {
+func (a *AccState) coef() Coef {
+	if a.Count == 0 {
 		return Coef{}
 	}
-	p := a.sum / float64(a.count)
+	p := a.Sum / float64(a.Count)
 	var dev float64
 	if p > 0 {
-		for _, q := range a.dev {
+		for _, q := range a.Dev {
 			dev += math.Abs((q - p) / p)
 		}
-		dev /= float64(len(a.dev))
+		dev /= float64(len(a.Dev))
 	}
-	return Coef{P: p, Epsilon: dev, Count: int(a.count)}
+	return Coef{P: p, Epsilon: dev, Count: int(a.Count)}
+}
+
+// mergeRows folds a later shard's rows of partial accumulators into the
+// totals, class by class.
+func mergeRows(total, part [][]AccState) {
+	for i, row := range part {
+		mergeAccs(total[i], row)
+	}
+}
+
+func mergeAccs(total, part []AccState) {
+	for k := range part {
+		total[k].merge(&part[k])
+	}
+}
+
+// coefs fits the coefficients of a row of accumulators.
+func coefs(accs []AccState) []Coef {
+	out := make([]Coef, len(accs))
+	for k := range accs {
+		out[k] = accs[k].coef()
+	}
+	return out
+}
+
+func resetAccs(accs []AccState) {
+	for i := range accs {
+		accs[i] = AccState{Dev: accs[i].Dev[:0]}
+	}
 }
 
 // convTracker runs the convergence check of Section 4.1 on merged shard
@@ -469,7 +501,7 @@ func newConvTracker(m int, tol float64, checkEvery int) *convTracker {
 // `patterns` characterization pairs. checked reports whether a checkpoint
 // was due (and worst is meaningful); stop reports whether the run has
 // converged under the tracker's tolerance.
-func (c *convTracker) check(basic []classAcc, patterns int) (worst float64, checked, stop bool) {
+func (c *convTracker) check(basic []AccState, patterns int) (worst float64, checked, stop bool) {
 	if patterns < c.nextCheck {
 		return 0, false, false
 	}
@@ -486,14 +518,14 @@ func (c *convTracker) check(basic []classAcc, patterns int) (worst float64, chec
 // as converged instead of pinning the worst change at +Inf forever. Only
 // a class that first turns nonzero — new samples with no usable baseline —
 // reports +Inf, deferring convergence to the next checkpoint.
-func convergenceWorst(basic []classAcc, prev []float64, prevCount []int64) float64 {
+func convergenceWorst(basic []AccState, prev []float64, prevCount []int64) float64 {
 	worst := 0.0
 	for k := range basic {
-		n := basic[k].count
+		n := basic[k].Count
 		if n == 0 {
 			continue
 		}
-		cur := basic[k].sum / float64(n)
+		cur := basic[k].Sum / float64(n)
 		switch {
 		case prev[k] > 0:
 			if change := math.Abs(cur-prev[k]) / prev[k]; change > worst {
@@ -508,50 +540,39 @@ func convergenceWorst(basic []classAcc, prev []float64, prevCount []int64) float
 	return worst
 }
 
-// charPartial holds one shard's partial accumulators. Partials are
-// recycled: once merged, or encoded into a ShardResult, a partial is
-// reset and refilled by a later shard of the same phase.
-type charPartial struct {
-	patterns int
-	basic    []classAcc   // nil for biased-phase shards
-	enhanced [][]classAcc // nil unless the enhanced table is being fitted
-}
-
-// newCharPartial allocates an empty partial with the model's class
-// geometry: basic classes unless biased, enhanced rows if enhanced.
-func newCharPartial(model *Model, biased, enhanced bool) *charPartial {
+// newShardResult allocates empty accumulators with the model's class
+// geometry: basic classes unless biased, enhanced rows if enhanced. Shard
+// partials and a MergeSession's totals both have this shape.
+func newShardResult(model *Model, biased, enhanced bool) *ShardResult {
 	m := model.InputBits
-	part := &charPartial{}
+	r := &ShardResult{}
 	if !biased {
-		part.basic = make([]classAcc, m)
+		r.Basic = make([]AccState, m)
 	}
 	if enhanced {
-		part.enhanced = make([][]classAcc, m)
+		r.Enhanced = make([][]AccState, m)
 		for i := 1; i <= m; i++ {
-			part.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
+			r.Enhanced[i-1] = make([]AccState, model.NumZBuckets(i))
 		}
 	}
-	return part
+	return r
 }
 
-// charPartials returns the partial recycler of one characterization
-// phase.
-func charPartials(model *Model, workers int, biased, enhanced bool) *recycler[*charPartial] {
-	return newRecycler(workers, func() *charPartial { return newCharPartial(model, biased, enhanced) })
+// shardPartials returns the partial recycler of one characterization
+// phase. Partials are recycled: once merged, or cloned into a returned
+// ShardResult, a partial is reset and refilled by a later shard of the
+// same phase.
+func shardPartials(model *Model, workers int, biased, enhanced bool) *recycler[*ShardResult] {
+	return newRecycler(workers, func() *ShardResult { return newShardResult(model, biased, enhanced) })
 }
 
-// reset empties every accumulator, keeping the reservoirs' capacity.
-func (p *charPartial) reset() {
-	p.patterns = 0
-	resetAccs(p.basic)
-	for _, row := range p.enhanced {
+// reset empties a recycled partial for shard sh, keeping the reservoirs'
+// capacity.
+func (r *ShardResult) reset(sh shard) {
+	r.Index, r.Patterns = sh.index, sh.patterns
+	resetAccs(r.Basic)
+	for _, row := range r.Enhanced {
 		resetAccs(row)
-	}
-}
-
-func resetAccs(accs []classAcc) {
-	for i := range accs {
-		accs[i] = classAcc{dev: accs[i].dev[:0]}
 	}
 }
 
@@ -580,11 +601,10 @@ const (
 // code did (so its models stay bit-identical), while the bit-parallel
 // backend prices 64 at a time. The model is only read (immutable bucket
 // geometry), so shards may run concurrently.
-func (w *shardWorker) runCharShard(parts *recycler[*charPartial], model *Model, sh shard, seed int64, biased bool) *charPartial {
+func (w *shardWorker) runCharShard(parts *recycler[*ShardResult], model *Model, sh shard, seed int64, biased bool) *ShardResult {
 	faultpoint.Delay("core.shard") // chaos: stragglers must not change the model
 	part := parts.get()
-	part.reset()
-	part.patterns = sh.patterns
+	part.reset(sh)
 	stream := streamBasic
 	if biased {
 		stream = streamBiased
@@ -597,24 +617,15 @@ func (w *shardWorker) runCharShard(parts *recycler[*charPartial], model *Model, 
 	w.b.Charges(us, vs, q)
 	for j := range us {
 		i := logic.Hd(us[j], vs[j])
-		if part.basic != nil {
-			part.basic[i-1].add(q[j])
+		if part.Basic != nil {
+			part.Basic[i-1].add(q[j])
 		}
-		if part.enhanced != nil {
+		if part.Enhanced != nil {
 			z := logic.StableZeros(us[j], vs[j])
-			part.enhanced[i-1][model.ZBucket(i, z)].add(q[j])
+			part.Enhanced[i-1][model.ZBucket(i, z)].add(q[j])
 		}
 	}
 	return part
-}
-
-// mergeEnhanced folds a shard's enhanced partials into the totals.
-func mergeEnhanced(total, part [][]classAcc) {
-	for i := range part {
-		for zb := range part[i] {
-			total[i][zb].merge(&part[i][zb])
-		}
-	}
 }
 
 // verifyNetlist statically lints the meter's netlist before any pattern
@@ -634,222 +645,122 @@ func verifyNetlist(meter *power.Meter, moduleName string) error {
 	return nil
 }
 
+// prepare is the set-up every characterization entry point shares: lint
+// the netlist, check the module has inputs, resolve the backend, and
+// build a pool of at most shards workers.
+func prepare(meter *power.Meter, moduleName string, opt *CharacterizeOptions, shards int) ([]*shardWorker, error) {
+	if err := verifyNetlist(meter, moduleName); err != nil {
+		return nil, err
+	}
+	if meter.NumInputBits() <= 0 {
+		return nil, fmt.Errorf("core: module %s has no inputs", moduleName)
+	}
+	backend, err := opt.resolveBackend(meter)
+	if err != nil {
+		return nil, err
+	}
+	return workerPool(backend, min(opt.workerCount(), shards)), nil
+}
+
 // Characterize runs the characterization process of Section 4.1 against
 // the reference charge meter and returns the fitted model. The meter's
 // module must have at least one input bit. With Workers > 1 (or the
 // runtime.NumCPU default on multi-core hosts) the pattern stream is
 // characterized by a worker pool over clones of the meter; see
 // CharacterizeOptions.Workers for the determinism contract.
+//
+// Characterize is a fleet with one in-process worker: it simulates the
+// shards of each phase itself and feeds every partial, in shard order,
+// through the same MergeSession state machine a fleet coordinator drives,
+// so merging, the convergence check, early stop, phase hooks and the
+// coefficient fit exist once. What Characterize adds is the work at each
+// merged-shard boundary: polling Interrupt, the core.merge fault point,
+// and the file checkpoint, which is the session's Snapshot and which a
+// resumed run restores through the session's resume path.
 func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions) (*Model, error) {
-	opt.setDefaults()
-	if err := verifyNetlist(meter, moduleName); err != nil {
-		return nil, err
-	}
-	m := meter.NumInputBits()
-	if m <= 0 {
-		return nil, fmt.Errorf("core: module %s has no inputs", moduleName)
-	}
-
-	model := &Model{
-		Module:    moduleName,
-		InputBits: m,
-		Basic:     make([]Coef, m),
-		ZClusters: opt.ZClusters,
-	}
-	basic := make([]classAcc, m)
-	var enhanced [][]classAcc
-	if opt.Enhanced {
-		enhanced = make([][]classAcc, m)
-		for i := 1; i <= m; i++ {
-			enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
-		}
-	}
-
-	plan := shardPlan(opt.Patterns)
-	workers := opt.workerCount()
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	backend, err := opt.resolveBackend(meter)
+	s, err := newSession(moduleName, meter.NumInputBits(), opt)
 	if err != nil {
 		return nil, err
 	}
-	pool := workerPool(backend, workers)
-
-	conv := newConvTracker(m, opt.ConvergeTol, opt.CheckEvery)
-	checkpoints := opt.ConvergeTol > 0 || opt.Hooks.wantsConvergence()
-	patternsUsed := 0
-	patternsBiased := 0
-	stopped := false
-	earlyStopAt := 0
-
-	// Crash safety: restore a prior run's merged state when resuming, and
-	// snapshot at shard boundaries while running. Because the accumulators
-	// at a merged-shard boundary are a pure function of the shard prefix,
-	// a resumed run that replays the remaining shards lands on exactly the
-	// accumulators — and therefore the model — of an uninterrupted run.
-	var ck *checkpointer
-	if opt.Checkpoint.Path != "" {
-		ck = newCheckpointer(&opt, moduleName, m)
-	}
-	resume, err := loadResume(&opt, moduleName, m, model, len(plan))
+	pool, err := prepare(meter, moduleName, &s.opt, len(s.plan))
 	if err != nil {
 		return nil, err
 	}
-	basicStart, biasedStart, usedShards := 0, 0, 0
-	basicDone := false
-	if resume != nil {
-		resume.restore(basic, enhanced, conv)
-		patternsUsed = resume.PatternsBasic
-		patternsBiased = resume.PatternsBiased
-		stopped = resume.EarlyStopped
-		earlyStopAt = resume.EarlyStopAt
-		if resume.Phase == PhaseBiased {
-			basicDone = true
-			usedShards = resume.UsedShards
-			biasedStart = resume.ShardsMerged
-		} else {
-			basicStart = resume.ShardsMerged
-		}
-		opt.Hooks.resumed(resume.Phase, resume.totalShardsMerged(),
-			resume.PatternsBasic, resume.PatternsBiased)
+	// Crash safety: because the accumulators at a merged-shard boundary
+	// are a pure function of the shard prefix, a resumed run that replays
+	// the remaining shards lands on exactly the accumulators — and
+	// therefore the model — of an uninterrupted run.
+	resume, err := loadResume(&s.opt, moduleName, s.model, len(s.plan))
+	if err != nil {
+		return nil, err
 	}
+	// The file goes in before start: a resume at the basic phase's last
+	// shard crosses into the biased phase inside start, and must take the
+	// phase-boundary snapshot there.
+	if co := s.opt.Checkpoint; co.Path != "" {
+		s.file = &checkpointFile{path: co.Path, every: co.every()}
+	}
+	s.start(resume)
 
-	// Phase 1: unbiased stratified pairs fill the basic classes (and, when
-	// fitting the enhanced table, its unbiased share of the E_{i,z}
-	// classes). The convergence check runs on the merged prefix only, so
-	// the early-stop point is worker-count-independent.
+	// Phase 1 fills the basic classes with unbiased stratified pairs (and,
+	// for the enhanced table, its unbiased share of the E_{i,z} classes);
+	// phase 2 populates the extreme stable-zero classes uniform vectors
+	// almost never produce with density-stratified pairs, over the shards
+	// phase 1 consumed. The session decides where each phase ends, on the
+	// merged prefix only, so the early-stop point is worker-count-
+	// independent.
+	plan, model, seed := s.plan, s.model, s.opt.Seed
 	var interrupted error
-	opt.Hooks.phaseStart(PhaseBasic, len(plan), opt.Patterns)
-	if !basicDone {
-		parts := charPartials(model, workers, false, opt.Enhanced)
-		merged := runShardsOrdered(len(plan)-basicStart, workers,
-			func(w, idx int) *charPartial {
-				return pool[w].runCharShard(parts, model, plan[basicStart+idx], opt.Seed, false)
+	for !s.done && interrupted == nil {
+		biased, start := s.phase == PhaseBiased, s.merged
+		parts := shardPartials(model, len(pool), biased, s.opt.Enhanced)
+		runShardsOrdered(s.PhaseShards()-start, len(pool),
+			func(w, idx int) *ShardResult {
+				return pool[w].runCharShard(parts, model, plan[start+idx], seed, biased)
 			},
-			func(idx int, part *charPartial) bool {
-				abs := basicStart + idx + 1 // shards merged so far, this one included
-				for k := range basic {
-					basic[k].merge(&part.basic[k])
-				}
-				if opt.Enhanced {
-					mergeEnhanced(enhanced, part.enhanced)
-				}
-				patternsUsed += part.patterns
-				opt.Hooks.patterns(part.patterns)
+			func(_ int, part *ShardResult) bool {
+				stop := s.fold(part)
 				parts.put(part)
-				opt.Hooks.shardMerged()
-				// The convergence check must precede any snapshot at this
-				// boundary: a checkpoint taken with a due check still
-				// pending would resume into a different check cadence and
-				// break the bit-identical guarantee.
-				if checkpoints {
-					if worst, checked, stop := conv.check(basic, patternsUsed); checked {
-						opt.Hooks.convergence(patternsUsed, worst)
-						if stop {
-							// The stop decision itself is persisted by the
-							// phase-boundary snapshot below, so a crash in
-							// the biased phase never replays the check.
-							stopped = true
-							earlyStopAt = patternsUsed
-							opt.Hooks.earlyStop(patternsUsed)
-							return false
-						}
-					}
-				}
-				cur := cursor{phase: PhaseBasic, shardsMerged: abs, patternsBasic: patternsUsed}
-				if opt.Interrupt != nil {
-					if err := opt.Interrupt(); err != nil {
-						interrupted = err
-						ck.save(cur, basic, enhanced, conv)
+				if !stop {
+					if interrupted = s.boundary(); interrupted != nil {
 						return false
 					}
+					if s.merged < s.PhaseShards() {
+						return true
+					}
 				}
-				if ferr := faultpoint.Hit("core.merge"); ferr != nil {
-					interrupted = ferr
-					ck.save(cur, basic, enhanced, conv)
-					return false
-				}
-				ck.maybeSave(cur, basic, enhanced, conv)
-				return true
+				s.complete()
+				return false
 			})
-		usedShards = basicStart + merged
 	}
-	opt.Hooks.phaseEnd(PhaseBasic)
 	if interrupted != nil {
+		s.Close()
 		return nil, fmt.Errorf("core: characterization of %s interrupted: %w", moduleName, interrupted)
-	}
-
-	// Phase 2 for the enhanced table: density-stratified pairs populate
-	// the extreme stable-zero classes that uniform vectors almost never
-	// produce (all-stable-bits-zero / -one, paper Fig. 2). These samples
-	// feed only the enhanced accumulators, keeping the basic coefficients
-	// unbiased for uniform streams. The biased budget mirrors the shards
-	// phase 1 actually consumed.
-	if opt.Enhanced {
-		if ck != nil && !basicDone {
-			// Phase boundary snapshot: a crash during the biased phase must
-			// not replay the basic phase.
-			ck.save(cursor{
-				phase: PhaseBiased, usedShards: usedShards,
-				patternsBasic: patternsUsed,
-				earlyStopped:  stopped, earlyStopAt: earlyStopAt,
-			}, basic, enhanced, conv)
-		}
-		opt.Hooks.phaseStart(PhaseBiased, usedShards, patternsUsed)
-		parts := charPartials(model, workers, true, true)
-		runShardsOrdered(usedShards-biasedStart, workers,
-			func(w, idx int) *charPartial {
-				return pool[w].runCharShard(parts, model, plan[biasedStart+idx], opt.Seed, true)
-			},
-			func(idx int, part *charPartial) bool {
-				abs := biasedStart + idx + 1
-				mergeEnhanced(enhanced, part.enhanced)
-				patternsBiased += part.patterns
-				opt.Hooks.patterns(part.patterns)
-				parts.put(part)
-				opt.Hooks.shardMerged()
-				cur := cursor{
-					phase: PhaseBiased, shardsMerged: abs, usedShards: usedShards,
-					patternsBasic: patternsUsed, patternsBiased: patternsBiased,
-					earlyStopped: stopped, earlyStopAt: earlyStopAt,
-				}
-				if opt.Interrupt != nil {
-					if err := opt.Interrupt(); err != nil {
-						interrupted = err
-						ck.save(cur, basic, enhanced, conv)
-						return false
-					}
-				}
-				if ferr := faultpoint.Hit("core.merge"); ferr != nil {
-					interrupted = ferr
-					ck.save(cur, basic, enhanced, conv)
-					return false
-				}
-				ck.maybeSave(cur, basic, enhanced, conv)
-				return true
-			})
-		opt.Hooks.phaseEnd(PhaseBiased)
-		if interrupted != nil {
-			return nil, fmt.Errorf("core: characterization of %s interrupted: %w", moduleName, interrupted)
-		}
 	}
 	// The run is complete; a leftover checkpoint would make the next run
 	// of this spec resume into an already-finished state.
-	ck.remove()
+	if s.file != nil {
+		_ = os.Remove(s.file.path)
+	}
+	return s.Finish()
+}
 
-	for k := range basic {
-		model.Basic[k] = basic[k].coef()
+// boundary does a local run's work at a merged-shard boundary while the
+// phase is still open: poll Interrupt and the core.merge fault point, and
+// snapshot — before an abort, so a resume continues where it landed, and
+// otherwise at the periodic interval.
+func (s *MergeSession) boundary() error {
+	var err error
+	if s.opt.Interrupt != nil {
+		err = s.opt.Interrupt()
 	}
-	if opt.Enhanced {
-		model.Enhanced = make([][]Coef, m)
-		for i := 1; i <= m; i++ {
-			row := make([]Coef, len(enhanced[i-1]))
-			for zb := range row {
-				row[zb] = enhanced[i-1][zb].coef()
-			}
-			model.Enhanced[i-1] = row
-		}
+	if err == nil {
+		err = faultpoint.Hit("core.merge")
 	}
-	return model, model.Validate()
+	if err != nil {
+		s.save()
+		return err
+	}
+	s.tick()
+	return nil
 }

@@ -3,9 +3,10 @@ package core
 // checkpoint.go makes characterization crash-safe. The expensive phase of
 // the paper's flow is simulating millions of pattern pairs; a crash, OOM
 // kill, or SIGTERM used to throw every merged shard away. A Checkpoint is
-// a versioned, checksummed snapshot of the merged state — the per-class
-// accumulators, the convergence tracker, and the shard cursor — written
-// atomically (internal/atomicio) at merged-shard boundaries. Because the
+// a MergeSession's Snapshot of the merged state — the per-class
+// accumulators, the convergence tracker, and the shard cursor — which a
+// Characterize run writes, versioned and checksummed, atomically
+// (internal/atomicio) at merged-shard boundaries. Because the
 // pattern stream is sharded deterministically by (Seed, stream, shard
 // index), no RNG state needs saving: the shard cursor alone pins the
 // stream, and a resumed run replays the remaining shards into the
@@ -52,25 +53,6 @@ func (c *CheckpointOptions) every() int {
 		return c.EveryShards
 	}
 	return defaultCheckpointEvery
-}
-
-// AccState is the serialized form of one classAcc, shared by checkpoints
-// and the fleet's partial-accumulator wire format (ShardResult). Sums and
-// deviation samples are float64 and survive the JSON round trip bit-
-// exactly (Go encodes the shortest representation that parses back to the
-// same value), which the bit-identical resume guarantee rests on.
-type AccState struct {
-	Count int64     `json:"count"`
-	Sum   float64   `json:"sum"`
-	Dev   []float64 `json:"dev,omitempty"`
-}
-
-func (a *classAcc) state() AccState {
-	return AccState{Count: a.count, Sum: a.sum, Dev: a.dev}
-}
-
-func (s AccState) acc() classAcc {
-	return classAcc{count: s.Count, sum: s.Sum, dev: s.Dev}
 }
 
 // Checkpoint is one crash-safe snapshot of a characterization run at a
@@ -257,24 +239,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 }
 
-// checkpointer owns the snapshot lifecycle of one Characterize call.
-type checkpointer struct {
-	path  string
-	every int
-	base  Checkpoint // identity fields, filled once
-	hooks *Hooks
-	since int // shards merged since the last snapshot
-}
-
-func newCheckpointer(opt *CharacterizeOptions, module string, inputBits int) *checkpointer {
-	return &checkpointer{
-		path:  opt.Checkpoint.Path,
-		every: opt.Checkpoint.every(),
-		hooks: opt.Hooks,
-		base:  baseCheckpoint(module, inputBits, opt),
-	}
-}
-
 // baseCheckpoint fills the identity fields shared by every snapshot of a
 // run — file checkpoints and fleet ledger snapshots alike.
 func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Checkpoint {
@@ -293,89 +257,36 @@ func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Chec
 	}
 }
 
-// cursor is the save-time position of the run.
-type cursor struct {
-	phase          string
-	shardsMerged   int
-	usedShards     int
-	patternsBasic  int
-	patternsBiased int
-	earlyStopped   bool
-	earlyStopAt    int
+// checkpointFile is the file a Characterize run writes its session's
+// snapshots to.
+type checkpointFile struct {
+	path  string
+	every int
+	since int // shards merged since the last snapshot
 }
 
-// save snapshots the merged state at a shard boundary. Failures are
-// reported through the CheckpointSaved hook and never fail the run: a
-// characterization with a broken checkpoint disk still produces a model.
-func (ck *checkpointer) save(cur cursor, basic []classAcc, enhanced [][]classAcc, conv *convTracker) {
-	if ck == nil {
+// save writes the session's Snapshot to its checkpoint file, if it has
+// one. Failures are reported through the CheckpointSaved hook and never
+// fail the run: a characterization with a broken checkpoint disk still
+// produces a model.
+func (s *MergeSession) save() {
+	if s.file == nil {
 		return
 	}
-	cp := ck.base
-	cp.Phase = cur.phase
-	cp.ShardsMerged = cur.shardsMerged
-	cp.UsedShards = cur.usedShards
-	cp.PatternsBasic = cur.patternsBasic
-	cp.PatternsBiased = cur.patternsBiased
-	cp.EarlyStopped = cur.earlyStopped
-	cp.EarlyStopAt = cur.earlyStopAt
-	cp.Basic = make([]AccState, len(basic))
-	for i := range basic {
-		cp.Basic[i] = basic[i].state()
-	}
-	if enhanced != nil {
-		cp.EnhancedAcc = make([][]AccState, len(enhanced))
-		for i := range enhanced {
-			row := make([]AccState, len(enhanced[i]))
-			for z := range enhanced[i] {
-				row[z] = enhanced[i][z].state()
-			}
-			cp.EnhancedAcc[i] = row
-		}
-	}
-	cp.ConvNext = conv.nextCheck
-	cp.ConvPrev = conv.prev
-	cp.ConvPrevCount = conv.prevCount
-	err := atomicio.WriteJSON(ck.path, &cp)
-	ck.since = 0
-	ck.hooks.checkpointSaved(err)
+	err := atomicio.WriteJSON(s.file.path, s.Snapshot())
+	s.file.since = 0
+	s.opt.Hooks.checkpointSaved(err)
 }
 
-// maybeSave counts a merged shard and snapshots at the periodic interval.
-func (ck *checkpointer) maybeSave(cur cursor, basic []classAcc, enhanced [][]classAcc, conv *convTracker) {
-	if ck == nil {
+// tick counts a merged shard and snapshots at the periodic interval.
+func (s *MergeSession) tick() {
+	if s.file == nil {
 		return
 	}
-	ck.since++
-	if ck.since >= ck.every {
-		ck.save(cur, basic, enhanced, conv)
+	s.file.since++
+	if s.file.since >= s.file.every {
+		s.save()
 	}
-}
-
-// remove deletes the checkpoint after a successful run, so the next run
-// of the same spec starts clean instead of resuming into a finished state.
-func (ck *checkpointer) remove() {
-	if ck == nil {
-		return
-	}
-	_ = os.Remove(ck.path)
-}
-
-// restore rehydrates the merged state from a checkpoint.
-func (c *Checkpoint) restore(basic []classAcc, enhanced [][]classAcc, conv *convTracker) {
-	for i := range basic {
-		basic[i] = c.Basic[i].acc()
-	}
-	if enhanced != nil {
-		for i := range enhanced {
-			for z := range enhanced[i] {
-				enhanced[i][z] = c.EnhancedAcc[i][z].acc()
-			}
-		}
-	}
-	conv.nextCheck = c.ConvNext
-	copy(conv.prev, c.ConvPrev)
-	copy(conv.prevCount, c.ConvPrevCount)
 }
 
 // totalShardsMerged is the checkpoint's merged-shard total across phases.
@@ -389,7 +300,7 @@ func (c *Checkpoint) totalShardsMerged() int {
 // loadResume resolves the Resume option: it returns the checkpoint to
 // continue from, nil for a fresh start (no file, or a quarantined corrupt
 // file), or an error for an identity mismatch or unreadable file.
-func loadResume(opt *CharacterizeOptions, module string, inputBits int, model *Model, shards int) (*Checkpoint, error) {
+func loadResume(opt *CharacterizeOptions, module string, model *Model, shards int) (*Checkpoint, error) {
 	co := opt.Checkpoint
 	if co.Path == "" || !co.Resume {
 		return nil, nil
@@ -406,7 +317,7 @@ func loadResume(opt *CharacterizeOptions, module string, inputBits int, model *M
 	default:
 		return nil, fmt.Errorf("core: checkpoint %s: %w", co.Path, err)
 	}
-	if err := cp.matches(co.Path, module, inputBits, opt); err != nil {
+	if err := cp.matches(co.Path, module, model.InputBits, opt); err != nil {
 		return nil, err
 	}
 	if err := cp.sanity(model, shards); err != nil {

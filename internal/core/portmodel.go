@@ -132,10 +132,10 @@ func LoadPortModel(data []byte) (*PortModel, error) {
 }
 
 // newPortPartial allocates an empty (Hd_A, Hd_B) accumulator grid.
-func newPortPartial(widthA, widthB int) [][]classAcc {
-	acc := make([][]classAcc, widthA+1)
+func newPortPartial(widthA, widthB int) [][]AccState {
+	acc := make([][]AccState, widthA+1)
 	for ia := range acc {
-		acc[ia] = make([]classAcc, widthB+1)
+		acc[ia] = make([]AccState, widthB+1)
 	}
 	return acc
 }
@@ -143,7 +143,7 @@ func newPortPartial(widthA, widthB int) [][]classAcc {
 // runPortShard simulates one shard of the port-characterization stream on
 // the worker's backend and returns its partial (Hd_A, Hd_B) grid, taken
 // from parts.
-func (w *shardWorker) runPortShard(parts *recycler[[][]classAcc], widthA, widthB int, sh shard, seed int64) [][]classAcc {
+func (w *shardWorker) runPortShard(parts *recycler[[][]AccState], widthA, widthB int, sh shard, seed int64) [][]AccState {
 	acc := parts.get()
 	for _, row := range acc {
 		resetAccs(row)
@@ -200,48 +200,30 @@ func (w *shardWorker) runPortShard(parts *recycler[[][]classAcc], widthA, widthB
 func CharacterizePorts(meter *power.Meter, moduleName string, widthA, widthB int,
 	opt CharacterizeOptions) (*PortModel, error) {
 	opt.setDefaults()
-	if err := verifyNetlist(meter, moduleName); err != nil {
-		return nil, err
-	}
-	m := meter.NumInputBits()
-	if widthA <= 0 || widthB <= 0 || widthA+widthB != m {
-		return nil, fmt.Errorf("core: port widths %d+%d do not match %d input bits",
-			widthA, widthB, m)
-	}
-	pm := &PortModel{Module: moduleName, WidthA: widthA, WidthB: widthB}
-	acc := newPortPartial(widthA, widthB)
-
 	plan := shardPlan(opt.Patterns)
-	workers := opt.workerCount()
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	backend, err := opt.resolveBackend(meter)
+	pool, err := prepare(meter, moduleName, &opt, len(plan))
 	if err != nil {
 		return nil, err
 	}
-	pool := workerPool(backend, workers)
-	parts := newRecycler(workers, func() [][]classAcc { return newPortPartial(widthA, widthB) })
-	runShardsOrdered(len(plan), workers,
-		func(w, idx int) [][]classAcc {
+	if m := meter.NumInputBits(); widthA <= 0 || widthB <= 0 || widthA+widthB != m {
+		return nil, fmt.Errorf("core: port widths %d+%d do not match %d input bits",
+			widthA, widthB, m)
+	}
+	acc := newPortPartial(widthA, widthB)
+	parts := newRecycler(len(pool), func() [][]AccState { return newPortPartial(widthA, widthB) })
+	runShardsOrdered(len(plan), len(pool),
+		func(w, idx int) [][]AccState {
 			return pool[w].runPortShard(parts, widthA, widthB, plan[idx], opt.Seed)
 		},
-		func(idx int, part [][]classAcc) bool {
-			for ia := range acc {
-				for ib := range acc[ia] {
-					acc[ia][ib].merge(&part[ia][ib])
-				}
-			}
+		func(_ int, part [][]AccState) bool {
+			mergeRows(acc, part)
 			parts.put(part)
 			return true
 		})
 
-	pm.Coeffs = make([][]Coef, widthA+1)
-	for ia := range pm.Coeffs {
-		pm.Coeffs[ia] = make([]Coef, widthB+1)
-		for ib := range pm.Coeffs[ia] {
-			pm.Coeffs[ia][ib] = acc[ia][ib].coef()
-		}
+	pm := &PortModel{Module: moduleName, WidthA: widthA, WidthB: widthB, Coeffs: make([][]Coef, widthA+1)}
+	for ia, row := range acc {
+		pm.Coeffs[ia] = coefs(row)
 	}
 	return pm, pm.Validate()
 }

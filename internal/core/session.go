@@ -1,35 +1,33 @@
 package core
 
-// session.go exports the characterization merge state machine for
-// distributed builds (internal/fleet). A single-node Characterize owns
-// three jobs at once: simulating shards, merging their partial
-// accumulators in shard order, and deciding convergence. A fleet splits
-// the first job across worker processes — CharacterizeShardRange computes
-// any contiguous range of the deterministic shard plan — while the
-// coordinator replays the other two through a MergeSession, one
-// ShardResult at a time, exactly as Characterize would have: same
-// accumulator arithmetic, same per-shard convergence-check cadence, same
-// early-stop boundary, same hook order. That is what makes a fleet build
-// bit-identical to a single-node run of the same options (pinned by
-// TestFleetBitIdentical in internal/fleet).
+// session.go holds the characterization merge state machine. Every build
+// runs it: a MergeSession merges shard partials in shard order, runs the
+// convergence check, decides the early stop, fires the phase hooks and
+// fits the model. Characterize drives it with shards it simulates
+// in-process; a fleet (internal/fleet) drives the same session with
+// ShardResults its workers computed through CharacterizeShardRange. One
+// state machine fed the same shards in the same order is what makes a
+// fleet build bit-identical to a single-node run of the same options
+// (pinned by TestFleetBitIdentical in internal/fleet).
 //
-// Sessions snapshot to and resume from the same Checkpoint encoding the
-// crash-safe single-node path uses, so a coordinator's lease ledger
-// inherits the checkpoint's bit-exact float64 round-trip guarantees for
-// free.
+// A session snapshots to and resumes from a Checkpoint: Characterize
+// writes its snapshots to the checkpoint file, and a fleet coordinator
+// embeds them in its lease ledger, so both inherit the checkpoint's
+// bit-exact float64 round trip.
 
 import (
 	"fmt"
+	"slices"
 
 	"hdpower/internal/power"
 )
 
-// ShardResult is the wire form of one shard's partial accumulators: what
-// runCharShard computes, serialized with the checkpoint's AccState
-// encoding. Index is phase-relative (the shard's position in the phase's
-// plan, which for both phases equals its shard-plan index), so a
-// MergeSession can check arrival order without knowing which worker
-// computed it.
+// ShardResult is one shard's partial accumulators: what a worker fills
+// while it simulates the shard, what the fleet sends over the wire, and
+// what a MergeSession merges. Index is phase-relative (the shard's
+// position in the phase's plan, which for both phases equals its
+// shard-plan index), so a MergeSession can check arrival order without
+// knowing which worker computed it.
 type ShardResult struct {
 	Index    int `json:"index"`
 	Patterns int `json:"patterns"`
@@ -41,50 +39,47 @@ type ShardResult struct {
 	Enhanced [][]AccState `json:"enhanced,omitempty"`
 }
 
-// result converts a computed shard partial to its wire form. The result
-// owns its memory — one backing array for the deviation samples, one
-// for the enhanced rows — so the partial can be recycled afterwards.
-func (p *charPartial) result(index int) ShardResult {
-	r := ShardResult{Index: index, Patterns: p.patterns}
-	nDev, nEnh := 0, 0
-	for i := range p.basic {
-		nDev += len(p.basic[i].dev)
-	}
-	for _, row := range p.enhanced {
-		nEnh += len(row)
-		for z := range row {
-			nDev += len(row[z].dev)
+// clone returns a copy of a recycled partial that owns its memory — one
+// backing array for the deviation samples, one for the accumulators — so
+// the partial can be recycled afterwards.
+func (r *ShardResult) clone() ShardResult {
+	nAcc, nDev := 0, 0
+	count := func(row []AccState) {
+		nAcc += len(row)
+		for k := range row {
+			nDev += len(row[k].Dev)
 		}
 	}
-	devs := make([]float64, 0, nDev)
-	state := func(a *classAcc) AccState {
-		s := AccState{Count: a.count, Sum: a.sum}
-		if len(a.dev) > 0 {
-			start := len(devs)
-			devs = append(devs, a.dev...)
-			s.Dev = devs[start:len(devs):len(devs)]
-		}
-		return s
+	count(r.Basic)
+	for _, row := range r.Enhanced {
+		count(row)
 	}
-	if p.basic != nil {
-		r.Basic = make([]AccState, len(p.basic))
-		for i := range p.basic {
-			r.Basic[i] = state(&p.basic[i])
-		}
-	}
-	if p.enhanced != nil {
-		r.Enhanced = make([][]AccState, len(p.enhanced))
-		flat := make([]AccState, nEnh)
-		for i, row := range p.enhanced {
-			out := flat[:len(row):len(row)]
-			flat = flat[len(row):]
-			for z := range row {
-				out[z] = state(&row[z])
+	accs, devs := make([]AccState, 0, nAcc), make([]float64, 0, nDev)
+	own := func(row []AccState) []AccState {
+		start := len(accs)
+		for _, a := range row {
+			if len(a.Dev) > 0 {
+				d := len(devs)
+				devs = append(devs, a.Dev...)
+				a.Dev = devs[d:len(devs):len(devs)]
+			} else {
+				a.Dev = nil
 			}
-			r.Enhanced[i] = out
+			accs = append(accs, a)
+		}
+		return accs[start:len(accs):len(accs)]
+	}
+	c := ShardResult{Index: r.Index, Patterns: r.Patterns}
+	if r.Basic != nil {
+		c.Basic = own(r.Basic)
+	}
+	if r.Enhanced != nil {
+		c.Enhanced = make([][]AccState, len(r.Enhanced))
+		for i, row := range r.Enhanced {
+			c.Enhanced[i] = own(row)
 		}
 	}
-	return r
+	return c
 }
 
 // Fingerprint pins the full identity of a characterization stream —
@@ -112,21 +107,13 @@ func NumShards(patterns int) int {
 // range [start, end) of phase on the caller's meter and returns one
 // ShardResult per shard, in index order. It is the worker half of a
 // distributed characterization: the shard plan, seeds and accumulator
-// arithmetic are identical to the ones Characterize uses internally, so
-// merging the results through a MergeSession reproduces a single-node run
-// bit-exactly. opt.Interrupt is polled between shards; opt's convergence
-// and checkpoint options are ignored here (both are coordinator
-// concerns).
+// arithmetic are the ones Characterize runs, so merging the results
+// through a MergeSession reproduces a single-node run bit-exactly.
+// opt.Interrupt is polled between shards; opt's convergence and
+// checkpoint options are ignored here (both are coordinator concerns).
 func CharacterizeShardRange(meter *power.Meter, moduleName string, opt CharacterizeOptions,
 	phase string, start, end int) ([]ShardResult, error) {
 	opt.setDefaults()
-	if err := verifyNetlist(meter, moduleName); err != nil {
-		return nil, err
-	}
-	m := meter.NumInputBits()
-	if m <= 0 {
-		return nil, fmt.Errorf("core: module %s has no inputs", moduleName)
-	}
 	plan := shardPlan(opt.Patterns)
 	if start < 0 || end > len(plan) || start >= end {
 		return nil, fmt.Errorf("core: shard range [%d,%d) outside the %d-shard plan of %s",
@@ -144,35 +131,28 @@ func CharacterizeShardRange(meter *power.Meter, moduleName string, opt Character
 	default:
 		return nil, fmt.Errorf("core: unknown characterization phase %q", phase)
 	}
-	// Only the bucket geometry of the model is read during simulation.
-	model := &Model{Module: moduleName, InputBits: m, Basic: make([]Coef, m), ZClusters: opt.ZClusters}
-
 	n := end - start
-	workers := opt.workerCount()
-	if workers > n {
-		workers = n
-	}
-	backend, err := opt.resolveBackend(meter)
+	pool, err := prepare(meter, moduleName, &opt, n)
 	if err != nil {
 		return nil, err
 	}
-	pool := workerPool(backend, workers)
-	parts := charPartials(model, workers, biased, enhanced)
+	// Only the bucket geometry of the model is read during simulation.
+	model := &Model{Module: moduleName, InputBits: meter.NumInputBits(), ZClusters: opt.ZClusters}
+	parts := shardPartials(model, len(pool), biased, enhanced)
 
 	results := make([]ShardResult, 0, n)
 	var interrupted error
-	runShardsOrdered(n, workers,
-		func(w, idx int) *charPartial {
+	runShardsOrdered(n, len(pool),
+		func(w, idx int) *ShardResult {
 			return pool[w].runCharShard(parts, model, plan[start+idx], opt.Seed, biased)
 		},
-		func(idx int, part *charPartial) bool {
+		func(_ int, part *ShardResult) bool {
 			if opt.Interrupt != nil {
-				if err := opt.Interrupt(); err != nil {
-					interrupted = err
+				if interrupted = opt.Interrupt(); interrupted != nil {
 					return false
 				}
 			}
-			results = append(results, part.result(start+idx))
+			results = append(results, part.clone())
 			parts.put(part)
 			return true
 		})
@@ -183,13 +163,13 @@ func CharacterizeShardRange(meter *power.Meter, moduleName string, opt Character
 	return results, nil
 }
 
-// MergeSession replays the merge/convergence/early-stop state machine of
-// Characterize one ShardResult at a time, for callers that obtain shard
-// partials from elsewhere (a worker fleet) instead of computing them
-// inline. Feeding it every shard of the plan in order yields the same
-// model, the same early-stop decision, and the same hook sequence as
-// Characterize with the same options — the bit-identity contract
-// distributed builds rest on.
+// MergeSession is the merge/convergence/early-stop state machine of a
+// characterization run, fed one shard partial at a time in shard order —
+// by Characterize from its own workers, or through Merge by a caller that
+// obtains ShardResults from elsewhere (a worker fleet). Feeding it every
+// shard of the plan in order yields the model, the early-stop decision
+// and the hook sequence of Characterize with the same options — the
+// bit-identity contract distributed builds rest on.
 //
 // A session is not safe for concurrent use; the fleet coordinator drives
 // it under its own lock.
@@ -199,8 +179,8 @@ type MergeSession struct {
 	model  *Model
 	plan   []shard
 
-	basic    []classAcc
-	enhanced [][]classAcc
+	basic    []AccState
+	enhanced [][]AccState
 	conv     *convTracker
 	checks   bool
 
@@ -213,6 +193,10 @@ type MergeSession struct {
 	earlyStopAt    int
 	phaseOpen      bool
 	done           bool
+
+	// file is the checkpoint file Characterize snapshots into; nil for
+	// sessions a caller drives through Merge.
+	file *checkpointFile
 }
 
 // newSession builds the session skeleton without opening a phase.
@@ -221,29 +205,19 @@ func newSession(module string, inputBits int, opt CharacterizeOptions) (*MergeSe
 	if inputBits <= 0 {
 		return nil, fmt.Errorf("core: module %s has no inputs", module)
 	}
-	model := &Model{
-		Module:    module,
-		InputBits: inputBits,
-		Basic:     make([]Coef, inputBits),
-		ZClusters: opt.ZClusters,
-	}
-	s := &MergeSession{
-		module: module,
-		opt:    opt,
-		model:  model,
-		plan:   shardPlan(opt.Patterns),
-		basic:  make([]classAcc, inputBits),
-		conv:   newConvTracker(inputBits, opt.ConvergeTol, opt.CheckEvery),
-		checks: opt.ConvergeTol > 0 || opt.Hooks.wantsConvergence(),
-		phase:  PhaseBasic,
-	}
-	if opt.Enhanced {
-		s.enhanced = make([][]classAcc, inputBits)
-		for i := 1; i <= inputBits; i++ {
-			s.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
-		}
-	}
-	return s, nil
+	model := &Model{Module: module, InputBits: inputBits, ZClusters: opt.ZClusters}
+	totals := newShardResult(model, false, opt.Enhanced)
+	return &MergeSession{
+		module:   module,
+		opt:      opt,
+		model:    model,
+		plan:     shardPlan(opt.Patterns),
+		basic:    totals.Basic,
+		enhanced: totals.Enhanced,
+		conv:     newConvTracker(inputBits, opt.ConvergeTol, opt.CheckEvery),
+		checks:   opt.ConvergeTol > 0 || opt.Hooks.wantsConvergence(),
+		phase:    PhaseBasic,
+	}, nil
 }
 
 // NewMergeSession starts a fresh merge session for a run of the given
@@ -255,17 +229,17 @@ func NewMergeSession(module string, inputBits int, opt CharacterizeOptions) (*Me
 	if err != nil {
 		return nil, err
 	}
-	s.openPhase(len(s.plan), s.opt.Patterns)
+	s.start(nil)
 	return s, nil
 }
 
 // ResumeMergeSession restores a session from a Checkpoint snapshot (its
 // own Snapshot, or a file checkpoint of the same run). The checkpoint's
 // identity must match the requested run — a mismatch returns a
-// *CheckpointMismatchError, exactly like a single-node resume — and its
-// structure is sanity-checked before anything is trusted. Hook replay
-// mirrors Characterize: Resumed fires first, then the phase hooks of any
-// already-finished phases, so observers see balanced pairs.
+// *CheckpointMismatchError, exactly like a file resume — and its
+// structure is sanity-checked before anything is trusted. Resumed fires
+// first, then the phase hooks of any already-finished phases, so
+// observers see balanced pairs.
 func ResumeMergeSession(module string, inputBits int, opt CharacterizeOptions, cp *Checkpoint) (*MergeSession, error) {
 	s, err := newSession(module, inputBits, opt)
 	if err != nil {
@@ -280,32 +254,44 @@ func ResumeMergeSession(module string, inputBits int, opt CharacterizeOptions, c
 	if err := cp.sanity(s.model, len(s.plan)); err != nil {
 		return nil, fmt.Errorf("core: snapshot of %s fails sanity: %w", module, err)
 	}
-	cp.restore(s.basic, s.enhanced, s.conv)
-	s.patternsBasic = cp.PatternsBasic
-	s.patternsBiased = cp.PatternsBiased
-	s.stopped = cp.EarlyStopped
-	s.earlyStopAt = cp.EarlyStopAt
-	s.opt.Hooks.resumed(cp.Phase, cp.totalShardsMerged(), cp.PatternsBasic, cp.PatternsBiased)
-	s.openPhase(len(s.plan), s.opt.Patterns)
-	if cp.Phase == PhaseBiased {
-		s.merged = cp.UsedShards
-		s.completeBasic()
-		s.merged = cp.ShardsMerged
-		if !s.done && s.merged == s.usedShards {
-			s.completeBiased()
-		}
-	} else {
-		s.merged = cp.ShardsMerged
-		if s.merged == len(s.plan) {
-			s.completeBasic()
-		}
-	}
+	s.start(cp)
 	return s, nil
 }
 
+// start opens the basic phase, first restoring the merged state of cp —
+// already checked against the run — when resuming. A checkpoint from the
+// biased phase replays the basic phase's end without snapshotting: the
+// run that finished the basic phase took that snapshot.
+func (s *MergeSession) start(cp *Checkpoint) {
+	if cp == nil {
+		s.openPhase(len(s.plan), s.opt.Patterns)
+		return
+	}
+	copy(s.basic, cp.Basic)
+	for i := range s.enhanced {
+		copy(s.enhanced[i], cp.EnhancedAcc[i])
+	}
+	s.conv.nextCheck = cp.ConvNext
+	copy(s.conv.prev, cp.ConvPrev)
+	copy(s.conv.prevCount, cp.ConvPrevCount)
+	s.patternsBasic, s.patternsBiased = cp.PatternsBasic, cp.PatternsBiased
+	s.stopped, s.earlyStopAt = cp.EarlyStopped, cp.EarlyStopAt
+	s.opt.Hooks.resumed(cp.Phase, cp.totalShardsMerged(), cp.PatternsBasic, cp.PatternsBiased)
+	s.openPhase(len(s.plan), s.opt.Patterns)
+	if cp.Phase == PhaseBiased {
+		s.closePhase()
+		s.phase, s.usedShards = PhaseBiased, cp.UsedShards
+		s.openPhase(s.usedShards, s.patternsBasic)
+	}
+	s.merged = cp.ShardsMerged
+	if s.merged == s.PhaseShards() {
+		s.complete()
+	}
+}
+
 // openPhase fires the PhaseStart hook for the session's current phase and
-// records it as open; closePhase is its balance, reached from Merge on
-// phase completion or from Close on abandonment.
+// records it as open; closePhase is its balance, reached from complete or
+// from Close on abandonment.
 func (s *MergeSession) openPhase(shards, patterns int) {
 	s.phaseOpen = true
 	//hdlint:allow hookbalance session phases span Merge calls; closePhase fires the balancing end on completion and Close covers abandonment
@@ -320,28 +306,24 @@ func (s *MergeSession) closePhase() {
 	s.opt.Hooks.phaseEnd(s.phase)
 }
 
-// completeBasic closes the basic phase at the current merge point and
-// either finishes the session (basic-only run) or opens the biased phase
-// over the shards the basic phase actually consumed — the same budget
-// rule Characterize applies after an early stop.
-func (s *MergeSession) completeBasic() {
-	s.usedShards = s.merged
+// complete closes the current phase at the current merge point. The
+// basic phase of an enhanced run hands over to the biased phase, whose
+// budget is the shards the basic phase actually merged (the same rule
+// after an early stop); a file-checkpointed run snapshots in between, so
+// a crash early in the biased phase never replays basic shards. Any other
+// completed phase ends the session.
+func (s *MergeSession) complete() {
 	s.closePhase()
-	if !s.opt.Enhanced {
+	if s.phase == PhaseBasic {
+		s.usedShards = s.merged
+	}
+	if s.phase == PhaseBiased || !s.opt.Enhanced {
 		s.done = true
 		return
 	}
-	s.phase = PhaseBiased
-	s.merged = 0
+	s.phase, s.merged = PhaseBiased, 0
+	s.save()
 	s.openPhase(s.usedShards, s.patternsBasic)
-	if s.usedShards == 0 {
-		s.completeBiased()
-	}
-}
-
-func (s *MergeSession) completeBiased() {
-	s.closePhase()
-	s.done = true
 }
 
 // Phase returns the phase the session is currently merging (PhaseBasic or
@@ -375,7 +357,7 @@ func (s *MergeSession) EarlyStopped() (bool, int) { return s.stopped, s.earlySto
 // current position, before any state is touched — a rejected result
 // leaves the session unchanged, so the caller can discard the payload and
 // have the shard recomputed.
-func (s *MergeSession) validate(r ShardResult) error {
+func (s *MergeSession) validate(r *ShardResult) error {
 	if s.done {
 		return fmt.Errorf("core: merge session for %s is already complete", s.module)
 	}
@@ -420,65 +402,52 @@ func (s *MergeSession) validate(r ShardResult) error {
 // session. Merging the shard that completes a phase advances the session
 // — possibly to Done — and merging the shard that satisfies the
 // convergence tolerance truncates the basic phase exactly where
-// Characterize would have stopped.
+// Characterize stops.
 func (s *MergeSession) Merge(r ShardResult) error {
-	if err := s.validate(r); err != nil {
+	if err := s.validate(&r); err != nil {
 		return err
 	}
-	switch s.phase {
-	case PhaseBasic:
-		for k := range s.basic {
-			acc := r.Basic[k].acc()
-			s.basic[k].merge(&acc)
-		}
-		if s.opt.Enhanced {
-			s.mergeEnhanced(r.Enhanced)
-		}
-		s.patternsBasic += r.Patterns
-		s.merged++
-		s.opt.Hooks.patterns(r.Patterns)
-		s.opt.Hooks.shardMerged()
-		if s.checks {
-			if worst, checked, stop := s.conv.check(s.basic, s.patternsBasic); checked {
-				s.opt.Hooks.convergence(s.patternsBasic, worst)
-				if stop {
-					s.stopped = true
-					s.earlyStopAt = s.patternsBasic
-					s.opt.Hooks.earlyStop(s.patternsBasic)
-					s.completeBasic()
-					return nil
-				}
-			}
-		}
-		if s.merged == len(s.plan) {
-			s.completeBasic()
-		}
-	case PhaseBiased:
-		s.mergeEnhanced(r.Enhanced)
-		s.patternsBiased += r.Patterns
-		s.merged++
-		s.opt.Hooks.patterns(r.Patterns)
-		s.opt.Hooks.shardMerged()
-		if s.merged == s.usedShards {
-			s.completeBiased()
-		}
+	if s.fold(&r) || s.merged == s.PhaseShards() {
+		s.complete()
 	}
 	return nil
 }
 
-func (s *MergeSession) mergeEnhanced(rows [][]AccState) {
-	for i := range rows {
-		for z := range rows[i] {
-			acc := rows[i][z].acc()
-			s.enhanced[i][z].merge(&acc)
-		}
+// fold is the merge step Merge and Characterize share: it folds a valid
+// shard partial into the totals, fires the per-shard hooks and, in the
+// basic phase, runs the convergence check. It reports whether the check
+// stopped the run. The phase stays open either way, so Characterize can
+// do its boundary work before complete closes it.
+func (s *MergeSession) fold(r *ShardResult) (stop bool) {
+	mergeAccs(s.basic, r.Basic)
+	mergeRows(s.enhanced, r.Enhanced)
+	s.merged++
+	if s.phase == PhaseBiased {
+		s.patternsBiased += r.Patterns
+	} else {
+		s.patternsBasic += r.Patterns
 	}
+	s.opt.Hooks.patterns(r.Patterns)
+	s.opt.Hooks.shardMerged()
+	if s.phase == PhaseBiased || !s.checks {
+		return false
+	}
+	worst, checked, stop := s.conv.check(s.basic, s.patternsBasic)
+	if !checked {
+		return false
+	}
+	s.opt.Hooks.convergence(s.patternsBasic, worst)
+	if stop {
+		s.stopped, s.earlyStopAt = true, s.patternsBasic
+		s.opt.Hooks.earlyStop(s.patternsBasic)
+	}
+	return stop
 }
 
-// Snapshot captures the session as a Checkpoint — the same encoding the
-// single-node crash-safety path writes — suitable for embedding in a
-// coordinator's lease ledger and for ResumeMergeSession. The snapshot
-// owns its slices; later Merges do not mutate it.
+// Snapshot captures the session as a Checkpoint, for a lease ledger, a
+// checkpoint file and ResumeMergeSession alike. The snapshot owns its
+// slices except the deviation reservoirs, which later merges only append
+// to, so later Merges do not change it.
 func (s *MergeSession) Snapshot() *Checkpoint {
 	cp := baseCheckpoint(s.module, s.model.InputBits, &s.opt)
 	cp.Phase = s.phase
@@ -488,54 +457,39 @@ func (s *MergeSession) Snapshot() *Checkpoint {
 	cp.PatternsBiased = s.patternsBiased
 	cp.EarlyStopped = s.stopped
 	cp.EarlyStopAt = s.earlyStopAt
-	cp.Basic = make([]AccState, len(s.basic))
-	for i := range s.basic {
-		cp.Basic[i] = s.basic[i].state()
-	}
+	cp.Basic = slices.Clone(s.basic)
 	if s.enhanced != nil {
 		cp.EnhancedAcc = make([][]AccState, len(s.enhanced))
-		for i := range s.enhanced {
-			row := make([]AccState, len(s.enhanced[i]))
-			for z := range s.enhanced[i] {
-				row[z] = s.enhanced[i][z].state()
-			}
-			cp.EnhancedAcc[i] = row
+		for i, row := range s.enhanced {
+			cp.EnhancedAcc[i] = slices.Clone(row)
 		}
 	}
-	// The tracker mutates prev/prevCount in place at every check; the
-	// snapshot must keep its own copies.
+	// The tracker mutates prev/prevCount in place at every check.
 	cp.ConvNext = s.conv.nextCheck
-	cp.ConvPrev = append([]float64(nil), s.conv.prev...)
-	cp.ConvPrevCount = append([]int64(nil), s.conv.prevCount...)
+	cp.ConvPrev = slices.Clone(s.conv.prev)
+	cp.ConvPrevCount = slices.Clone(s.conv.prevCount)
 	return &cp
 }
 
-// Finish extracts the fitted model from a completed session, exactly as
-// Characterize does after its final merge.
+// Finish fits the model of a completed session.
 func (s *MergeSession) Finish() (*Model, error) {
 	if !s.done {
 		return nil, fmt.Errorf("core: merge session for %s is not complete (%s phase, %d/%d shards)",
 			s.module, s.phase, s.merged, s.PhaseShards())
 	}
-	m := s.model.InputBits
-	for k := range s.basic {
-		s.model.Basic[k] = s.basic[k].coef()
-	}
-	if s.opt.Enhanced {
-		s.model.Enhanced = make([][]Coef, m)
-		for i := 1; i <= m; i++ {
-			row := make([]Coef, len(s.enhanced[i-1]))
-			for zb := range row {
-				row[zb] = s.enhanced[i-1][zb].coef()
-			}
-			s.model.Enhanced[i-1] = row
+	s.model.Basic = coefs(s.basic)
+	if s.enhanced != nil {
+		s.model.Enhanced = make([][]Coef, len(s.enhanced))
+		for i, row := range s.enhanced {
+			s.model.Enhanced[i] = coefs(row)
 		}
 	}
 	return s.model, s.model.Validate()
 }
 
 // Close fires the balancing PhaseEnd for a phase the session still holds
-// open, so abandoning an unfinished session (coordinator shutdown, job
-// cancellation) does not leak a span in observers. Closing a finished
-// session is a no-op; a closed session must not be merged into again.
+// open, so abandoning an unfinished session (an interrupted run,
+// coordinator shutdown, job cancellation) does not leak a span in
+// observers. Closing a finished session is a no-op; a closed session must
+// not be merged into again.
 func (s *MergeSession) Close() { s.closePhase() }

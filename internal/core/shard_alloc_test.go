@@ -16,7 +16,7 @@ func TestSteadyStateShardAllocs(t *testing.T) {
 	sh := shardPlan(5000)[3]
 	for _, biased := range []bool{false, true} {
 		w := workerPool(b, 1)[0]
-		parts := charPartials(model, 1, biased, true)
+		parts := shardPartials(model, 1, biased, true)
 		run := func() { parts.put(w.runCharShard(parts, model, sh, 7, biased)) }
 		run()
 		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
@@ -25,7 +25,7 @@ func TestSteadyStateShardAllocs(t *testing.T) {
 	}
 	w := workerPool(b, 1)[0]
 	wa := m / 2
-	parts := newRecycler(1, func() [][]classAcc { return newPortPartial(wa, m-wa) })
+	parts := newRecycler(1, func() [][]AccState { return newPortPartial(wa, m-wa) })
 	run := func() { parts.put(w.runPortShard(parts, wa, m-wa, sh, 7)) }
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
@@ -45,20 +45,20 @@ func TestRecycledPartialMatchesFresh(t *testing.T) {
 	m := meter.NumInputBits()
 	model := &Model{Module: "ripple-adder", InputBits: m, Basic: make([]Coef, m)}
 	plan := shardPlan(1000)
-	fresh := workerPool(b, 1)[0].runCharShard(charPartials(model, 1, false, true), model, plan[2], 3, false)
-	want := fresh.result(2)
+	fresh := workerPool(b, 1)[0].runCharShard(shardPartials(model, 1, false, true), model, plan[2], 3, false)
+	want := fresh.clone()
 
 	w := workerPool(b.Clone(), 1)[0]
-	parts := newRecycler(1, func() *charPartial { return newCharPartial(model, false, true) })
+	parts := newRecycler(1, func() *ShardResult { return newShardResult(model, false, true) })
 	first := w.runCharShard(parts, model, plan[5], 3, false)
-	kept := first.result(5)
+	kept := first.clone()
 	keptJSON := digestJSON(t, kept)
 	parts.put(first)
 	again := w.runCharShard(parts, model, plan[2], 3, false)
 	if again != first {
 		t.Fatal("recycler did not hand back the merged partial")
 	}
-	if got := digestJSON(t, again.result(2)); got != digestJSON(t, want) {
+	if got := digestJSON(t, again.clone()); got != digestJSON(t, want) {
 		t.Fatal("recycled partial differs from a fresh one")
 	}
 	if digestJSON(t, kept) != keptJSON {

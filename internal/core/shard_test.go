@@ -118,13 +118,13 @@ func TestRunShardsOrderedEarlyStopDeterministic(t *testing.T) {
 }
 
 func TestClassAccReservoirBounded(t *testing.T) {
-	var a classAcc
+	var a AccState
 	const n = 7 * 700 // whole periods of 0..6, so the true mean is exactly 3
 	for i := 0; i < n; i++ {
 		a.add(float64(i % 7))
 	}
-	if len(a.dev) != epsilonReservoir {
-		t.Fatalf("reservoir holds %d samples, want %d", len(a.dev), epsilonReservoir)
+	if len(a.Dev) != epsilonReservoir {
+		t.Fatalf("reservoir holds %d samples, want %d", len(a.Dev), epsilonReservoir)
 	}
 	c := a.coef()
 	if c.Count != n {
@@ -143,18 +143,18 @@ func TestClassAccMergeMatchesSequential(t *testing.T) {
 	for i := range samples {
 		samples[i] = float64((i*37)%101) / 10
 	}
-	var seq classAcc
+	var seq AccState
 	for _, q := range samples {
 		seq.add(q)
 	}
 	// Shard the same stream and merge in order.
-	var merged classAcc
+	var merged AccState
 	for off := 0; off < len(samples); off += 300 {
 		end := off + 300
 		if end > len(samples) {
 			end = len(samples)
 		}
-		var part classAcc
+		var part AccState
 		for _, q := range samples[off:end] {
 			part.add(q)
 		}
@@ -165,13 +165,13 @@ func TestClassAccMergeMatchesSequential(t *testing.T) {
 	// regrouping error. (Bit-identity across worker counts holds because
 	// every worker count uses the SAME shard partition and merge order —
 	// see TestCharacterizeWorkerCountIndependent.)
-	if seq.count != merged.count {
-		t.Fatalf("merged count %d != sequential %d", merged.count, seq.count)
+	if seq.Count != merged.Count {
+		t.Fatalf("merged count %d != sequential %d", merged.Count, seq.Count)
 	}
-	if math.Abs(seq.sum-merged.sum) > 1e-9*math.Abs(seq.sum) {
-		t.Fatalf("merged sum %v far from sequential %v", merged.sum, seq.sum)
+	if math.Abs(seq.Sum-merged.Sum) > 1e-9*math.Abs(seq.Sum) {
+		t.Fatalf("merged sum %v far from sequential %v", merged.Sum, seq.Sum)
 	}
-	if !reflect.DeepEqual(seq.dev, merged.dev) {
+	if !reflect.DeepEqual(seq.Dev, merged.Dev) {
 		t.Fatal("merged reservoir differs from sequential reservoir")
 	}
 }
@@ -181,9 +181,9 @@ func TestClassAccMergeMatchesSequential(t *testing.T) {
 // samples since the previous checkpoint) must not report an infinite
 // relative change and block convergence forever.
 func TestConvergenceZeroMeanClassConverges(t *testing.T) {
-	basic := []classAcc{
-		{count: 200, sum: 100}, // mean 0.5, stable
-		{count: 80, sum: 0},    // legitimately zero-mean class
+	basic := []AccState{
+		{Count: 200, Sum: 100}, // mean 0.5, stable
+		{Count: 80, Sum: 0},    // legitimately zero-mean class
 	}
 	prev := []float64{0.5, 0}
 	prevCount := []int64{150, 40}
@@ -195,15 +195,15 @@ func TestConvergenceZeroMeanClassConverges(t *testing.T) {
 		t.Fatalf("worst change %v, want 0", worst)
 	}
 	// A class that first turns nonzero must still defer convergence.
-	basic[1].count = 90
-	basic[1].sum = 4
+	basic[1].Count = 90
+	basic[1].Sum = 4
 	worst = convergenceWorst(basic, prev, prevCount)
 	if !math.IsInf(worst, 1) {
 		t.Fatalf("newly nonzero class reported %v, want +Inf", worst)
 	}
 	// ... but only once: with a baseline established the next checkpoint
 	// sees a finite relative change again.
-	basic[1].count += 10
+	basic[1].Count += 10
 	worst = convergenceWorst(basic, prev, prevCount)
 	if math.IsInf(worst, 1) {
 		t.Fatal("settled class still reports +Inf")

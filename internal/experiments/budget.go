@@ -82,7 +82,7 @@ func (s *Suite) BudgetStudy() (*BudgetStudyResult, error) {
 // RecommendBudgets apportions a total characterization-pattern budget
 // across Hd classes in proportion to traffic[i] * eps[i]: classes that
 // live traffic actually hits AND whose coefficient still shows deviation
-// (the classAcc epsilon reservoirs) deserve the patterns. It is the
+// (the AccState epsilon reservoirs) deserve the patterns. It is the
 // telemetry hotset's allocation rule — the online-refinement counterpart
 // of BudgetStudy's offline convergence sweep.
 //

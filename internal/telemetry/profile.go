@@ -143,7 +143,13 @@ func (m *ModelProf) RecordRequest(hint uint32, estimates int, latSeconds float64
 	}
 }
 
-// Snapshot sums the model's shards.
+// Snapshot sums the model's shards. Writers record an estimate's class
+// hit before the estimate itself, so each shard's estimate count is read
+// before and after its class counters: the class hits read lie between
+// the first read and one past the second, and the shard reports the count
+// it held during its class reads that is nearest its hits. A snapshot
+// taken while writers record therefore never shows more skew between
+// hits and estimates than the records in flight.
 func (m *ModelProf) Snapshot() ModelSnapshot {
 	s := ModelSnapshot{
 		Key:     m.key.String(),
@@ -156,19 +162,20 @@ func (m *ModelProf) Snapshot() ModelSnapshot {
 	var latNanos, latCount uint64
 	for i := range m.shards {
 		sh := &m.shards[i]
+		before := sh.estimates.Load()
+		var hits uint64
+		for c := range sh.classes {
+			// Out-of-range Hd values are clamped into the top slot by
+			// RecordClass; fold anything above the model's class count
+			// into the last class so no hit is lost from the snapshot.
+			n := sh.classes[c].Load()
+			s.HdHits[min(c, m.classes-1)] += n
+			hits += n
+		}
+		s.Estimates += min(max(hits, before), sh.estimates.Load())
 		s.Requests += sh.requests.Load()
-		s.Estimates += sh.estimates.Load()
 		latNanos += sh.latNanos.Load()
 		latCount += sh.latCount.Load()
-		for c := 0; c < m.classes; c++ {
-			s.HdHits[c] += sh.classes[c].Load()
-		}
-		// Out-of-range Hd values are clamped into the top slot by
-		// RecordClass; fold anything above the model's class count into
-		// the last class so no hit is lost from the snapshot.
-		for c := m.classes; c < MaxClasses; c++ {
-			s.HdHits[m.classes-1] += sh.classes[c].Load()
-		}
 	}
 	if latCount > 0 {
 		s.AvgLatency = float64(latNanos) / 1e9 / float64(latCount)
