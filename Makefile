@@ -80,12 +80,13 @@ cover:
 # Identity and decode fuzzing, FUZZTIME per target (go test fuzzes one
 # target per invocation): the 64-lane transpose against per-bit packing,
 # the limb-level pair generator against a frozen copy of the per-bit one,
-# the bit-parallel engine against the scalar simulator, and the two
-# entry points every build's merge state machine takes from bytes —
-# resuming a MergeSession from a decoded checkpoint, and merging a
-# decoded ShardResult, which must leave the session untouched when it
-# rejects it. Seed corpora live under each package's testdata/fuzz; a
-# crasher lands there too.
+# the bit-parallel engine against the scalar simulator, the two entry
+# points every build's merge state machine takes from bytes — resuming a
+# MergeSession from a decoded checkpoint, and merging a decoded
+# ShardResult, which must leave the session untouched when it rejects it
+# — and the estimate fast path against encoding/json and the legacy
+# renderer on arbitrary request bodies. Seed corpora live under each
+# package's testdata/fuzz; a crasher lands there too.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime $(FUZZTIME) ./internal/bitsim
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimateFastVsLegacy$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Full benchmark sweep.
 bench:

@@ -7,6 +7,12 @@
 //	go run ./cmd/benchcmp -old BENCH_characterize.json -new BENCH_fresh.json \
 //	    -metric patterns/sec -max-regress 0.25
 //
+// A baseline record matches the fresh record of the same name. Failing
+// that, it matches the fresh record whose name, minus the "-N" suffix the
+// testing package appends at GOMAXPROCS N > 1, equals it — so a baseline
+// recorded on one CPU gates a run on a multi-CPU host. Exact names win,
+// so a benchmark whose own name ends in "-16" keeps matching itself.
+//
 // The scaling check (-min-scale) compares the metric of the -scale-target
 // benchmark against the -scale-base one within the NEW file; it only makes
 // sense on multi-core runners, so it is off by default and enabled
@@ -28,19 +34,30 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"hdpower/internal/atomicio"
 )
 
 // record mirrors cmd/benchjson's output schema. NumCPU is 0 and Backend
-// empty in baselines written before those fields existed.
+// empty in baselines written before those fields existed; GOMAXPROCS is 0
+// when the name carries no "-N" suffix.
 type record struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NumCPU     int                `json:"num_cpu"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
 	Backend    string             `json:"backend"`
 	Metrics    map[string]float64 `json:"metrics"`
+}
+
+// baseName is the record's name without its "-<gomaxprocs>" suffix.
+func (r record) baseName() string {
+	if r.GOMAXPROCS <= 0 {
+		return r.Name
+	}
+	return strings.TrimSuffix(r.Name, "-"+strconv.Itoa(r.GOMAXPROCS))
 }
 
 func main() {
@@ -230,8 +247,10 @@ func cpuLabel(n int) string {
 // compare gates every baseline benchmark's metric against the fresh run.
 func compare(out io.Writer, oldRecs, newRecs []record, metric string, maxRegress float64) []string {
 	byName := make(map[string]record, len(newRecs))
+	byBase := make(map[string]record, len(newRecs))
 	for _, r := range newRecs {
 		byName[r.Name] = r
+		byBase[r.baseName()] = r
 	}
 	var failures []string
 	fmt.Fprintf(out, "%-50s %14s %14s %8s\n", "benchmark", "old "+metric, "new "+metric, "delta")
@@ -242,6 +261,9 @@ func compare(out io.Writer, oldRecs, newRecs []record, metric string, maxRegress
 			continue
 		}
 		n, ok := byName[o.Name]
+		if !ok {
+			n, ok = byBase[o.Name]
+		}
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline, missing from new run", o.Name))
 			continue

@@ -6,6 +6,7 @@ import (
 	"hdpower/internal/atomicio"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,29 @@ func TestCompareMissingMetricInNewRun(t *testing.T) {
 	fails := compare(io.Discard, oldRecs, newRecs, "patterns/sec", 0.25)
 	if len(fails) != 1 || !strings.Contains(fails[0], "lacks metric") {
 		t.Fatalf("failures = %v", fails)
+	}
+}
+
+// TestCompareAcrossGOMAXPROCS gates a fresh run on a 2-CPU host, whose
+// names carry the testing package's "-2" suffix, against a baseline
+// recorded on one CPU without it; exact names still win, so a name that
+// really ends in "-16" matches itself.
+func TestCompareAcrossGOMAXPROCS(t *testing.T) {
+	procs := func(r record, n int) record {
+		r.Name += "-" + strconv.Itoa(n)
+		r.NumCPU, r.GOMAXPROCS = n, n
+		return r
+	}
+	oldRecs := []record{rec("B/workers=1", 1000), rec("B/workers=8", 4000), rec("B/bits-16", 500)}
+	for i := range oldRecs {
+		oldRecs[i].NumCPU = 1
+	}
+	newRecs := []record{procs(rec("B/workers=1", 950), 2), procs(rec("B/workers=8", 2000), 2),
+		rec("B/bits-16", 520)}
+	newRecs[2].GOMAXPROCS = 16 // benchjson reads any trailing "-N" as the width
+	fails := compare(io.Discard, oldRecs, newRecs, "patterns/sec", 0.25)
+	if len(fails) != 1 || !strings.Contains(fails[0], "B/workers=8: patterns/sec regressed") {
+		t.Fatalf("want exactly the workers=8 regression, got %v", fails)
 	}
 }
 

@@ -10,11 +10,14 @@ package serve
 // all the way to the wire: fitted models are flattened into lut.Table
 // coefficient arrays at build-complete time and published behind an
 // atomic pointer (RCU — see models.go), request scratch comes from
-// sync.Pools, and the JSON for the hot shapes is parsed and rendered by
-// hand. Anything unusual — escaped strings, unknown fields, non-integer
-// numbers, uncached models — falls back to the legacy encoding/json path,
-// which stays bit-identical in behavior; the fast path only ever serves
-// requests it can answer exactly as the slow path would.
+// sync.Pools, and the JSON for the hot shapes is parsed by hand. Every
+// coefficient's wire text was rendered once, when its table was built,
+// so a response is this file's framing around bytes the table copies
+// out. Anything unusual — escaped strings, unknown or repeated fields,
+// non-integer or zero-padded numbers, uncached models — falls back to
+// the legacy encoding/json path, which stays bit-identical in behavior;
+// the fast path only ever serves requests it can answer exactly as the
+// slow path would.
 
 import (
 	"errors"
@@ -69,15 +72,14 @@ type lutSet struct {
 var emptyLutSet = &lutSet{tables: map[lutKey]*lut.Table{}}
 
 // estScratch is the pooled per-request working set of the fast path:
-// request body, decoded series, computed estimates, and the rendered
-// response. Steady-state requests allocate nothing; the pool warms to the
-// live request concurrency.
+// request body, decoded series, and the rendered response. Steady-state
+// requests allocate nothing; the pool warms to the live request
+// concurrency.
 type estScratch struct {
 	body  []byte
 	hd    []int
 	zeros []int
 	words []uint64
-	est   []float64
 	out   []byte
 	// shard is this scratch's telemetry-profiler shard hint, assigned
 	// round-robin at pool-miss time. A scratch maps loosely to a concurrent
@@ -102,7 +104,6 @@ var scratchPool = sync.Pool{New: func() any {
 		hd:    make([]int, 0, 256),
 		zeros: make([]int, 0, 256),
 		words: make([]uint64, 0, 256),
-		est:   make([]float64, 0, 256),
 		out:   make([]byte, 0, 4096),
 		shard: scratchSeq.Add(1),
 	}
@@ -113,7 +114,7 @@ func getScratch() *estScratch { return scratchPool.Get().(*estScratch) }
 func putScratch(sc *estScratch) {
 	if cap(sc.body) > maxPooledBytes || cap(sc.out) > maxPooledBytes ||
 		cap(sc.hd) > maxPooledEntries || cap(sc.zeros) > maxPooledEntries ||
-		cap(sc.words) > maxPooledEntries || cap(sc.est) > maxPooledEntries {
+		cap(sc.words) > maxPooledEntries {
 		return
 	}
 	scratchPool.Put(sc)
@@ -131,13 +132,45 @@ type fastReq struct {
 	words    []uint64
 }
 
+// cycles is the number of estimates the request's series prices.
+func (r *fastReq) cycles() int {
+	if len(r.words) > 0 {
+		return len(r.words) - 1
+	}
+	return len(r.hd)
+}
+
 // jsParser is a minimal JSON scanner for the hot request shapes. It
 // accepts a strict subset of JSON — no escaped strings, integer-only
-// numbers, known fields — and reports failure on anything else, at which
-// point the caller falls back to encoding/json.
+// numbers without leading zeros, known fields at most once each — and
+// reports failure on anything else, at which point the caller falls back
+// to encoding/json.
 type jsParser struct {
-	b []byte
-	i int
+	b    []byte
+	i    int
+	seen uint8 // key bits of the fields parsed so far
+}
+
+// Key bits of jsParser.seen. encoding/json keeps the last of a repeated
+// key (and replaces an array rather than extending it), so the fast
+// parser leaves every repeat to it.
+const (
+	keyModel = 1 << iota
+	keyHd
+	keyZeros
+	keyWords
+	keyModule
+	keyWidth
+	keySeed
+)
+
+// first records key and reports whether it is its first occurrence.
+func (p *jsParser) first(key uint8) bool {
+	if p.seen&key != 0 {
+		return false
+	}
+	p.seen |= key
+	return true
 }
 
 func (p *jsParser) ws() {
@@ -217,8 +250,8 @@ func (p *jsParser) uint64() (uint64, bool) {
 		v = v*10 + d
 		p.i++
 	}
-	if p.i == start {
-		return 0, false
+	if p.i == start || p.b[start] == '0' && p.i-start > 1 {
+		return 0, false // no digits, or a leading zero JSON forbids
 	}
 	if p.i < len(p.b) {
 		switch p.b[p.i] {
@@ -309,19 +342,19 @@ func (p *jsParser) model(req *fastReq) bool {
 		switch string(key) {
 		case "module":
 			s, ok := p.str()
-			if !ok {
+			if !ok || !p.first(keyModule) {
 				return false
 			}
 			req.module = s
 		case "width":
 			v, ok := p.int64()
-			if !ok || v < 0 || v > math.MaxInt32 {
+			if !ok || v < 0 || v > math.MaxInt32 || !p.first(keyWidth) {
 				return false
 			}
 			req.width = int(v)
 		case "seed":
 			v, ok := p.int64()
-			if !ok {
+			if !ok || !p.first(keySeed) {
 				return false
 			}
 			req.seed = v
@@ -370,23 +403,32 @@ func parseEstimateFast(body []byte, sc *estScratch) (fastReq, bool) {
 		p.ws()
 		switch string(key) {
 		case "model":
-			if !p.model(&req) {
+			if !p.first(keyModel) || !p.model(&req) {
 				return req, false
 			}
 			req.hasModel = true
 		case "hd":
+			if !p.first(keyHd) {
+				return req, false
+			}
 			sc.hd, ok = p.intArray(sc.hd)
 			if !ok {
 				return req, false
 			}
 			req.hd = sc.hd
 		case "stable_zeros":
+			if !p.first(keyZeros) {
+				return req, false
+			}
 			sc.zeros, ok = p.intArray(sc.zeros)
 			if !ok {
 				return req, false
 			}
 			req.zeros = sc.zeros
 		case "words":
+			if !p.first(keyWords) {
+				return req, false
+			}
 			sc.words, ok = p.uintArray(sc.words)
 			if !ok {
 				return req, false
@@ -436,24 +478,16 @@ func readBody(w http.ResponseWriter, r *http.Request, sc *estScratch) bool {
 	}
 }
 
-// growFloats returns dst resized to n entries, reallocating only when the
-// pooled capacity is too small.
-func growFloats(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	return dst[:n]
-}
-
 // estimateFastBytes serves one estimate request body entirely on the fast
-// path: hand-rolled parse, atomic LUT snapshot lookup, flat-table
-// evaluation, hand-rolled render into sc.out. ok is false — with nothing
-// written and no metrics counted — whenever any aspect of the request
-// leaves the hot shape (parse failure, unknown module, model not in the
-// snapshot, invalid series); the caller then re-runs the bytes through
-// the legacy path, which owns all error semantics. The unary endpoint
-// renders with indent=true to stay byte-identical to the legacy
-// json.Encoder output; the stream endpoint renders compact NDJSON lines.
+// path: hand-rolled parse, atomic LUT snapshot lookup, then the response
+// rendered around the table's pre-rendered coefficient bytes into sc.out.
+// ok is false — with nothing written and no metrics counted — whenever
+// any aspect of the request leaves the hot shape (parse failure, unknown
+// module, model not in the snapshot, invalid series); the caller then
+// re-runs the bytes through the legacy path, which owns all error
+// semantics. The unary endpoint renders with indent=true to stay
+// byte-identical to the legacy json.Encoder output; the stream endpoint
+// renders compact NDJSON lines.
 func (s *Server) estimateFastBytes(body []byte, sc *estScratch, indent bool) ([]byte, bool) {
 	start := time.Now()
 	req, ok := parseEstimateFast(body, sc)
@@ -465,75 +499,25 @@ func (s *Server) estimateFastBytes(body []byte, sc *estScratch, indent bool) ([]
 		return nil, false
 	}
 	t := s.cache.table(module, req.width, req.seed)
-	if t == nil {
+	if t == nil || !req.valid(t.InputBits) {
 		return nil, false
 	}
-	m := t.InputBits
-
-	var enhanced bool
-	var total float64
-	switch {
-	case len(req.words) > 0 && len(req.hd) > 0:
-		return nil, false
-	case len(req.words) > 0:
-		if len(req.words) < 2 || len(req.words) > maxBatchCycles || m > 64 {
-			return nil, false
-		}
-		mask := wordMask(m)
-		for _, v := range req.words {
-			if v&^mask != 0 {
-				return nil, false
-			}
-		}
-		enhanced = t.HasEnhanced()
-		sc.est = growFloats(sc.est, len(req.words)-1)
-		total = estimateWords(t, sc.est, req.words, enhanced)
-	case len(req.hd) > 0:
-		if len(req.hd) > maxBatchCycles {
-			return nil, false
-		}
-		for _, hd := range req.hd {
-			if hd < 0 || hd > m {
-				return nil, false
-			}
-		}
-		sc.est = growFloats(sc.est, len(req.hd))
-		if len(req.zeros) > 0 {
-			if len(req.zeros) != len(req.hd) {
-				return nil, false
-			}
-			for i, z := range req.zeros {
-				if z < 0 || z > m-req.hd[i] {
-					return nil, false
-				}
-			}
-			total = t.EstimateEnhancedInto(sc.est, req.hd, req.zeros)
-			enhanced = t.HasEnhanced()
-		} else {
-			total = t.EstimateBasicInto(sc.est, req.hd)
-		}
-	default:
-		return nil, false
-	}
-	mean := 0.0
-	if len(sc.est) > 0 {
-		mean = total / float64(len(sc.est))
-	}
+	sc.out = appendFastResponse(sc.out[:0], t, module, &req, indent)
 	// Same accounting as the legacy path: an exact snapshot hit is a model
 	// cache hit, and cycle volume counts per estimate regardless of path.
 	s.met.cacheHits.Inc()
-	s.met.estCycles.Add(int64(len(sc.est)))
+	s.met.estCycles.Add(int64(req.cycles()))
 	s.met.servedLUT.Inc()
 	// Traffic profiling stays allocation-free: the interned module makes
 	// the Key probe a plain map lookup, and the sharded counters take
 	// atomic adds only. Model returns nil past the cap, which the record
 	// calls tolerate.
 	mp := s.tel.Profiler().Model(
-		telemetry.Key{Module: module, Width: req.width, Seed: req.seed}, m+1)
+		telemetry.Key{Module: module, Width: req.width, Seed: req.seed}, t.InputBits+1)
 	if mp != nil {
 		if len(req.words) > 0 {
-			// Validation above guarantees every word fits the m-bit mask,
-			// so the XOR popcount is exactly the per-cycle Hd.
+			// Validation guarantees every word fits the m-bit mask, so the
+			// XOR popcount is exactly the per-cycle Hd.
 			for i := 1; i < len(req.words); i++ {
 				mp.RecordClass(sc.shard, bits.OnesCount64(req.words[i-1]^req.words[i]))
 			}
@@ -542,31 +526,72 @@ func (s *Server) estimateFastBytes(body []byte, sc *estScratch, indent bool) ([]
 				mp.RecordClass(sc.shard, hd)
 			}
 		}
-		mp.RecordRequest(sc.shard, len(sc.est), time.Since(start).Seconds())
+		mp.RecordRequest(sc.shard, req.cycles(), time.Since(start).Seconds())
 	}
-	sc.out = appendEstimateResponse(sc.out[:0], module, req.width, req.seed,
-		sc.est, enhanced, total, mean, "", indent)
 	return sc.out, true
 }
 
-// appendJSONFloat renders a float64 exactly the way encoding/json does
-// (shortest representation, 'e' form only for very small or very large
-// magnitudes, exponent digits unpadded), so fast-path and slow-path
-// responses carry byte-identical numbers.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+// valid reports whether the legacy path would price the request's series
+// against an m-input model without error: exactly one of hd and words,
+// every class, stable-zero count and word in range, and the batch within
+// maxBatchCycles.
+func (r *fastReq) valid(m int) bool {
+	switch {
+	case len(r.words) > 0 && len(r.hd) > 0:
+		return false
+	case len(r.words) > 0:
+		if len(r.words) < 2 || len(r.words) > maxBatchCycles || m > 64 {
+			return false
 		}
+		for _, v := range r.words {
+			if m < 64 && v>>uint(m) != 0 {
+				return false
+			}
+		}
+		return true
+	case len(r.hd) > 0:
+		if len(r.hd) > maxBatchCycles {
+			return false
+		}
+		for _, hd := range r.hd {
+			if hd < 0 || hd > m {
+				return false
+			}
+		}
+		if len(r.zeros) == 0 {
+			return true
+		}
+		if len(r.zeros) != len(r.hd) {
+			return false
+		}
+		for i, z := range r.zeros {
+			if z < 0 || z > m-r.hd[i] {
+				return false
+			}
+		}
+		return true
 	}
-	return b
+	return false
+}
+
+// appendFastResponse prices a request that passed valid against t and
+// renders its response: the head, the table's pre-rendered coefficient
+// bytes for every cycle, then total and mean.
+func appendFastResponse(out []byte, t *lut.Table, module string, req *fastReq, indent bool) []byte {
+	cycles := req.cycles()
+	enhanced := (len(req.words) > 0 || len(req.zeros) > 0) && t.HasEnhanced()
+	out = appendEstimateHead(out, module, req.width, req.seed, cycles, enhanced, indent)
+	sep := estimateSep(indent)
+	var total float64
+	switch {
+	case len(req.words) > 0:
+		out, total = t.AppendWords(out, sep, req.words)
+	case len(req.zeros) > 0:
+		out, total = t.AppendEnhanced(out, sep, req.hd, req.zeros)
+	default:
+		out, total = t.AppendBasic(out, sep, req.hd)
+	}
+	return appendEstimateTail(out, cycles, total, total/float64(cycles), "", indent)
 }
 
 // appendKey appends a JSON object key and its colon, with the space
@@ -580,23 +605,41 @@ func appendKey(out []byte, name string, indent bool) []byte {
 	return append(out, `":`...)
 }
 
-// appendEstimateResponse renders the estimateResponse hot shape (same
-// fields, same order as the struct's JSON tags) without reflection.
+// fieldSep separates two fields of a rendered response object.
+func fieldSep(indent bool) string {
+	if indent {
+		return ",\n  "
+	}
+	return ","
+}
+
+// estimateSep separates two entries of a rendered estimates array.
+func estimateSep(indent bool) string {
+	if indent {
+		return ",\n    "
+	}
+	return ","
+}
+
+// appendEstimateHead and appendEstimateTail render the estimateResponse
+// hot shape (same fields, same order as the struct's JSON tags) without
+// reflection, around a caller-rendered estimates array of cycles entries
+// separated by estimateSep. The head ends where the first entry starts;
+// the tail closes the array and adds the remaining fields.
 // degraded/fallback are emitted only when fallback is non-empty, matching
 // the omitempty tags. With indent set the output is byte-identical to
 // writeJSON's json.Encoder with SetIndent("", "  ") — including the
 // trailing newline Encode appends — so fast-path and legacy unary
 // responses are indistinguishable on the wire; without it the result is
 // one compact line for the NDJSON stream.
-func appendEstimateResponse(out []byte, module string, width int, seed int64,
-	est []float64, enhanced bool, total, mean float64, fallback string, indent bool) []byte {
-	fieldSep := ","
+func appendEstimateHead(out []byte, module string, width int, seed int64,
+	cycles int, enhanced, indent bool) []byte {
 	if indent {
 		out = append(out, "{\n  "...)
-		fieldSep = ",\n  "
 	} else {
 		out = append(out, '{')
 	}
+	sep := fieldSep(indent)
 	out = appendKey(out, "key", indent)
 	out = append(out, '"')
 	out = append(out, module...)
@@ -605,47 +648,38 @@ func appendEstimateResponse(out []byte, module string, width int, seed int64,
 	out = append(out, "/s"...)
 	out = strconv.AppendInt(out, seed, 10)
 	out = append(out, '"')
-	out = append(out, fieldSep...)
+	out = append(out, sep...)
 	out = appendKey(out, "cycles", indent)
-	out = strconv.AppendInt(out, int64(len(est)), 10)
-	out = append(out, fieldSep...)
+	out = strconv.AppendInt(out, int64(cycles), 10)
+	out = append(out, sep...)
 	out = appendKey(out, "enhanced", indent)
 	out = strconv.AppendBool(out, enhanced)
-	out = append(out, fieldSep...)
+	out = append(out, sep...)
 	out = appendKey(out, "estimates", indent)
-	switch {
-	case len(est) == 0:
-		out = append(out, "[]"...)
-	case indent:
-		out = append(out, "[\n    "...)
-		for i, q := range est {
-			if i > 0 {
-				out = append(out, ",\n    "...)
-			}
-			out = appendJSONFloat(out, q)
-		}
-		out = append(out, "\n  ]"...)
-	default:
-		out = append(out, '[')
-		for i, q := range est {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = appendJSONFloat(out, q)
-		}
-		out = append(out, ']')
+	out = append(out, '[')
+	if indent && cycles > 0 {
+		out = append(out, "\n    "...)
 	}
-	out = append(out, fieldSep...)
+	return out
+}
+
+func appendEstimateTail(out []byte, cycles int, total, mean float64, fallback string, indent bool) []byte {
+	if indent && cycles > 0 {
+		out = append(out, "\n  "...)
+	}
+	out = append(out, ']')
+	sep := fieldSep(indent)
+	out = append(out, sep...)
 	out = appendKey(out, "total", indent)
-	out = appendJSONFloat(out, total)
-	out = append(out, fieldSep...)
+	out = lut.AppendJSONFloat(out, total)
+	out = append(out, sep...)
 	out = appendKey(out, "mean", indent)
-	out = appendJSONFloat(out, mean)
+	out = lut.AppendJSONFloat(out, mean)
 	if fallback != "" {
-		out = append(out, fieldSep...)
+		out = append(out, sep...)
 		out = appendKey(out, "degraded", indent)
 		out = append(out, "true"...)
-		out = append(out, fieldSep...)
+		out = append(out, sep...)
 		out = appendKey(out, "fallback", indent)
 		out = append(out, '"')
 		out = append(out, fallback...)
@@ -659,33 +693,18 @@ func appendEstimateResponse(out []byte, module string, width int, seed int64,
 	return out
 }
 
-// wordMask returns the valid-bit mask for an m-bit word, m <= 64.
-func wordMask(m int) uint64 {
-	if m >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(m)) - 1
-}
-
-// estimateWords prices a vector stream against a table without building
-// logic.Word values: Hd and stable-zeros come straight from uint64
-// bit-twiddling (identical, by definition, to logic.Hd/StableZeros for
-// words that fit one limb). dst must have len(words)-1 entries.
-func estimateWords(t *lut.Table, dst []float64, words []uint64, enhanced bool) float64 {
-	mask := wordMask(t.InputBits)
-	var total float64
-	for i := 1; i < len(words); i++ {
-		prev, cur := words[i-1]&mask, words[i]&mask
-		hd := bits.OnesCount64(prev ^ cur)
-		var q float64
-		if enhanced {
-			z := bits.OnesCount64(^(prev | cur) & mask)
-			q = t.PEnhanced(hd, z)
-		} else {
-			q = t.P(hd)
+// appendEstimateResponse renders a response whose estimates are already
+// priced — the legacy stream line — as head, one float per estimate,
+// tail.
+func appendEstimateResponse(out []byte, module string, width int, seed int64,
+	est []float64, enhanced bool, total, mean float64, fallback string, indent bool) []byte {
+	out = appendEstimateHead(out, module, width, seed, len(est), enhanced, indent)
+	sep := estimateSep(indent)
+	for i, q := range est {
+		if i > 0 {
+			out = append(out, sep...)
 		}
-		dst[i-1] = q
-		total += q
+		out = lut.AppendJSONFloat(out, q)
 	}
-	return total
+	return appendEstimateTail(out, len(est), total, mean, fallback, indent)
 }

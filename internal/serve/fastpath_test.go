@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +137,26 @@ func nastyModel(m int) *core.Model {
 	return model
 }
 
+// nastyEnhancedModel is nastyModel with a clustered enhanced table whose
+// slots cycle through the same values, some left unobserved so the
+// enhanced-to-basic fallback is rendered too.
+func nastyEnhancedModel(m, zClusters int) *core.Model {
+	model := nastyModel(m)
+	model.ZClusters = zClusters
+	basic := model.Basic
+	model.Enhanced = make([][]core.Coef, m)
+	for i := 1; i <= m; i++ {
+		row := make([]core.Coef, model.NumZBuckets(i))
+		for zb := range row {
+			if (i+zb)%4 != 0 {
+				row[zb] = core.Coef{P: basic[(i*3+zb)%m].P, Count: 2}
+			}
+		}
+		model.Enhanced[i-1] = row
+	}
+	return model
+}
+
 // TestFastSlowEquivalenceNastyFloats pins the hand-rolled float encoder
 // against encoding/json on coefficients chosen to hit every formatting
 // branch ('e' form thresholds, exponent padding, shortest-representation
@@ -246,6 +270,16 @@ func TestEstimateFastFallbacks(t *testing.T) {
 		{"hd out of range", `{"model":` + model + `,"hd":[99]}`, http.StatusBadRequest},
 		{"both modes", `{"model":` + model + `,"hd":[1],"words":[0,1]}`, http.StatusBadRequest},
 		{"no series", `{"model":` + model + `}`, http.StatusBadRequest},
+		// encoding/json keeps the last of a repeated key (an array is
+		// replaced, not extended); the fast parser leaves both to it.
+		{"repeated hd", `{"model":` + model + `,"hd":[1],"hd":[2]}`, http.StatusOK},
+		{"repeated words", `{"model":` + model + `,"words":[0,1],"words":[2,3]}`, http.StatusOK},
+		{"repeated model", `{"model":` + model + `,"model":` + model + `,"hd":[1]}`, http.StatusOK},
+		{"repeated module", `{"model":{"module":"ripple-adder","module":"ripple-adder","width":2,"seed":7},"hd":[1]}`, http.StatusOK},
+		// JSON numbers have no leading zeros.
+		{"leading zero hd", `{"model":` + model + `,"hd":[01,2]}`, http.StatusBadRequest},
+		{"leading zero width", `{"model":{"module":"ripple-adder","width":02,"seed":7},"hd":[1]}`, http.StatusBadRequest},
+		{"leading zero seed", `{"model":{"module":"ripple-adder","width":2,"seed":-07},"hd":[1]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, data := postRaw(t, ts.URL+"/v1/estimate", tc.body)
@@ -256,6 +290,77 @@ func TestEstimateFastFallbacks(t *testing.T) {
 	if lut := s.met.servedLUT.Value(); lut != 0 {
 		t.Errorf("servedLUT = %d, want 0: a fallback shape hit the fast path", lut)
 	}
+}
+
+// FuzzEstimateFastVsLegacy pins the fast path to the legacy path on
+// arbitrary bytes: whenever the fast path answers a body, encoding/json
+// (with DisallowUnknownFields) must decode the same bytes into an equal
+// estimateRequest, and the legacy path must answer it byte for byte the
+// same, both as a compact stream line and as an indented unary response.
+// The server holds a basic model (ripple-adder/w2/s7, m = 4) and an
+// enhanced nasty-float model (ripple-adder/w3/s1, m = 6, z_clusters 3).
+func FuzzEstimateFastVsLegacy(f *testing.F) {
+	s := New(Config{BuildFunc: func(_ context.Context, spec BuildSpec, _ *core.Hooks) (*core.Model, error) {
+		if spec.Width == 3 {
+			return nastyEnhancedModel(6, 3), nil
+		}
+		return fakeModel(4), nil
+	}})
+	f.Cleanup(s.Close)
+	for _, spec := range []string{
+		`{"module":"ripple-adder","width":2,"seed":7,"wait":true}`,
+		`{"module":"ripple-adder","width":3,"seed":1,"wait":true}`,
+	} {
+		if rec := serveBody(s.Handler(), "/v1/models/build", []byte(spec)); rec.Code != http.StatusOK {
+			f.Fatalf("build %s: %d %s", spec, rec.Code, rec.Body)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sc := getScratch()
+		defer putScratch(sc)
+		compact, ok := s.estimateFastBytes(body, sc, false)
+		if !ok {
+			return
+		}
+		compact = bytes.Clone(compact)
+		indented, ok := s.estimateFastBytes(body, sc, true)
+		if !ok {
+			t.Fatal("fast path answered the compact form only")
+		}
+		indented = bytes.Clone(indented)
+		fast, _ := parseEstimateFast(body, sc)
+
+		var want estimateRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&want); err != nil {
+			t.Fatalf("fast path answered a body encoding/json rejects: %v", err)
+		}
+		got := estimateRequest{
+			Model: BuildSpec{Module: string(fast.module), Width: fast.width, Seed: fast.seed},
+			Hd:    fast.hd, StableZeros: fast.zeros, Words: fast.words,
+		}
+		if got.Model != want.Model || !slices.Equal(got.Hd, want.Hd) ||
+			!slices.Equal(got.StableZeros, want.StableZeros) || !slices.Equal(got.Words, want.Words) {
+			t.Fatalf("fast parser decoded %+v, encoding/json %+v", got, want)
+		}
+
+		var line bytes.Buffer
+		bw := bufio.NewWriter(&line)
+		s.streamLineLegacy(bw, sc, body)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line.Bytes(), append(compact, '\n')) {
+			t.Fatalf("stream line differs:\nfast:   %s\nlegacy: %s", compact, line.Bytes())
+		}
+		rec := httptest.NewRecorder()
+		s.estimateLegacy(rec, body)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), indented) {
+			t.Fatalf("unary response differs (legacy status %d):\nfast:   %s\nlegacy: %s",
+				rec.Code, indented, rec.Body.Bytes())
+		}
+	})
 }
 
 // TestEstimateReadsDuringRCUSwaps hammers the estimate endpoint from many
