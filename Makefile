@@ -84,9 +84,11 @@ cover:
 # points every build's merge state machine takes from bytes — resuming a
 # MergeSession from a decoded checkpoint, and merging a decoded
 # ShardResult, which must leave the session untouched when it rejects it
-# — and the estimate fast path against encoding/json and the legacy
-# renderer on arbitrary request bodies. Seed corpora live under each
-# package's testdata/fuzz; a crasher lands there too.
+# — the hand-rolled estimate parser against encoding/json and every
+# estimate answer against an encoding/json rendering of core.Model prices
+# on arbitrary request bodies, and the NDJSON line splitter against
+# bytes.Split. Seed corpora live under each package's testdata/fuzz; a
+# crasher lands there too.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -95,7 +97,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime $(FUZZTIME) ./internal/bitsim
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzEstimateFastVsLegacy$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimateDecoders$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamReadLine$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Full benchmark sweep.
 bench:
@@ -157,13 +160,13 @@ serve-load:
 # p99 round-trip latency and server allocs per estimate, per plane. The
 # allocs ceilings are the teeth: the unary plane pays ~75 net/http
 # allocations per request and the streaming plane ~2 per line, so a
-# regression that re-introduces per-estimate allocation (the lut fast
-# path decaying to the legacy decoder) blows the stream ceiling
-# immediately. The third invocation budgets the observability plane:
-# a /v1/telemetry snapshot (ServeTelemetry, recorded by hdload's
-# -telemetry-check pass) must answer under 10ms p99 with the full
-# profiled-model state loaded. QPS floors depend on host speed, so like
-# bench-gate's scaling floor they are CI-only (see
+# regression that re-introduces per-estimate allocation (hot-shape lines
+# ending up decoded by encoding/json, which allocates per line) blows the
+# stream ceiling immediately. The third invocation budgets the
+# observability plane: a /v1/telemetry snapshot (ServeTelemetry, recorded
+# by hdload's -telemetry-check pass) must answer under 10ms p99 with the
+# full profiled-model state loaded. QPS floors depend on host speed, so
+# like bench-gate's scaling floor they are CI-only (see
 # .github/workflows/ci.yml).
 serve-gate: serve-fresh
 	$(GO) run ./cmd/benchcmp -old BENCH_serve.json -new BENCH_serve_fresh.json \

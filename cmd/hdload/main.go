@@ -91,7 +91,6 @@ type config struct {
 	streamBatch  int
 	readyTimeout time.Duration
 	out          string
-	legacy       bool
 	telemetry    bool
 }
 
@@ -114,7 +113,6 @@ func main() {
 	flag.IntVar(&cfg.streamBatch, "stream-batch", 64, "estimate lines per streaming batch request")
 	flag.DurationVar(&cfg.readyTimeout, "ready-timeout", 30*time.Second, "how long to poll /readyz before giving up")
 	flag.StringVar(&cfg.out, "o", "", "write the benchmark JSON here (atomic); stdout when empty")
-	flag.BoolVar(&cfg.legacy, "legacy", false, "force the server's legacy decode path (A/B baseline): adds a patterns field to the model spec, which the fast parser rejects while resolving to the same cached model")
 	flag.BoolVar(&cfg.telemetry, "telemetry-check", false, "cross-check client request counts against the server's /v1/telemetry planes (>1% disagreement fails the run) and benchmark snapshot latency as ServeTelemetry/snapshot")
 	flag.Parse()
 
@@ -383,25 +381,17 @@ func genPool(cfg *config) [][]byte {
 	pool := make([][]byte, poolSize)
 	for i := range pool {
 		t := cfg.models[i%len(cfg.models)]
-		pool[i] = renderRequest(rng, t, shapes[i%len(shapes)], cfg.cycles, cfg.legacy, cfg.patterns)
+		pool[i] = renderRequest(rng, t, shapes[i%len(shapes)], cfg.cycles)
 	}
 	return pool
 }
 
 // renderRequest renders one estimate request body in the hot shape the
-// server's fast path parses: the model key triple plus exactly one
-// series field. In legacy mode an extra patterns field is included —
-// not part of the model cache key, so the request resolves to the same
-// model, but the fast parser refuses it and the server answers through
-// the legacy decode path.
-func renderRequest(rng *rand.Rand, t target, shape string, cycles int, legacy bool, patterns int) []byte {
+// server's hand-rolled parser decodes: the model key triple plus exactly
+// one series field.
+func renderRequest(rng *rand.Rand, t target, shape string, cycles int) []byte {
 	var b bytes.Buffer
-	if legacy {
-		fmt.Fprintf(&b, `{"model":{"module":%q,"width":%d,"seed":%d,"patterns":%d}`,
-			t.module, t.width, t.seed, patterns)
-	} else {
-		fmt.Fprintf(&b, `{"model":{"module":%q,"width":%d,"seed":%d}`, t.module, t.width, t.seed)
-	}
+	fmt.Fprintf(&b, `{"model":{"module":%q,"width":%d,"seed":%d}`, t.module, t.width, t.seed)
 	switch shape {
 	case "words":
 		mask := ^uint64(0)
@@ -657,12 +647,8 @@ func runScenario(client *http.Client, cfg *config, ep string, pool [][]byte) (re
 	if estimates > 0 {
 		allocsPerOp = (mallocs1 - mallocs0) / float64(estimates)
 	}
-	suffix := ""
-	if cfg.legacy {
-		suffix = "/legacy"
-	}
 	rec := record{
-		Name:       fmt.Sprintf("ServeEstimate/%s/mix=%s/conc=%d%s", ep, cfg.mix, cfg.concurrency, suffix),
+		Name:       fmt.Sprintf("ServeEstimate/%s/mix=%s/conc=%d", ep, cfg.mix, cfg.concurrency),
 		Iterations: ops,
 		NumCPU:     runtime.NumCPU(),
 		Backend:    "serve",

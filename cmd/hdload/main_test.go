@@ -29,11 +29,11 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 func TestScrapeCounterSumsSeries(t *testing.T) {
-	body := `# HELP hdserve_estimate_served_total estimates
-# TYPE hdserve_estimate_served_total counter
-hdserve_estimate_served_total{path="lut"} 40
-hdserve_estimate_served_total{path="legacy"} 2
-hdserve_estimate_served_totally_unrelated 999
+	body := `# HELP hdserve_estimate_degraded_total estimates
+# TYPE hdserve_estimate_degraded_total counter
+hdserve_estimate_degraded_total{fallback="seed"} 40
+hdserve_estimate_degraded_total{fallback="library"} 2
+hdserve_estimate_degraded_totally_unrelated 999
 hdserve_go_mallocs_total 12345
 `
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -44,7 +44,7 @@ hdserve_go_mallocs_total 12345
 		w.Write([]byte(body))
 	}))
 	defer srv.Close()
-	got, err := scrapeCounter(srv.Client(), srv.URL, "hdserve_estimate_served_total")
+	got, err := scrapeCounter(srv.Client(), srv.URL, "hdserve_estimate_degraded_total")
 	if err != nil || got != 42 {
 		t.Fatalf("labeled sum = %v, %v (want 42)", got, err)
 	}
@@ -58,58 +58,53 @@ hdserve_go_mallocs_total 12345
 }
 
 // TestRenderRequestShapes: every generated body is valid JSON in the
-// server's request schema, respects the hd/stable_zeros range contracts,
-// and only legacy mode includes the fast-path-rejecting patterns field.
+// server's request schema, names the model by its key triple alone, and
+// respects the hd/stable_zeros range contracts.
 func TestRenderRequestShapes(t *testing.T) {
 	tgt := target{module: "csa-multiplier", width: 8, seed: 1, inputBits: 16}
 	rng := rand.New(rand.NewSource(7))
 	for _, shape := range []string{"hd", "words", "enhanced"} {
-		for _, legacy := range []bool{false, true} {
-			body := renderRequest(rng, tgt, shape, 12, legacy, 2000)
-			var req struct {
-				Model struct {
-					Module   string `json:"module"`
-					Width    int    `json:"width"`
-					Seed     int64  `json:"seed"`
-					Patterns int    `json:"patterns"`
-				} `json:"model"`
-				Hd          []int    `json:"hd"`
-				StableZeros []int    `json:"stable_zeros"`
-				Words       []uint64 `json:"words"`
+		body := renderRequest(rng, tgt, shape, 12)
+		var req struct {
+			Model struct {
+				Module   string `json:"module"`
+				Width    int    `json:"width"`
+				Seed     int64  `json:"seed"`
+				Patterns int    `json:"patterns"`
+			} `json:"model"`
+			Hd          []int    `json:"hd"`
+			StableZeros []int    `json:"stable_zeros"`
+			Words       []uint64 `json:"words"`
+		}
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%s: %v: %s", shape, err, body)
+		}
+		if req.Model.Module != tgt.module || req.Model.Width != tgt.width || req.Model.Patterns != 0 {
+			t.Fatalf("%s: model = %+v", shape, req.Model)
+		}
+		switch shape {
+		case "hd":
+			if len(req.Hd) != 12 || len(req.StableZeros) != 0 || len(req.Words) != 0 {
+				t.Fatalf("hd body: %s", body)
 			}
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Fatalf("%s legacy=%v: %v: %s", shape, legacy, err, body)
+		case "words":
+			if len(req.Words) != 13 || len(req.Hd) != 0 {
+				t.Fatalf("words body: %s", body)
 			}
-			if req.Model.Module != tgt.module || req.Model.Width != tgt.width {
-				t.Fatalf("%s: model = %+v", shape, req.Model)
+			for _, w := range req.Words {
+				if w >= 1<<8 {
+					t.Fatalf("word %d over width %d", w, tgt.width)
+				}
 			}
-			if legacy != (req.Model.Patterns != 0) {
-				t.Fatalf("%s legacy=%v: patterns = %d", shape, legacy, req.Model.Patterns)
+		case "enhanced":
+			if len(req.Hd) != 12 || len(req.StableZeros) != 12 {
+				t.Fatalf("enhanced body: %s", body)
 			}
-			switch shape {
-			case "hd":
-				if len(req.Hd) != 12 || len(req.StableZeros) != 0 || len(req.Words) != 0 {
-					t.Fatalf("hd body: %s", body)
-				}
-			case "words":
-				if len(req.Words) != 13 || len(req.Hd) != 0 {
-					t.Fatalf("words body: %s", body)
-				}
-				for _, w := range req.Words {
-					if w >= 1<<8 {
-						t.Fatalf("word %d over width %d", w, tgt.width)
-					}
-				}
-			case "enhanced":
-				if len(req.Hd) != 12 || len(req.StableZeros) != 12 {
-					t.Fatalf("enhanced body: %s", body)
-				}
-				for i := range req.Hd {
-					if req.Hd[i] < 0 || req.Hd[i] > tgt.inputBits ||
-						req.StableZeros[i] < 0 || req.Hd[i]+req.StableZeros[i] > tgt.inputBits {
-						t.Fatalf("range violation hd=%d sz=%d bits=%d",
-							req.Hd[i], req.StableZeros[i], tgt.inputBits)
-					}
+			for i := range req.Hd {
+				if req.Hd[i] < 0 || req.Hd[i] > tgt.inputBits ||
+					req.StableZeros[i] < 0 || req.Hd[i]+req.StableZeros[i] > tgt.inputBits {
+					t.Fatalf("range violation hd=%d sz=%d bits=%d",
+						req.Hd[i], req.StableZeros[i], tgt.inputBits)
 				}
 			}
 		}
@@ -120,8 +115,8 @@ func TestRenderRequestShapes(t *testing.T) {
 // same byte stream — the property that makes baselines comparable.
 func TestRenderRequestDeterministic(t *testing.T) {
 	tgt := target{module: "ripple-adder", width: 4, seed: 3, inputBits: 8}
-	a := renderRequest(rand.New(rand.NewSource(11)), tgt, "enhanced", 6, false, 0)
-	b := renderRequest(rand.New(rand.NewSource(11)), tgt, "enhanced", 6, false, 0)
+	a := renderRequest(rand.New(rand.NewSource(11)), tgt, "enhanced", 6)
+	b := renderRequest(rand.New(rand.NewSource(11)), tgt, "enhanced", 6)
 	if string(a) != string(b) {
 		t.Fatalf("same seed, different bodies:\n%s\n%s", a, b)
 	}

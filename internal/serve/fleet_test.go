@@ -29,7 +29,7 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 	if resp, data := buildWait(t, tsClean.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("baseline build: %d %s", resp.StatusCode, data)
 	}
-	baseModel, ok := clean.cache.ready(spec.Key())
+	baseModel, _, ok := clean.cache.readyEntrySpec(spec.Key())
 	if !ok {
 		t.Fatal("baseline model not cached")
 	}
@@ -74,7 +74,7 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 	if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet build: %d %s", resp.StatusCode, data)
 	}
-	fleetModel, ok := s.cache.ready(spec.Key())
+	fleetModel, _, ok := s.cache.readyEntrySpec(spec.Key())
 	if !ok {
 		t.Fatal("fleet model not cached")
 	}

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"hdpower/internal/hddist"
-	"hdpower/internal/logic"
 	"hdpower/internal/stats"
 )
 
@@ -51,185 +48,24 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-type estimateRequest struct {
-	Model BuildSpec `json:"model"`
-	// Hd estimates directly from per-cycle Hamming-distance classes,
-	// optionally refined by StableZeros (enhanced models).
-	Hd          []int `json:"hd,omitempty"`
-	StableZeros []int `json:"stable_zeros,omitempty"`
-	// Words estimates a batched vector stream: the full input vectors of
-	// consecutive cycles, low bits first, at most 64 input bits.
-	Words []uint64 `json:"words,omitempty"`
-}
-
-type estimateResponse struct {
-	Key       string    `json:"key"`
-	Cycles    int       `json:"cycles"`
-	Enhanced  bool      `json:"enhanced"`
-	Estimates []float64 `json:"estimates"`
-	Total     float64   `json:"total"`
-	Mean      float64   `json:"mean"`
-	// Degraded marks an answer served from a fallback model instead of the
-	// exact cached one; Fallback names the rung ("seed", "library",
-	// "regression").
-	Degraded bool   `json:"degraded,omitempty"`
-	Fallback string `json:"fallback,omitempty"`
-}
-
 // handleEstimate prices per-cycle charges from the fitted coefficient
-// table — microseconds per lookup, no simulation. Steady-state requests
-// run entirely on the lock-free LUT data plane (fastpath.go): pooled
-// buffers, hand-rolled JSON, an atomic snapshot lookup, zero heap
-// allocations. Anything outside the hot shape falls back to the legacy
-// encoding/json + struct-walk path, which owns all error semantics.
+// table — microseconds per lookup, no simulation. The pooled body goes
+// through the estimator (estimate.go); a hot-shape exact hit allocates
+// nothing.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	if !readBody(w, r, sc) {
 		return
 	}
-	if out, ok := s.estimateFastBytes(sc.body, sc, true); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(out)
-		return
-	}
-	s.met.servedLegacy.Inc()
-	s.estimateLegacy(w, sc.body)
-}
-
-// decodeJSON is readJSON for an already-buffered body (the fast path
-// reads the bytes before deciding it cannot serve them). Size overflow
-// was already answered by readBody, so only malformed JSON remains.
-func decodeJSON(w http.ResponseWriter, body []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// estimateLegacy is the slow estimate path: reflective JSON decode and
-// struct-walking model evaluation, byte-identical in behavior to the
-// pre-LUT server. The fast path serves only requests this path would
-// answer identically, so falling back is always safe.
-func (s *Server) estimateLegacy(w http.ResponseWriter, body []byte) {
-	var req estimateRequest
-	if !decodeJSON(w, body, &req) {
-		return
-	}
-	est, enhanced, fallback, rerr := s.computeEstimate(&req)
+	out, rerr := s.estimate(sc.body, sc, true)
 	if rerr != nil {
 		writeError(w, rerr.code, "%s", rerr.msg)
 		return
 	}
-	var total float64
-	for _, q := range est {
-		total += q
-	}
-	mean := 0.0
-	if len(est) > 0 {
-		mean = total / float64(len(est))
-	}
-	s.met.estCycles.Add(int64(len(est)))
-	writeJSON(w, http.StatusOK, estimateResponse{
-		Key:       req.Model.Key(),
-		Cycles:    len(est),
-		Enhanced:  enhanced,
-		Estimates: est,
-		Total:     total,
-		Mean:      mean,
-		Degraded:  fallback != "",
-		Fallback:  fallback,
-	})
-}
-
-// computeEstimate resolves the model (with the degradation chain) and
-// evaluates one decoded estimate request. Failures come back as a
-// resolveError carrying exactly the status and message the legacy handler
-// always produced; the stream endpoint renders the same failure as a
-// per-line error object instead.
-func (s *Server) computeEstimate(req *estimateRequest) ([]float64, bool, string, *resolveError) {
-	start := time.Now()
-	badReq := func(format string, args ...any) *resolveError {
-		return &resolveError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-	}
-	model, fallback, rerr := s.lookupModel(&req.Model)
-	if rerr != nil {
-		return nil, false, "", rerr
-	}
-	m := model.InputBits
-
-	var est []float64
-	var enhanced bool
-	switch {
-	case len(req.Words) > 0 && len(req.Hd) > 0:
-		return nil, false, "", badReq("pass either hd or words, not both")
-	case len(req.Words) > 0:
-		if len(req.Words) < 2 {
-			return nil, false, "", badReq("words mode needs >= 2 vectors")
-		}
-		if len(req.Words) > maxBatchCycles {
-			return nil, false, "", badReq("batch exceeds %d vectors", maxBatchCycles)
-		}
-		if m > 64 {
-			return nil, false, "", badReq(
-				"words mode supports <= 64 input bits, model has %d; use hd mode", m)
-		}
-		words := make([]logic.Word, len(req.Words))
-		for i, v := range req.Words {
-			if m < 64 && v>>uint(m) != 0 {
-				return nil, false, "", badReq(
-					"word %d (%#x) does not fit the model's %d input bits", i, v, m)
-			}
-			words[i] = logic.FromUint(v, m)
-		}
-		enhanced = model.HasEnhanced()
-		est = make([]float64, len(words)-1)
-		for i := 1; i < len(words); i++ {
-			hd := logic.Hd(words[i-1], words[i])
-			if enhanced {
-				est[i-1] = model.PEnhanced(hd, logic.StableZeros(words[i-1], words[i]))
-			} else {
-				est[i-1] = model.P(hd)
-			}
-		}
-	case len(req.Hd) > 0:
-		if len(req.Hd) > maxBatchCycles {
-			return nil, false, "", badReq("batch exceeds %d cycles", maxBatchCycles)
-		}
-		for i, hd := range req.Hd {
-			if hd < 0 || hd > m {
-				return nil, false, "", badReq("hd[%d] = %d outside [0, %d]", i, hd, m)
-			}
-		}
-		if len(req.StableZeros) > 0 {
-			if len(req.StableZeros) != len(req.Hd) {
-				return nil, false, "", badReq(
-					"stable_zeros length %d != hd length %d", len(req.StableZeros), len(req.Hd))
-			}
-			for i, z := range req.StableZeros {
-				if z < 0 || z > m-req.Hd[i] {
-					return nil, false, "", badReq(
-						"stable_zeros[%d] = %d outside [0, %d] for hd %d", i, z, m-req.Hd[i], req.Hd[i])
-				}
-			}
-			var err error
-			est, err = model.EstimateEnhanced(req.Hd, req.StableZeros)
-			if err != nil {
-				return nil, false, "", badReq("%v", err)
-			}
-			enhanced = model.HasEnhanced()
-		} else {
-			est = model.EstimateBasic(req.Hd)
-		}
-	default:
-		return nil, false, "", badReq("pass hd classes or a words vector stream")
-	}
-	s.recordLegacyTraffic(req, m, len(est), time.Since(start).Seconds())
-	return est, enhanced, fallback, nil
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
 }
 
 type statsRequest struct {
@@ -265,11 +101,12 @@ func (s *Server) handleEstimateStats(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	model, fallback, ok := s.resolveModel(w, &req.Model)
-	if !ok {
+	t, fallback, rerr := s.lookupModel(&req.Model)
+	if rerr != nil {
+		writeError(w, rerr.code, "%s", rerr.msg)
 		return
 	}
-	m := model.InputBits
+	m := t.InputBits
 	if req.Width <= 0 || req.Width > m {
 		writeError(w, http.StatusBadRequest, "width %d outside (0, %d]", req.Width, m)
 		return
@@ -288,7 +125,9 @@ func (s *Server) handleEstimateStats(w http.ResponseWriter, r *http.Request) {
 	if req.Ports == 0 {
 		req.Ports = m / req.Width
 	}
-	if req.Ports <= 0 || req.Ports*req.Width != m {
+	// Compared by division: ports*width can wrap around to m for a huge
+	// ports, which would start that many convolutions.
+	if m%req.Width != 0 || req.Ports != m/req.Width {
 		writeError(w, http.StatusBadRequest,
 			"ports (%d) x width (%d) must equal the model's %d input bits", req.Ports, req.Width, m)
 		return
@@ -299,7 +138,7 @@ func (s *Server) handleEstimateStats(w http.ResponseWriter, r *http.Request) {
 	// construction and convolution entirely and share one cached slice.
 	ws := stats.WordStats{N: req.N, Mean: req.Mean, Std: req.Std, Rho: req.Rho}
 	dist := s.distMemo.FromWordStatsPorts(ws, req.Width, req.Ports)
-	avg, err := model.AvgFromDist(dist)
+	avg, err := t.AvgFromDist(dist)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

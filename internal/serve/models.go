@@ -120,7 +120,7 @@ type buildEntry struct {
 	// Guarded by the owning cache's mutex.
 	status   string
 	model    *core.Model
-	table    *lut.Table // flattened model, published into the LUT snapshot
+	table    *lut.Table // flattened model: what estimates price with
 	err      error
 	manifest *core.RunManifest
 }
@@ -161,9 +161,10 @@ type modelSnapshot struct {
 //
 // Alongside the locked structures, the cache maintains an RCU snapshot of
 // every ready model's flattened lut.Table (luts): the snapshot is rebuilt
-// and atomically swapped whenever the ready set changes, so the estimate
-// fast path resolves models with a single atomic load and map read —
-// never the cache mutex.
+// and atomically swapped whenever the ready set changes, so an exact
+// estimate hit resolves with a single atomic load and map read — never
+// the cache mutex, and never touching LRU recency, which only builds
+// refresh.
 type modelCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -194,8 +195,7 @@ func newModelCache(capacity int, met *metrics) *modelCache {
 }
 
 // table resolves a flattened model from the current LUT snapshot without
-// taking any lock. module must be an interned catalog name (moduleIntern)
-// so the composite key allocates nothing.
+// taking any lock.
 func (c *modelCache) table(module string, width int, seed int64) *lut.Table {
 	return c.luts.Load().tables[lutKey{module: module, width: width, seed: seed}]
 }
@@ -206,7 +206,7 @@ func (c *modelCache) table(module string, width int, seed int64) *lut.Table {
 func (c *modelCache) publishLUTs() {
 	set := &lutSet{tables: make(map[lutKey]*lut.Table, len(c.entries))}
 	for _, ent := range c.entries {
-		if ent.status == statusReady && ent.table != nil {
+		if ent.status == statusReady {
 			set.tables[lutKey{module: ent.spec.Module, width: ent.spec.Width, seed: ent.spec.Seed}] = ent.table
 		}
 	}
@@ -222,24 +222,11 @@ func (c *modelCache) lookupID(id string) (*buildEntry, bool) {
 	return ent, ok
 }
 
-// ready returns the fitted model for key if present, refreshing its LRU
-// position.
-func (c *modelCache) ready(key string) (*core.Model, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.entries[key]
-	if !ok || ent.status != statusReady {
-		return nil, false
-	}
-	c.order.MoveToFront(c.elems[key])
-	return ent.model, true
-}
-
-// readySibling returns a ready model for the same module and width under
-// any seed — the first degradation rung when the exact key is not cached.
-// Candidates are scanned in ascending seed order so the fallback is
-// deterministic across requests.
-func (c *modelCache) readySibling(module string, width int) (*core.Model, bool) {
+// readySibling returns the table of a ready model for the same module and
+// width under any seed — the first degradation rung when the exact key is
+// not cached — or nil. Candidates are scanned in ascending seed order so
+// the fallback is deterministic across requests.
+func (c *modelCache) readySibling(module string, width int) *lut.Table {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *buildEntry
@@ -252,9 +239,9 @@ func (c *modelCache) readySibling(module string, width int) (*core.Model, bool) 
 		}
 	}
 	if best == nil {
-		return nil, false
+		return nil
 	}
-	return best.model, true
+	return best.table
 }
 
 // begin implements the singleflight: it returns the entry for spec's key
@@ -331,22 +318,12 @@ func (c *modelCache) abandon(ent *buildEntry) {
 	}
 }
 
-// complete settles a build, publishes the result and its flight-recorder
-// manifest, and evicts beyond the LRU capacity. Successful builds are
-// flattened into a lut.Table (outside the lock — flattening walks every
-// coefficient) and the RCU snapshot is republished so estimate readers
-// see the new (or evicted) model without ever blocking on c.mu.
-func (c *modelCache) complete(ent *buildEntry, model *core.Model, err error, man *core.RunManifest) {
-	var table *lut.Table
-	if err == nil && model != nil {
-		t, terr := lut.New(model)
-		if terr == nil {
-			table = t
-		}
-		// A model that fails to flatten (structurally invalid) still
-		// serves through the slow path; nothing to do here — estimate
-		// requests fall back to the struct walk.
-	}
+// complete settles a build, publishes the result — a successful build's
+// model with its flattened table — and its flight-recorder manifest, and
+// evicts beyond the LRU capacity. The RCU snapshot is republished so
+// estimate readers see the new (or evicted) model without ever blocking
+// on c.mu.
+func (c *modelCache) complete(ent *buildEntry, model *core.Model, table *lut.Table, err error, man *core.RunManifest) {
 	c.mu.Lock()
 	ent.manifest = man
 	if ent.refresh {

@@ -14,7 +14,7 @@ import (
 	"path/filepath"
 
 	"hdpower/internal/atomicio"
-	"hdpower/internal/core"
+	"hdpower/internal/lut"
 )
 
 // checkpointPath is where a build checkpoints its characterization state.
@@ -104,63 +104,58 @@ const (
 	fallbackRegression = "regression" // synthesized from the library's width regression
 )
 
-// resolveError is a model-resolution failure with the HTTP status it
-// should map to: 400 for a bad spec, 404 for a missing model. The stream
+// requestError is an estimate failure with the HTTP status it maps to:
+// 400 for a bad body, spec or series, 404 for a missing model. The stream
 // endpoint renders it as a per-line error instead of a status code.
-type resolveError struct {
+type requestError struct {
 	code int
 	msg  string
 }
 
-func (e *resolveError) Error() string { return e.msg }
+func badRequest(format string, args ...any) *requestError {
+	return &requestError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
 
-// lookupModel resolves the model answering an estimate for spec: the
-// exact cached model when available, otherwise the first rung of the
-// degradation chain that can serve the request. The returned fallback
-// string is empty for an exact answer. It performs all the metric
-// accounting (per call — the stream endpoint calls it per line, so
-// degraded batch items count item by item like unary requests).
-func (s *Server) lookupModel(spec *BuildSpec) (*core.Model, string, *resolveError) {
+// lookupModel resolves the table answering an estimate for spec: the
+// exact model from the RCU snapshot when it is cached, otherwise the
+// first rung of the degradation chain that can serve the request — a
+// rung whose model does not flatten into a table counts as absent. The
+// returned fallback string is empty for an exact answer. It performs all
+// the metric accounting (per call — the stream endpoint calls it per
+// line, so degraded batch items count item by item like unary requests).
+func (s *Server) lookupModel(spec *BuildSpec) (*lut.Table, string, *requestError) {
 	if err := spec.normalize(); err != nil {
-		return nil, "", &resolveError{code: http.StatusBadRequest,
-			msg: fmt.Sprintf("model spec: %v", err)}
+		return nil, "", badRequest("model spec: %v", err)
 	}
-	if model, ok := s.cache.ready(spec.Key()); ok {
+	if t := s.cache.table(spec.Module, spec.Width, spec.Seed); t != nil {
 		s.met.cacheHits.Inc()
-		return model, "", nil
+		return t, "", nil
 	}
 	// Degradation chain: trade fidelity for availability, most faithful
 	// rung first. Characterization is deterministic per seed, so a
 	// different-seed sibling differs only by sampling noise; a library
 	// model survived a previous process; a regression synthesis is the
 	// paper's parameterizable fallback for uncharacterized widths.
-	if model, ok := s.cache.readySibling(spec.Module, spec.Width); ok {
+	if t := s.cache.readySibling(spec.Module, spec.Width); t != nil {
 		s.met.estimateDegraded(fallbackSeed).Inc()
-		return model, fallbackSeed, nil
+		return t, fallbackSeed, nil
 	}
 	if s.lib != nil {
 		if model, err := s.lib.GetModel(spec.Module, spec.Width, false); err == nil {
-			s.met.estimateDegraded(fallbackLibrary).Inc()
-			return model, fallbackLibrary, nil
+			if t, err := lut.New(model); err == nil {
+				s.met.estimateDegraded(fallbackLibrary).Inc()
+				return t, fallbackLibrary, nil
+			}
 		} else if atomicio.IsCorrupt(err) {
 			s.log.Warn("library model corrupt; quarantined", "key", spec.Key(), "err", err)
 		}
 		if pm, err := s.lib.GetParam(spec.Module); err == nil {
-			s.met.estimateDegraded(fallbackRegression).Inc()
-			return pm.Synthesize(spec.Width), fallbackRegression, nil
+			if t, err := lut.New(pm.Synthesize(spec.Width)); err == nil {
+				s.met.estimateDegraded(fallbackRegression).Inc()
+				return t, fallbackRegression, nil
+			}
 		}
 	}
-	return nil, "", &resolveError{code: http.StatusNotFound,
+	return nil, "", &requestError{code: http.StatusNotFound,
 		msg: fmt.Sprintf("model %s not built and no fallback available; POST /v1/models/build first", spec.Key())}
-}
-
-// resolveModel is lookupModel for the unary handlers: on failure the HTTP
-// error has already been written.
-func (s *Server) resolveModel(w http.ResponseWriter, spec *BuildSpec) (*core.Model, string, bool) {
-	model, fallback, rerr := s.lookupModel(spec)
-	if rerr != nil {
-		writeError(w, rerr.code, "%s", rerr.msg)
-		return nil, "", false
-	}
-	return model, fallback, true
 }

@@ -48,6 +48,7 @@ import (
 	"hdpower/internal/faultpoint"
 	"hdpower/internal/fleet"
 	"hdpower/internal/hddist"
+	"hdpower/internal/lut"
 	"hdpower/internal/modellib"
 	"hdpower/internal/obs"
 	"hdpower/internal/telemetry"
@@ -243,12 +244,6 @@ type metrics struct {
 	estCycles     *obs.Counter
 	lutSwaps      *obs.Gauge
 
-	// The served-path counters are resolved once here: the labeled-counter
-	// registry lookup locks and allocates, which the per-estimate hot path
-	// must not.
-	servedLUT    *obs.Counter
-	servedLegacy *obs.Counter
-
 	charPatterns   *obs.Counter
 	charShards     *obs.Counter
 	charEarlyStops *obs.Counter
@@ -298,8 +293,6 @@ func newMetrics() *metrics {
 		sloCaptures:        reg.Counter("hdserve_slo_captures_total", "SLO-breach diagnostic captures written"),
 		sloCaptureFailures: reg.Counter("hdserve_slo_capture_failures_total", "SLO-breach diagnostic captures that failed to write"),
 	}
-	m.servedLUT = m.estimateServed(servedLUT)
-	m.servedLegacy = m.estimateServed(servedLegacy)
 	m.reg.CounterFunc("hdserve_go_mallocs_total",
 		"cumulative heap objects allocated by the process (runtime.MemStats.Mallocs)",
 		func() uint64 {
@@ -327,16 +320,6 @@ func (m *metrics) estimateDegraded(fallback string) *obs.Counter {
 	return m.reg.CounterL("hdserve_estimate_degraded_total",
 		"estimates answered from a fallback model instead of the requested one",
 		[]obs.Label{{Key: "fallback", Value: fallback}})
-}
-
-// estimateServed counts answered estimates by the code path that produced
-// them: "lut" for the lock-free flattened-table fast path, "legacy" for
-// the encoding/json + struct-walk fallback. Per item on the stream
-// endpoint, like every other hdserve_estimate_* counter.
-func (m *metrics) estimateServed(path string) *obs.Counter {
-	return m.reg.CounterL("hdserve_estimate_served_total",
-		"estimates answered, labeled by serving path (lut = lock-free fast path)",
-		[]obs.Label{{Key: "path", Value: path}})
 }
 
 // sloBreaches counts SLO breach observations by plane. Incremented by the
@@ -717,7 +700,7 @@ func (s *Server) Close() {
 		select {
 		case ent := <-s.queue:
 			s.met.queueDepth.Add(-1)
-			s.cache.complete(ent, nil, errServerClosed, nil)
+			s.cache.complete(ent, nil, nil, errServerClosed, nil)
 			s.buildWG.Done()
 		default:
 			s.dumpTraces()
@@ -771,6 +754,13 @@ func (s *Server) runBuild(ent *buildEntry) {
 	s.log.Info("build started", "id", ent.id, "key", ent.key,
 		"trace_id", span.TraceID())
 	model, err := s.buildWithRetries(ctx, ent, hooks)
+	var table *lut.Table
+	if err == nil {
+		// Estimates price from the flattened table, so a model that does not
+		// flatten (structurally invalid) fails the build instead of going
+		// ready with nothing to price.
+		table, err = lut.New(model)
+	}
 	man := rec.Finish(model, err)
 	man.Width = ent.spec.Width
 	dur := time.Since(start)
@@ -796,7 +786,7 @@ func (s *Server) runBuild(ent *buildEntry) {
 	}
 	s.persistManifest(ent.id, man)
 	s.clearBuildSpec(ent.id)
-	s.cache.complete(ent, model, err, man)
+	s.cache.complete(ent, model, table, err, man)
 }
 
 // buildWithRetries runs one build attempt plus up to BuildRetries retries

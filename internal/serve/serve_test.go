@@ -418,7 +418,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("drain never completed")
 	}
 	// The drained build's model landed in the cache.
-	if _, ok := s.cache.ready(tinySpec().Key()); !ok {
+	if _, _, ok := s.cache.readyEntrySpec(tinySpec().Key()); !ok {
 		t.Error("in-flight build was dropped instead of drained")
 	}
 }
@@ -539,6 +539,9 @@ func TestValidation(t *testing.T) {
 		{"stats zero std", "/v1/estimate/stats", `{"model":` + tinySpecJSON + `,"mean":1,"std":0,"rho":0,"width":2}`, 400},
 		{"stats bad rho", "/v1/estimate/stats", `{"model":` + tinySpecJSON + `,"mean":1,"std":1,"rho":2,"width":2}`, 400},
 		{"stats bad width", "/v1/estimate/stats", `{"model":` + tinySpecJSON + `,"mean":1,"std":1,"rho":0,"width":3}`, 400},
+		// 4·(2⁶²+1) wraps to 4: the product check alone would start 2⁶²+1
+		// convolutions no request timeout can stop.
+		{"stats ports overflow", "/v1/estimate/stats", `{"model":` + tinySpecJSON + `,"mean":1,"std":1,"rho":0,"width":4,"ports":4611686018427387905}`, 400},
 	}
 	for _, tc := range cases {
 		resp, data := postRaw(t, ts.URL+tc.url, tc.body)

@@ -8,16 +8,14 @@ package serve
 // unary endpoint would have returned for that request. A bad line never
 // aborts the batch; the HTTP status is 200 once streaming starts.
 //
-// Each line runs through the same dispatch as a unary request — the
-// lock-free LUT fast path when the line fits the hot shape, the legacy
-// struct-walk otherwise — and every hdserve_estimate_* counter increments
-// per line, so batch and unary traffic read identically on /metrics.
-// Reader, writer and scratch buffers are pooled: a steady-state line on
-// the fast path allocates nothing.
+// Each line runs through the same estimator as a unary request
+// (estimate.go), and every hdserve_estimate_* counter increments per
+// line, so batch and unary traffic read identically on /metrics. Reader,
+// writer and scratch buffers are pooled: a steady-state hot-shape line
+// allocates nothing.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,37 +89,6 @@ func writeStreamError(bw *bufio.Writer, msg string) {
 	_ = bw.WriteByte('\n')
 }
 
-// streamLineLegacy answers one stream line through the legacy decode and
-// struct-walk path, compacting the response onto a single line.
-func (s *Server) streamLineLegacy(bw *bufio.Writer, sc *estScratch, line []byte) {
-	s.met.servedLegacy.Inc()
-	var req estimateRequest
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeStreamError(bw, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	est, enhanced, fallback, rerr := s.computeEstimate(&req)
-	if rerr != nil {
-		writeStreamError(bw, rerr.msg)
-		return
-	}
-	var total float64
-	for _, q := range est {
-		total += q
-	}
-	mean := 0.0
-	if len(est) > 0 {
-		mean = total / float64(len(est))
-	}
-	s.met.estCycles.Add(int64(len(est)))
-	sc.out = appendEstimateResponse(sc.out[:0], req.Model.Module, req.Model.Width,
-		req.Model.Seed, est, enhanced, total, mean, fallback, false)
-	_, _ = bw.Write(sc.out)
-	_ = bw.WriteByte('\n')
-}
-
 // handleEstimateStream is the NDJSON batch endpoint. One request prices
 // an arbitrary number of estimate lines without re-paying per-request
 // HTTP, routing, or middleware costs — the wire format a load generator
@@ -156,11 +123,11 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		line, err := readLine(br, sc)
 		if len(line) > 0 && !blankLine(line) {
-			if out, ok := s.estimateFastBytes(line, sc, false); ok {
+			if out, rerr := s.estimate(line, sc, false); rerr != nil {
+				writeStreamError(bw, rerr.msg)
+			} else {
 				_, _ = bw.Write(out)
 				_ = bw.WriteByte('\n')
-			} else {
-				s.streamLineLegacy(bw, sc, line)
 			}
 			lines++
 			if lines%streamFlushEvery == 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -12,11 +13,14 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"hdpower/internal/core"
 	"hdpower/internal/lut"
+	"hdpower/internal/modellib"
 	"hdpower/internal/obs"
+	"hdpower/internal/regress"
 )
 
 // The stream fixture mirrors perfbench's serve-stream mix: NDJSON batches
@@ -141,10 +145,11 @@ const (
 )
 
 // TestEstimateGoldenDigests pins the exact response bytes of the hot
-// path on real characterized models: every stream batch of the fixture,
+// shape on real characterized models: every stream batch of the fixture,
 // and every one of its lines posted alone to /v1/estimate. A change to
 // pricing, float rendering or response framing that moves one byte
-// fails it.
+// fails it, and every fixture line must stay in the hand-rolled parser's
+// shape, as every perfbench line is.
 func TestEstimateGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterizes two models")
@@ -165,8 +170,12 @@ func TestEstimateGoldenDigests(t *testing.T) {
 		}
 		unary.Write(rec.Body.Bytes())
 	}
-	if got := f.s.met.servedLegacy.Value(); got != 0 {
-		t.Errorf("servedLegacy = %d, want 0: a fixture line left the fast path", got)
+	sc := getScratch()
+	defer putScratch(sc)
+	for i, line := range f.lines {
+		if _, ok := parseEstimateFast(line, sc); !ok {
+			t.Errorf("hand-rolled parser refused fixture line %d", i)
+		}
 	}
 	if got, want := hex.EncodeToString(stream.Sum(nil)), goldenStreamDigest; got != want {
 		t.Errorf("stream digest %s, want %s", got, want)
@@ -230,7 +239,7 @@ func BenchmarkEstimateStream(b *testing.B) {
 			k := i % fixtureBodies * fixtureLines
 			for _, line := range f.lines[k : k+fixtureLines] {
 				if _, ok := parseEstimateFast(line, sc); !ok {
-					b.Fatal("fast parser refused a fixture line")
+					b.Fatal("hand-rolled parser refused a fixture line")
 				}
 			}
 		}
@@ -241,27 +250,329 @@ func BenchmarkEstimateStream(b *testing.B) {
 		// Decode every line once; the slices must outlive the scratch.
 		sc := getScratch()
 		defer putScratch(sc)
-		reqs := make([]fastReq, len(f.lines))
+		reqs := make([]estimateRequest, len(f.lines))
 		tables := make([]*lut.Table, len(f.lines))
-		modules := make([]string, len(f.lines))
+		cycles := make([]int, len(f.lines))
 		for i, line := range f.lines {
 			req, ok := parseEstimateFast(line, sc)
 			if !ok {
-				b.Fatal("fast parser refused a fixture line")
+				b.Fatal("hand-rolled parser refused a fixture line")
 			}
-			req.hd, req.zeros, req.words = slices.Clone(req.hd), slices.Clone(req.zeros), slices.Clone(req.words)
+			req.Hd, req.StableZeros, req.Words = slices.Clone(req.Hd), slices.Clone(req.StableZeros), slices.Clone(req.Words)
 			reqs[i] = req
-			sp := fixtureSpecs[(i%fixtureLines/3)%len(fixtureSpecs)]
-			tables[i], modules[i] = f.s.cache.table(sp.module, sp.width, sp.seed), sp.module
+			tables[i] = f.s.cache.table(req.Model.Module, req.Model.Width, req.Model.Seed)
+			cycles[i] = max(len(req.Hd), len(req.Words)-1)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := i % fixtureBodies * fixtureLines
 			for j := k; j < k+fixtureLines; j++ {
-				sc.out = appendFastResponse(sc.out[:0], tables[j], modules[j], &reqs[j], false)
+				sc.out = appendEstimate(sc.out[:0], tables[j], &reqs[j], cycles[j], "", false)
 			}
 		}
 		perCycle(b)
 	})
+}
+
+// goldenOffPathDigests pins every estimate answer that is not a hot-shape
+// exact hit: bodies only encoding/json decodes, answers from each rung of
+// the degradation chain, error bodies with their stream error lines,
+// /v1/estimate/stats answers, and the accounting (cache hits, cycles,
+// degraded counts, profiled Hd mix) those requests leave behind. Names are
+// server/set/plane.
+var goldenOffPathDigests = map[string]string{
+	"fixture/accounting":       "70113cf97256e1de283526c843d9112a00353aaf077d8d5f3a1bbc6f5b804133",
+	"fixture/decoded/stream":   "9bc967f830a24bf28f3539b474b3863a826d562f9080a4ff46fe2656f3f56248",
+	"fixture/decoded/unary":    "c7537a2705e41f54e454ff5b7b9a57bf35040bc1b3eb39a68c4f6661f6b8dd8f",
+	"fixture/errors/stream":    "151a7fbcaac9b88630f2a4fc558d608039d936559924ac7f8881c0debe3ffc36",
+	"fixture/errors/unary":     "6ab6efaf6848dcbc848eece4ed83c31b2f266c3f48531c3a637a6a12418eff00",
+	"fixture/seed/stream":      "115fd869c5a12c6f7de454f2e5735be2fa0f40d8b26c93ad68c7fde7a7081c97",
+	"fixture/seed/unary":       "80fce97d0b9f5d00be8c25666fc407a9a80f8e8f5b7195145bbd7ead62cf3847",
+	"fixture/stats":            "beea28f10767ead8b479473e52e4260c3bed6d6ee7e3b6ca30a861d880f9c303",
+	"library/accounting":       "394cea07e1fd87e8833a0552cc07d780eb5aacd407d09ad1a0361124f213ea0e",
+	"library/estimates/stream": "04a0c53c3e7ae768008694e575391ed430bfd405863429eeadb6c2535477e591",
+	"library/estimates/unary":  "87b547a8fc61cb02cd815bfe0162e946b69acfd3a8a0f90775649710647f2e9e",
+	"library/stats":            "80ce4e425896bce36337c461089c40880cc399e80b330c7ddae0816172abc103",
+}
+
+// TestEstimateOffPathDigests pins the exact status and bytes of every
+// answer outside the hot shape's exact hit, on the fixture's models and on
+// a second server that answers them from its model library, so a change
+// to how such requests are decoded, resolved, validated, priced or
+// rendered cannot move a byte or a counter unnoticed.
+func TestEstimateOffPathDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterizes two models")
+	}
+	f := newStreamFixture(t)
+	got := map[string]string{}
+	hot := f.lines[:2*3] // each shape once on each model
+
+	var decoded, seed [][]byte
+	for i, line := range hot {
+		sp := fixtureSpecs[i/3]
+		decoded = append(decoded, decodedVariants(line, sp, i%3)...)
+		other := withSeed(line, sp, 99)
+		seed = append(seed, other, withPatterns(other, sp.module))
+	}
+	digestEstimates(f.h, "fixture/decoded", decoded, got)
+	digestEstimates(f.h, "fixture/seed", seed, got)
+	digestEstimates(f.h, "fixture/errors", estimateErrorBodies(), got)
+	digestStats(f.h, "fixture/stats", []string{
+		statsBody("csa-multiplier", 8, 11, `"mean":100,"std":40,"rho":0.6,"width":8`),
+		statsBody("csa-multiplier", 8, 11, `"mean":3,"std":2.5,"rho":-0.2,"width":4,"ports":4,"n":500`),
+		statsBody("ripple-adder", 16, 12, `"mean":1000,"std":3000,"rho":-0.3,"width":16`),
+		statsBody("ripple-adder", 16, 99, `"mean":10,"std":7,"rho":0.9,"width":16,"ports":2`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":0,"rho":0,"width":8`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":2,"width":8`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":0,"width":0`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":0,"width":17`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":0,"width":3`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":0,"width":8,"ports":3`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":0,"width":8,"ports":-2`),
+		statsBody("csa-multiplier", 4, 11, `"mean":1,"std":1,"rho":0,"width":4`),
+		statsBody("nonesuch", 8, 11, `"mean":1,"std":1,"rho":0,"width":4`),
+		statsBody("csa-multiplier", 8, 11, `"mean":1,"std":1,"rho":0,"width":8,"bogus":1`),
+		`{"model":`,
+	}, got)
+	got["fixture/accounting"] = accountingDigest(f.s)
+
+	lib := newLibraryServer(t, f)
+	regression := fixtureSpec{"ripple-adder", 12, 5, false}
+	rng := rand.New(rand.NewSource(2))
+	var fromLib [][]byte
+	for i, line := range hot {
+		fromLib = append(fromLib, line, withPatterns(line, fixtureSpecs[i/3].module))
+	}
+	for shape := 0; shape < 3; shape++ {
+		line := appendFixtureLine(nil, rng, regression, 2*regression.width, shape)
+		fromLib = append(fromLib, line, withPatterns(line, regression.module))
+	}
+	wide := `{"module":"cla-adder","width":3,"seed":1}`
+	var classes, zeros []string
+	for i := 0; i <= 70; i++ {
+		classes = append(classes, strconv.Itoa(i))
+		zeros = append(zeros, strconv.Itoa((70-i)/2))
+	}
+	for _, body := range []string{
+		`{"model":` + wide + `,"hd":[` + strings.Join(classes, ",") + `]}`,
+		`{"model":` + wide + `,"hd":[` + strings.Join(classes, ",") + `],"stable_zeros":[` + strings.Join(zeros, ",") + `]}`,
+		`{"model":{"module":"cla-adder","width":3,"seed":1,"z_clusters":2},"hd":[70,1,35],"stable_zeros":[0,69,20]}`,
+		`{"model":{"module":"cla-adder","width":3,"seed":4},"hd":[0,1,35,70]}`,
+		`{"model":` + wide + `,"words":[0,1]}`,
+		`{"model":{"module":"cla-adder","width":8,"seed":1},"hd":[1]}`,
+		`{"model":` + wide + `,"hd":[0` + strings.Repeat(",0", maxBatchCycles) + `]}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":11},"words":[0` + strings.Repeat(",0", maxBatchCycles+1) + `]}`,
+	} {
+		fromLib = append(fromLib, []byte(body))
+	}
+	digestEstimates(lib.Handler(), "library/estimates", fromLib, got)
+	digestStats(lib.Handler(), "library/stats", []string{
+		statsBody("csa-multiplier", 8, 11, `"mean":100,"std":40,"rho":0.6,"width":8`),
+		statsBody("ripple-adder", 16, 12, `"mean":1000,"std":3000,"rho":-0.3,"width":16`),
+		statsBody("ripple-adder", 12, 5, `"mean":200,"std":90,"rho":0.4,"width":12`),
+		statsBody("ripple-adder", 12, 5, `"mean":5,"std":3,"rho":0,"width":6,"ports":4,"n":64`),
+		statsBody("cla-adder", 3, 1, `"mean":7,"std":30,"rho":0.1,"width":35`),
+		statsBody("cla-adder", 3, 4, `"mean":7,"std":30,"rho":0.1,"width":35,"ports":2`),
+		statsBody("cla-adder", 8, 1, `"mean":7,"std":3,"rho":0.1,"width":8`),
+	}, got)
+	got["library/accounting"] = accountingDigest(lib)
+
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		if want := goldenOffPathDigests[name]; got[name] != want {
+			t.Errorf("%s: digest %s, want %s", name, got[name], want)
+		}
+	}
+	if len(goldenOffPathDigests) != len(got) {
+		t.Errorf("%d golden digests, %d computed", len(goldenOffPathDigests), len(got))
+	}
+}
+
+// decodedVariants rewrites a hot-shape fixture line into bodies the
+// hand-rolled parser refuses but encoding/json decodes to the same
+// request: a patterns field, an escaped module name, a repeated series
+// key, a repeated model object (the second decodes into the first, which
+// keeps its patterns), and trailing data.
+func decodedVariants(line []byte, sp fixtureSpec, shape int) [][]byte {
+	escaped := strings.Replace(sp.module, "-", `\u002d`, 1)
+	series := [...]string{`"hd":[1]`, `"words":[0,1]`, `"stable_zeros":[0]`}[shape]
+	return [][]byte{
+		withPatterns(line, sp.module),
+		bytes.Replace(line, []byte(`"`+sp.module+`"`), []byte(`"`+escaped+`"`), 1),
+		append([]byte(`{`+series+`,`), line[1:]...),
+		append([]byte(`{"model":{"module":"cla-adder","patterns":7},`), line[1:]...),
+		append(slices.Clone(line), `{}`...),
+	}
+}
+
+// withPatterns adds an explicit patterns field to a line's model object.
+func withPatterns(line []byte, module string) []byte {
+	return bytes.Replace(line, []byte(`{"module":"`+module+`"`),
+		fmt.Appendf(nil, `{"patterns":%d,"module":"%s"`, defaultPatterns, module), 1)
+}
+
+// withSeed points a fixture line at another seed of the same model.
+func withSeed(line []byte, sp fixtureSpec, seed int64) []byte {
+	return bytes.Replace(line, fmt.Appendf(nil, `"seed":%d}`, sp.seed), fmt.Appendf(nil, `"seed":%d}`, seed), 1)
+}
+
+// estimateErrorBodies is one request for every estimate error the fixture
+// server can answer, last a body over the default 1 MiB cap, plus the one
+// edge that succeeds: stable zeros beside words, which words mode ignores.
+func estimateErrorBodies() [][]byte {
+	csa := `{"module":"csa-multiplier","width":8,"seed":11}`
+	var bodies [][]byte
+	for _, body := range []string{
+		`not json`,
+		`{"model":`,
+		`{"model":` + csa + `,"hd":[1.5]}`,
+		`{"model":` + csa + `,"hd":"1"}`,
+		`{"model":` + csa + `,"hd":[1],"bogus":1}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":11,"bogus":1},"hd":[1]}`,
+		`{"model":` + csa + `,"hd":[01]}`,
+		`{"model":` + csa + `,"hd":[99999999999]}`,
+		`{"model":` + csa + `,"hd":[99999999999999999999]}`,
+		`{"model":` + csa + `,"words":[-1,2]}`,
+		`{"model":{"module":"nonesuch","width":8,"seed":11},"hd":[1]}`,
+		`{"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":0,"seed":11},"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":-3,"seed":11},"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":33,"seed":11},"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":11,"patterns":-5},"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":11,"patterns":200001},"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":11,"z_clusters":-1},"hd":[1]}`,
+		`{"model":{"module":"csa-multiplier","width":4,"seed":11},"hd":[1]}`,
+		`{"model":{"module":"cla-adder","width":8,"seed":1},"hd":[99]}`,
+		`{"model":` + csa + `}`,
+		`{"model":` + csa + `,"hd":[]}`,
+		`{"model":` + csa + `,"words":[]}`,
+		`{"model":` + csa + `,"stable_zeros":[1]}`,
+		`{"model":` + csa + `,"hd":[1],"words":[0,1]}`,
+		`{"model":` + csa + `,"words":[3]}`,
+		`{"model":` + csa + `,"words":[65536,1]}`,
+		`{"model":` + csa + `,"words":[1,18446744073709551615]}`,
+		`{"model":` + csa + `,"words":[0,1],"stable_zeros":[1]}`,
+		`{"model":` + csa + `,"hd":[0,17]}`,
+		`{"model":` + csa + `,"hd":[-1]}`,
+		`{"model":` + csa + `,"hd":[1,2],"stable_zeros":[0]}`,
+		`{"model":` + csa + `,"hd":[3],"stable_zeros":[14]}`,
+		`{"model":` + csa + `,"hd":[3],"stable_zeros":[-1]}`,
+		`{"model":` + csa + `,"hd":[3],"stable_zeros":[1],"stable_zeros":[1,2]}`,
+		`{"model":{"module":"ripple-adder","width":16,"seed":12},"hd":[33]}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":99},"hd":[17]}`,
+		`{"model":{"module":"csa-multiplier","width":8,"seed":11},"hd":[17]}`,
+		`{"model":` + csa + `,"hd":[0` + strings.Repeat(",0", 600_000) + `]}`,
+	} {
+		bodies = append(bodies, []byte(body))
+	}
+	return bodies
+}
+
+func statsBody(module string, width int, seed int64, fields string) string {
+	return fmt.Sprintf(`{"model":{"module":%q,"width":%d,"seed":%d},%s}`, module, width, seed, fields)
+}
+
+// digestEstimates posts every body to /v1/estimate, then all of them as
+// one NDJSON batch to /v1/estimate/stream, and records the SHA-256 of the
+// unary statuses and bodies as name/unary and of the stream answer as
+// name/stream.
+func digestEstimates(h http.Handler, name string, bodies [][]byte, got map[string]string) {
+	unary := sha256.New()
+	var batch []byte
+	for _, body := range bodies {
+		rec := serveBody(h, "/v1/estimate", body)
+		fmt.Fprintf(unary, "%d\n", rec.Code)
+		unary.Write(rec.Body.Bytes())
+		batch = append(append(batch, body...), '\n')
+	}
+	got[name+"/unary"] = hex.EncodeToString(unary.Sum(nil))
+	rec := serveBody(h, "/v1/estimate/stream", batch)
+	stream := sha256.Sum256(fmt.Appendf(nil, "%d\n%s", rec.Code, rec.Body.Bytes()))
+	got[name+"/stream"] = hex.EncodeToString(stream[:])
+}
+
+// digestStats records the SHA-256 of the statuses and bodies of every
+// body posted to /v1/estimate/stats.
+func digestStats(h http.Handler, name string, bodies []string, got map[string]string) {
+	sum := sha256.New()
+	for _, body := range bodies {
+		rec := serveBody(h, "/v1/estimate/stats", []byte(body))
+		fmt.Fprintf(sum, "%d\n", rec.Code)
+		sum.Write(rec.Body.Bytes())
+	}
+	got[name] = hex.EncodeToString(sum.Sum(nil))
+}
+
+// accountingDigest is the SHA-256 of what estimate traffic left in the
+// server's counters and traffic profiler, latencies excluded.
+func accountingDigest(s *Server) string {
+	sum := sha256.New()
+	fmt.Fprintf(sum, "hits=%d cycles=%d", s.met.cacheHits.Value(), s.met.estCycles.Value())
+	for _, fb := range []string{fallbackSeed, fallbackLibrary, fallbackRegression} {
+		fmt.Fprintf(sum, " %s=%d", fb, s.met.estimateDegraded(fb).Value())
+	}
+	for _, ms := range s.tel.Profiler().SnapshotModels() {
+		fmt.Fprintf(sum, "\n%s classes=%d requests=%d estimates=%d hd=%v",
+			ms.Key, ms.Classes, ms.Requests, ms.Estimates, ms.HdHits)
+	}
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// newLibraryServer starts a server whose cache holds only cla-adder/w3/s1,
+// a 70-input nasty-float model with a clustered enhanced table, and whose
+// model library holds the fixture's two models plus a ripple-adder width
+// regression, so fixture requests degrade to the library rung and
+// uncharacterized ripple-adder widths to regression synthesis.
+func newLibraryServer(t *testing.T, f *streamFixture) *Server {
+	t.Helper()
+	dir := t.TempDir()
+	lib, err := modellib.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range fixtureSpecs {
+		key := BuildSpec{Module: sp.module, Width: sp.width, Seed: sp.seed}.Key()
+		model, _, ok := f.s.cache.readyEntrySpec(key)
+		if !ok {
+			t.Fatalf("%s not ready", key)
+		}
+		if err := lib.PutModel(sp.module, sp.width, model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var protos []regress.Prototype
+	for _, w := range regress.SetThi.Widths() {
+		m := 2 * w
+		model := &core.Model{Module: "ripple-adder", InputBits: m, Basic: make([]core.Coef, m)}
+		for i := 1; i <= m; i++ {
+			model.Basic[i-1] = core.Coef{P: float64(i)*(2*float64(w)+1)/3 + 0.1*float64(i*i), Count: 5}
+		}
+		protos = append(protos, regress.Prototype{Width: w, Model: model})
+	}
+	pm, err := regress.Fit("ripple-adder", protos, regress.Linear, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.PutParam(pm); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{
+		LibraryDir:   dir,
+		MaxBodyBytes: 8 << 20,
+		BuildFunc: func(context.Context, BuildSpec, *core.Hooks) (*core.Model, error) {
+			return nastyEnhancedModel(70, 5), nil
+		},
+	})
+	t.Cleanup(s.Close)
+	spec := `{"module":"cla-adder","width":3,"seed":1,"wait":true}`
+	if rec := serveBody(s.Handler(), "/v1/models/build", []byte(spec)); rec.Code != http.StatusOK {
+		t.Fatalf("build %s: %d %s", spec, rec.Code, rec.Body)
+	}
+	return s
 }

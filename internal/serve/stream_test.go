@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func postNDJSON(t *testing.T, url, body string) (*http.Response, []string) {
 }
 
 // TestEstimateStream drives the batch endpoint through every line
-// disposition — fast path, legacy fallback, degraded model, per-line
+// disposition — hot shape, encoding/json decode, degraded model, per-line
 // error, blank line — and checks each output line against the unary
 // endpoint's answer for the same request.
 func TestEstimateStream(t *testing.T) {
@@ -44,7 +45,7 @@ func TestEstimateStream(t *testing.T) {
 
 	reqLines := []string{
 		`{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[0,1,2]}`, // fast
-		`{"model":` + slowModelJSON("ripple-adder", 2, 7) + `,"hd":[0,1,2]}`,  // legacy, same answer
+		`{"model":` + slowModelJSON("ripple-adder", 2, 7) + `,"hd":[0,1,2]}`,  // encoding/json, same answer
 		`{"model":{"module":"ripple-adder","width":2,"seed":9},"hd":[1]}`,     // degraded (seed sibling)
 		`{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[99]}`,    // per-line error
 		``, // blank: skipped
@@ -113,8 +114,9 @@ func TestEstimateStream(t *testing.T) {
 }
 
 // TestEstimateStreamMetricsPerItem pins the metrics fix: stream lines
-// increment the same hdserve_estimate_* instruments as unary requests,
-// once per item — including the degraded and served-path counters.
+// increment the same instruments as unary requests, once per item — the
+// model cache hits of exact lines, the degraded counter and the cycle
+// volume.
 func TestEstimateStreamMetricsPerItem(t *testing.T) {
 	s, ts := newTestServer(t, Config{BuildFunc: instantBuilds(4)})
 	buildReady(t, ts.URL, map[string]any{"module": "ripple-adder", "width": 2, "seed": 7})
@@ -130,11 +132,8 @@ func TestEstimateStreamMetricsPerItem(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(lines) != 8 {
 		t.Fatalf("stream: status %d, %d lines", resp.StatusCode, len(lines))
 	}
-	if got := s.met.servedLUT.Value(); got != 5 {
-		t.Errorf("servedLUT = %d, want 5", got)
-	}
-	if got := s.met.servedLegacy.Value(); got != 3 {
-		t.Errorf("servedLegacy = %d, want 3 (degraded lines take the slow path)", got)
+	if got := s.met.cacheHits.Value(); got != 5 {
+		t.Errorf("cacheHits = %d, want 5 (one per exact line)", got)
 	}
 	if got := s.met.estimateDegraded(fallbackSeed).Value(); got != 3 {
 		t.Errorf("estimateDegraded[seed] = %d, want 3 (one per degraded line)", got)
@@ -164,8 +163,8 @@ func TestStreamLineAllocs(t *testing.T) {
 		for {
 			l, err := readLine(br, sc)
 			if len(l) > 0 {
-				if _, ok := s.estimateFastBytes(l, sc, false); !ok {
-					t.Fatal("fast path refused hot-shape stream line")
+				if _, rerr := s.estimate(l, sc, false); rerr != nil {
+					t.Fatal(rerr.msg)
 				}
 			}
 			if err != nil {
@@ -176,6 +175,39 @@ func TestStreamLineAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady stream line path: %v allocs/op, want 0", allocs)
 	}
+}
+
+// FuzzStreamReadLine pins the NDJSON line splitter: over a 16-byte reader
+// buffer, readLine must return exactly the newline-separated lines of an
+// arbitrary body, the last one unterminated (and empty when the body ends
+// in a newline), with io.EOF. The small buffer sends any line of 16 bytes
+// or more through the spill into the scratch body buffer.
+func FuzzStreamReadLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		br := bufio.NewReaderSize(bytes.NewReader(body), 16)
+		sc := getScratch()
+		defer putScratch(sc)
+		var got [][]byte
+		for {
+			line, err := readLine(br, sc)
+			got = append(got, bytes.Clone(line))
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("line %d: %v", len(got), err)
+			}
+		}
+		want := bytes.Split(body, []byte{'\n'})
+		if len(got) != len(want) {
+			t.Fatalf("%d lines, want %d: %q", len(got), len(want), got)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("line %d = %q, want %q", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestStreamOversizedLine checks the spill path: a line longer than the

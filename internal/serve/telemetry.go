@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"net/http"
 	"path/filepath"
 	"runtime/pprof"
@@ -27,33 +26,6 @@ import (
 // quantiles, QPS and burn rates, plus the per-model Hd-class traffic mix.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.tel.Snapshot())
-}
-
-// recordLegacyTraffic mirrors the fast path's profiler recording for
-// estimates answered by the legacy struct-walk path, so the hotset sees
-// the full Hd mix regardless of which code path served it. Traffic counts
-// against the requested key: demand for a model is what the refinement
-// loop budgets for, even while a fallback answers it.
-func (s *Server) recordLegacyTraffic(req *estimateRequest, m, estimates int, latSeconds float64) {
-	mp := s.tel.Profiler().Model(telemetry.Key{
-		Module: req.Model.Module, Width: req.Model.Width, Seed: req.Model.Seed,
-	}, m+1)
-	if mp == nil {
-		return
-	}
-	hint := scratchSeq.Add(1)
-	if len(req.Words) > 0 {
-		// Words were validated to fit the model's m (<= 64) input bits,
-		// so the XOR popcount is exactly the per-cycle Hd.
-		for i := 1; i < len(req.Words); i++ {
-			mp.RecordClass(hint, bits.OnesCount64(req.Words[i-1]^req.Words[i]))
-		}
-	} else {
-		for _, hd := range req.Hd {
-			mp.RecordClass(hint, hd)
-		}
-	}
-	mp.RecordRequest(hint, estimates, latSeconds)
 }
 
 // hotsetClass is one Hd class's slice of a model's budget recommendation.

@@ -33,28 +33,28 @@ func epsBuilds(m int, eps []float64) func(context.Context, BuildSpec, *core.Hook
 	}
 }
 
-// TestTelemetryEndpoint drives traffic through the fast, legacy and
-// stream paths and checks GET /v1/telemetry reflects all of it: both SLO
+// TestTelemetryEndpoint drives traffic through both decoders and the
+// stream plane and checks GET /v1/telemetry reflects all of it: both SLO
 // planes observed their requests, and the profiler recorded the combined
-// Hd mix under the model's key regardless of serving path.
+// Hd mix under the model's key regardless of decoder.
 func TestTelemetryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{BuildFunc: instantBuilds(4)})
 	buildReady(t, ts.URL, map[string]any{"module": "ripple-adder", "width": 2, "seed": 7})
 
-	// Fast path: hd classes 0..4, five estimates.
+	// Hot shape: hd classes 0..4, five estimates.
 	resp, _ := postRaw(t, ts.URL+"/v1/estimate",
 		`{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[0,1,2,3,4]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fast estimate: status %d", resp.StatusCode)
 	}
-	// Legacy path: the patterns field in the model object leaves the hot
-	// shape, so the struct-walk path serves (and must record) this one.
+	// The patterns field in the model object leaves the hot shape, so
+	// encoding/json decodes this one, which must be recorded all the same.
 	resp, _ = postRaw(t, ts.URL+"/v1/estimate",
 		`{"model":{"module":"ripple-adder","width":2,"seed":7,"patterns":512},"hd":[2,2]}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy estimate: status %d", resp.StatusCode)
+		t.Fatalf("decoded estimate: status %d", resp.StatusCode)
 	}
-	// Stream plane: two fast lines.
+	// Stream plane: two hot-shape lines.
 	line := `{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[4]}`
 	resp, _ = postRaw(t, ts.URL+"/v1/estimate/stream", line+"\n"+line+"\n")
 	if resp.StatusCode != http.StatusOK {
@@ -88,8 +88,8 @@ func TestTelemetryEndpoint(t *testing.T) {
 	if ms.Key != "ripple-adder/w2/s7" {
 		t.Fatalf("model key = %q", ms.Key)
 	}
-	// 5 fast + 2 legacy + 2 stream estimates, mixed per class:
-	// class 0,1,3: one each; class 2: 1 fast + 2 legacy; class 4: 1 + 2 stream.
+	// 5 hot + 2 decoded + 2 stream estimates, mixed per class:
+	// class 0,1,3: one each; class 2: 1 hot + 2 decoded; class 4: 1 + 2 stream.
 	wantHits := []uint64{1, 1, 3, 1, 3}
 	if !reflect.DeepEqual(ms.HdHits, wantHits) {
 		t.Errorf("hd_hits = %v, want %v", ms.HdHits, wantHits)
@@ -304,7 +304,7 @@ func TestRefineOnce(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Model stayed servable throughout, and still is.
-	if _, ok := s.cache.ready(key); !ok {
+	if _, _, ok := s.cache.readyEntrySpec(key); !ok {
 		t.Fatal("model left the ready state during refresh")
 	}
 
@@ -346,7 +346,7 @@ func TestRefineSkipsColdModels(t *testing.T) {
 	}
 }
 
-// TestProfilerZeroAllocWithTraffic re-proves the fast path's zero-alloc
+// TestProfilerZeroAllocWithTraffic re-proves the hot shape's zero-alloc
 // invariant with the profiler hot: recording per-class hits and request
 // latency into the sharded counters adds no allocations.
 func TestProfilerZeroAllocWithTraffic(t *testing.T) {
@@ -357,8 +357,8 @@ func TestProfilerZeroAllocWithTraffic(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, ok := s.estimateFastBytes(raw, sc, false); !ok {
-			t.Fatal("fast path refused hot-shape request")
+		if _, rerr := s.estimate(raw, sc, false); rerr != nil {
+			t.Fatal(rerr.msg)
 		}
 	})
 	if allocs != 0 {

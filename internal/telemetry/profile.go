@@ -13,8 +13,8 @@ const MaxClasses = 65
 
 // Key identifies one served model, mirroring the serving layer's build
 // key. The Module string must be interned by the caller when the lookup
-// sits on an allocation-sensitive path: the fast path's module interner
-// guarantees a stable string so the map probe does not allocate.
+// sits on an allocation-sensitive path: the serving layer's estimate
+// parser interns module names, so the map probe does not allocate.
 type Key struct {
 	Module string
 	Width  int

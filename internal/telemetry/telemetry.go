@@ -12,7 +12,7 @@
 //     request cannot page and a sustained regression cannot hide;
 //   - a sharded lock-free traffic profiler (profile.go) recording the
 //     per-model × per-Hd-class hit mix and per-model latency of estimate
-//     traffic, cheap enough to sit inside the zero-allocation fast path.
+//     traffic, cheap enough to sit inside the zero-allocation estimator.
 //
 // The package is deliberately clock-free: every entry point takes the
 // current time from the caller (or Config.Now), so the deterministic
