@@ -25,13 +25,16 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# Static gate, matching CI's lint job: formatting, vet, the repo's own
+# Static gate, matching CI's lint job: formatting, vet (of the root
+# module and of the nested perfbench module, which ./... skips, so an
+# identifier deleted from under perfbench fails here), the repo's own
 # hdlint analyzers (determinism, atomic writes, fault points, hook
-# balance), and — when installed — the pinned staticcheck.
+# balance, dead exports), and — when installed — the pinned staticcheck.
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	(cd perfbench && $(GO) vet ./...)
 	$(GO) run ./cmd/hdlint
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

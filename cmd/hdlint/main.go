@@ -3,8 +3,9 @@
 // It is the machine-enforced half of the determinism and durability
 // contracts: no wall-clock or global randomness in the deterministic
 // packages, no raw file writes outside internal/atomicio, a consistent
-// chaos-exercised fault-point registry, and balanced PhaseStart/PhaseEnd
-// hook pairs.
+// chaos-exercised fault-point registry, balanced PhaseStart/PhaseEnd
+// hook pairs, and (deadexport) no internal package, exported identifier
+// or exported method without a non-test caller.
 //
 //	hdlint                 # lint the module rooted at the cwd
 //	hdlint -C path/to/mod  # lint another module root

@@ -25,8 +25,6 @@ import (
 type Adapter struct {
 	model *core.Model
 	mu    float64
-	seen  []int // per basic class: observation count
-	seenE [][]int
 }
 
 // New returns an adapter over a deep copy of the base model; the base is
@@ -45,30 +43,18 @@ func New(base *core.Model, mu float64) (*Adapter, error) {
 		Basic:     append([]core.Coef(nil), base.Basic...),
 		ZClusters: base.ZClusters,
 	}
-	a := &Adapter{model: clone, mu: mu, seen: make([]int, base.InputBits)}
 	if base.Enhanced != nil {
 		clone.Enhanced = make([][]core.Coef, len(base.Enhanced))
-		a.seenE = make([][]int, len(base.Enhanced))
 		for i, row := range base.Enhanced {
 			clone.Enhanced[i] = append([]core.Coef(nil), row...)
-			a.seenE[i] = make([]int, len(row))
 		}
 	}
-	return a, nil
+	return &Adapter{model: clone, mu: mu}, nil
 }
 
 // Model returns the adapted model. The returned pointer stays live: later
 // Observe calls keep refining it.
 func (a *Adapter) Model() *core.Model { return a.model }
-
-// Observations returns the total number of observed cycles.
-func (a *Adapter) Observations() int {
-	n := 0
-	for _, c := range a.seen {
-		n += c
-	}
-	return n
-}
 
 // Observe feeds one measured cycle (input Hamming-distance and reference
 // charge) into the LMS update. Cycles with hd = 0 carry no information
@@ -88,23 +74,4 @@ func (a *Adapter) Observe(hd int, q float64) {
 	} else {
 		c.P += a.mu * (q - c.P)
 	}
-	a.seen[hd-1]++
-}
-
-// ObserveEnhanced additionally adapts the enhanced class (hd, z). It is a
-// no-op on models without an enhanced table.
-func (a *Adapter) ObserveEnhanced(hd, z int, q float64) {
-	a.Observe(hd, q)
-	if hd == 0 || a.model.Enhanced == nil {
-		return
-	}
-	zb := a.model.ZBucket(hd, z)
-	c := &a.model.Enhanced[hd-1][zb]
-	if c.Count == 0 {
-		c.P = q
-		c.Count = 1
-	} else {
-		c.P += a.mu * (q - c.P)
-	}
-	a.seenE[hd-1][zb]++
 }

@@ -59,9 +59,6 @@ func New(numVars int) *Manager {
 // NumVars returns the number of declared variables.
 func (m *Manager) NumVars() int { return m.numVars }
 
-// NumNodes returns the size of the node table (including terminals).
-func (m *Manager) NumNodes() int { return len(m.nodes) }
-
 // Var returns the BDD of input variable i.
 func (m *Manager) Var(i int) Ref {
 	if i < 0 || i >= m.numVars {
@@ -163,38 +160,6 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 		}
 	}
 	return f == True
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// declared variables.
-func (m *Manager) SatCount(f Ref) float64 {
-	// memo[r] counts assignments over variables [level(r), numVars).
-	memo := make(map[Ref]float64)
-	pow2 := func(k int32) float64 {
-		s := 1.0
-		for ; k > 0; k-- {
-			s *= 2
-		}
-		return s
-	}
-	var count func(r Ref, level int32) float64
-	count = func(r Ref, level int32) float64 {
-		if r == False {
-			return 0
-		}
-		if r == True {
-			return pow2(int32(m.numVars) - level)
-		}
-		n := m.nodes[r]
-		scale := pow2(n.level - level) // variables skipped between levels are free
-		if c, ok := memo[r]; ok {
-			return scale * c
-		}
-		c := count(n.lo, n.level+1) + count(n.hi, n.level+1)
-		memo[r] = c
-		return scale * c
-	}
-	return count(f, 0)
 }
 
 // AnySat returns one satisfying assignment of f, or ok=false for the

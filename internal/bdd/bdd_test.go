@@ -6,6 +6,41 @@ import (
 	"testing/quick"
 )
 
+// NumNodes returns the size of the node table (including terminals).
+func (m *Manager) NumNodes() int { return len(m.nodes) }
+
+// SatCount returns the number of satisfying assignments of f over all
+// declared variables.
+func (m *Manager) SatCount(f Ref) float64 {
+	// memo[r] counts assignments over variables [level(r), numVars).
+	memo := make(map[Ref]float64)
+	pow2 := func(k int32) float64 {
+		s := 1.0
+		for ; k > 0; k-- {
+			s *= 2
+		}
+		return s
+	}
+	var count func(r Ref, level int32) float64
+	count = func(r Ref, level int32) float64 {
+		if r == False {
+			return 0
+		}
+		if r == True {
+			return pow2(int32(m.numVars) - level)
+		}
+		n := m.nodes[r]
+		scale := pow2(n.level - level) // variables skipped between levels are free
+		if c, ok := memo[r]; ok {
+			return scale * c
+		}
+		c := count(n.lo, n.level+1) + count(n.hi, n.level+1)
+		memo[r] = c
+		return scale * c
+	}
+	return count(f, 0)
+}
+
 func TestTerminals(t *testing.T) {
 	m := New(2)
 	if m.Not(True) != False || m.Not(False) != True {

@@ -74,31 +74,6 @@ func TestEquivalentRejectsMismatchedPorts(t *testing.T) {
 	}
 }
 
-func TestSweepProvedEquivalent(t *testing.T) {
-	// Formal proof that Sweep preserves function on a constant-laden
-	// circuit (beyond the sampled checks in the netlist package).
-	n := netlist.New("laden")
-	a := n.AddInputBus("a", 3)
-	one := n.Const(true)
-	zero := n.Const(false)
-	y0 := n.And(a.Nets[0], one)
-	y1 := n.Xor(n.Or(a.Nets[1], zero), a.Nets[2])
-	y2 := n.Mux(a.Nets[0], a.Nets[1], a.Nets[2])
-	n.MarkOutputBus("y", []netlist.NetID{y0, y1, y2})
-
-	swept, err := n.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, cex, err := Equivalent(n, swept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Errorf("sweep changed function at %+v", cex)
-	}
-}
-
 func TestMultiplierEquivalenceSmall(t *testing.T) {
 	// Squarer(a) must equal CSAMult(a, a) with both ports tied — proved
 	// by constructing a wrapper feeding one input to both multiplier

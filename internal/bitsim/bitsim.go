@@ -205,9 +205,6 @@ func (m *Meter) Clone() *Meter {
 // Netlist returns the simulated netlist.
 func (m *Meter) Netlist() *netlist.Netlist { return m.nl }
 
-// ModeKind returns the configured activity mode.
-func (m *Meter) ModeKind() Mode { return m.mode }
-
 // NumInputBits returns the input vector width expected by CycleBatch.
 func (m *Meter) NumInputBits() int { return len(m.inputNets) }
 

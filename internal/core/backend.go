@@ -87,9 +87,6 @@ type meterBackend struct {
 	m *power.Meter
 }
 
-// NewMeterBackend wraps a charge meter as a characterization backend.
-func NewMeterBackend(m *power.Meter) Backend { return meterBackend{m: m} }
-
 func (b meterBackend) NumInputBits() int { return b.m.NumInputBits() }
 
 func (b meterBackend) Charges(us, vs []logic.Word, q []float64) {

@@ -263,6 +263,8 @@ func (m *Model) Validate() error {
 }
 
 // MarshalJSON includes a format marker for forward compatibility.
+//
+//hdlint:allow deadexport json.Marshaler: encoding/json calls it when hdpower characterize and modellib write a model
 func (m *Model) MarshalJSON() ([]byte, error) {
 	type alias Model
 	return json.Marshal(struct {

@@ -80,14 +80,18 @@ func TestPortModelJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadPortModel(data)
-	if err != nil {
+	var back PortModel
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if back.P(2, 1) != pm.P(2, 1) {
 		t.Error("round trip lost coefficients")
 	}
-	if _, err := LoadPortModel([]byte(`{"width_a":0}`)); err == nil {
+	var bad PortModel
+	if err := json.Unmarshal([]byte(`{"width_a":0}`), &bad); err != nil || bad.Validate() == nil {
 		t.Error("invalid port model accepted")
 	}
 }

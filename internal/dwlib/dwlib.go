@@ -34,15 +34,6 @@ type Module struct {
 	Build func(m int) *netlist.Netlist
 }
 
-// TotalInputBits returns the total number of input bits of the module at
-// operand width m — the m of the paper's Hd model equations.
-func (mod Module) TotalInputBits(m int) int {
-	if mod.TwoOperand {
-		return 2 * m
-	}
-	return m
-}
-
 var catalog = map[string]Module{
 	"ripple-adder": {
 		Name:        "ripple-adder",

@@ -138,12 +138,15 @@ func TestPaperModules(t *testing.T) {
 }
 
 func TestTotalInputBits(t *testing.T) {
-	add, _ := Lookup("ripple-adder")
-	if add.TotalInputBits(8) != 16 {
-		t.Errorf("adder total input bits = %d", add.TotalInputBits(8))
-	}
-	abs, _ := Lookup("absval")
-	if abs.TotalInputBits(8) != 8 {
-		t.Errorf("absval total input bits = %d", abs.TotalInputBits(8))
+	// At operand width m a two-operand module takes 2m input bits and a
+	// one-operand module m.
+	for _, c := range []struct {
+		name string
+		want int
+	}{{"ripple-adder", 16}, {"absval", 8}} {
+		mod, _ := Lookup(c.name)
+		if got := mod.Build(8).NumInputBits(); got != c.want {
+			t.Errorf("%s total input bits = %d, want %d", c.name, got, c.want)
+		}
 	}
 }

@@ -37,6 +37,8 @@ func (s *Suite) Figure2() (*Figure2Result, error) {
 // Spread returns the relative gap between the none-zero and all-zero
 // curves at Hd class i (1-based) — the resolution gain of the enhanced
 // model, largest at small i in the paper.
+//
+//hdlint:allow deadexport test support: the experiments tests and the root package benchmarks read the Figure 2 spread
 func (r *Figure2Result) Spread(i int) float64 {
 	b := r.Basic[i-1]
 	if b == 0 {

@@ -58,6 +58,8 @@ func (e *InjectedError) Error() string {
 }
 
 // Unwrap makes errors.Is(err, ErrInjected) hold.
+//
+//hdlint:allow deadexport errors.Is and errors.As call it through the Unwrap interface
 func (e *InjectedError) Unwrap() error { return ErrInjected }
 
 // Mode names accepted by Arm.
@@ -91,10 +93,6 @@ func init() {
 	}
 }
 
-// Armed reports whether any fault point is armed. It is the fast path
-// every Hit takes first, so disarmed fault points are effectively free.
-func Armed() bool { return armed.Load() }
-
 // Arm parses a spec string and adds its fault points to the registry,
 // replacing same-named points. See the package comment for the grammar.
 func Arm(spec string) error {
@@ -115,6 +113,8 @@ func Arm(spec string) error {
 }
 
 // Disarm removes every armed fault point, restoring the zero-cost state.
+//
+//hdlint:allow deadexport test support: the chaos tests of core, serve, bitsim, atomicio, fleet and cmd/hdpower reset the registry with it
 func Disarm() {
 	mu.Lock()
 	defer mu.Unlock()
@@ -123,6 +123,8 @@ func Disarm() {
 }
 
 // Seed reseeds the probability sampler, so chaos runs can be replayed.
+//
+//hdlint:allow deadexport test support: internal/fleet chaos tests replay their fault draws with it
 func Seed(seed int64) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -131,6 +133,8 @@ func Seed(seed int64) {
 
 // Hits returns how many times the named point has been hit since it was
 // armed (0 when not armed); tests use it to assert a site is exercised.
+//
+//hdlint:allow deadexport test support: the bitsim and fleet chaos tests assert their sites fire with it
 func Hits(name string) int64 {
 	mu.RLock()
 	defer mu.RUnlock()

@@ -6,6 +6,9 @@ import (
 	"time"
 )
 
+// Armed reports whether any fault point is armed.
+func Armed() bool { return armed.Load() }
+
 // Tests share the package-global registry, so each arms fresh and disarms
 // on cleanup. (Under a chaos run the env arming is replaced for the
 // duration of the test; that is the point.)

@@ -143,14 +143,3 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// Residual returns ||A·x − b||₂.
-func Residual(a *Matrix, x, b []float64) float64 {
-	ax := a.MulVec(x)
-	var s float64
-	for i := range ax {
-		d := ax[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}

@@ -9,6 +9,17 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Residual returns ||A·x − b||₂.
+func Residual(a *Matrix, x, b []float64) float64 {
+	ax := a.MulVec(x)
+	var s float64
+	for i := range ax {
+		d := ax[i] - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
 func TestLeastSquaresExactSquare(t *testing.T) {
 	a := FromRows([][]float64{{2, 0}, {0, 3}})
 	x, err := LeastSquares(a, []float64{4, 9})

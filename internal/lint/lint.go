@@ -22,6 +22,9 @@
 //	                faultpoint.Known, planted, and chaos-exercised
 //	hookbalance     every PhaseStart call is balanced by a PhaseEnd
 //	                on all return paths
+//	deadexport      every internal package, exported identifier and
+//	                exported method has a non-test caller (perfbench,
+//	                cmd/, examples/ and the root package count)
 //
 // A finding can be suppressed line-by-line with an escape hatch that
 // forces the author to leave a reason behind:
@@ -29,16 +32,18 @@
 //	t0 := time.Now() //hdlint:allow nondeterminism wall time is observability-only
 //
 // The directive may sit on the flagged line or the line directly above.
-// Directives with no reason, and directives that suppress nothing, are
-// themselves diagnostics — suppressions must not rot.
+// Directives with no reason, and directives whose check ran and
+// suppressed nothing, are themselves diagnostics — suppressions must not
+// rot.
 //
 // The loader is deliberately self-contained: it discovers the module from
-// go.mod, parses every package outside testdata, and type-checks each
-// package standalone against stub imports. Cross-package types therefore
-// do not resolve — the analyzers only rely on locally inferable types
-// (e.g. "is this range expression a map?") and on syntactic import
-// tracking, which keeps the whole layer dependency-free, hermetic and
-// fast enough to run on every build.
+// go.mod, parses every package outside testdata (nested modules such as
+// perfbench included), and type-checks each package standalone against
+// stub imports. Cross-package types therefore do not resolve — the
+// analyzers only rely on locally inferable types (e.g. "is this range
+// expression a map?") and on syntactic import tracking, which keeps the
+// whole layer dependency-free, hermetic and fast enough to run on every
+// build.
 package lint
 
 import (
@@ -176,6 +181,7 @@ func Analyzers() []*Analyzer {
 		AtomicWriteAnalyzer,
 		FaultpointAnalyzer,
 		HookBalanceAnalyzer,
+		DeadExportAnalyzer,
 	}
 }
 
@@ -408,17 +414,25 @@ func (p *Package) PkgCall(f *File, call *ast.CallExpr, importPath, fn string) bo
 
 // pkgQualifier reports whether sel.X is the package importPath.
 func (p *Package) pkgQualifier(f *File, sel *ast.SelectorExpr, importPath string) bool {
+	return p.importOf(f, sel) == importPath
+}
+
+// importOf returns the import path of the package sel.X names, or "" when
+// sel.X is not a package qualifier.
+func (p *Package) importOf(f *File, sel *ast.SelectorExpr) string {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return false
+		return ""
 	}
 	if p.Info != nil {
 		if obj, ok := p.Info.Uses[id]; ok {
-			pn, isPkg := obj.(*types.PkgName)
-			return isPkg && pn.Imported().Path() == importPath
+			if pn, isPkg := obj.(*types.PkgName); isPkg {
+				return pn.Imported().Path()
+			}
+			return ""
 		}
 	}
-	return f.imports[id.Name] == importPath
+	return f.imports[id.Name]
 }
 
 // diagAt builds a Diagnostic at a source position.
@@ -432,8 +446,10 @@ func diagAt(m *Module, pos token.Pos, check, msg string) Diagnostic {
 // surviving diagnostics sorted by position.
 func Run(m *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
 	var raw []Diagnostic
+	ran := make(map[string]bool)
 	for _, a := range analyzers {
 		raw = append(raw, a.Run(m, cfg)...)
+		ran[a.Name] = true
 	}
 
 	allowsByPath := make(map[string]map[int][]*allowDirective)
@@ -442,6 +458,11 @@ func Run(m *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
 		for _, f := range append(append([]*File(nil), pkg.Files...), pkg.TestFiles...) {
 			allowsByPath[f.Path] = f.allows
 			fileOrder = append(fileOrder, f)
+			for _, byLine := range f.allows {
+				for _, a := range byLine {
+					a.used = false // a module may be Run more than once
+				}
+			}
 		}
 	}
 
@@ -454,7 +475,8 @@ func Run(m *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
 	}
 
 	// Escape-hatch hygiene: every directive must name a real check, carry
-	// a reason, and actually suppress something.
+	// a reason, and actually suppress something. Only a check that ran can
+	// have left its directive unused.
 	checks := knownChecks()
 	for _, f := range fileOrder {
 		for _, byLine := range f.allows {
@@ -466,7 +488,7 @@ func Run(m *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
 				case a.reason == "":
 					out = append(out, Diagnostic{Path: f.Path, Line: a.line, Col: 1, Check: "allow",
 						Msg: fmt.Sprintf("hdlint:allow %s has no reason; say why the invariant is safe to waive here", a.check)})
-				case !a.used:
+				case !a.used && ran[a.check]:
 					out = append(out, Diagnostic{Path: f.Path, Line: a.line, Col: 1, Check: "allow",
 						Msg: fmt.Sprintf("unused hdlint:allow %s directive (nothing to suppress); delete it", a.check)})
 				}

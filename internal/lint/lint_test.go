@@ -75,7 +75,8 @@ func diagKeys(diags []Diagnostic) []string {
 
 // TestCleanFixture: a module written to the repo's contracts — seeded
 // randomness, atomicio-only writes, a consistent armed registry,
-// balanced hooks, and one justified (used) escape hatch — lints clean.
+// balanced hooks, a non-test caller for every export, and one justified
+// (used) escape hatch — lints clean.
 func TestCleanFixture(t *testing.T) {
 	diags := runFixture(t, filepath.Join("testdata", "clean"))
 	if len(diags) != 0 {
@@ -131,28 +132,49 @@ func TestDirtyFixtureCoversEveryAnalyzer(t *testing.T) {
 	}
 }
 
-// TestSelectedAnalyzersOnly: running a subset must not report the other
-// checks (the hdlint -checks path).
+// TestSelectedAnalyzersOnly: running a subset reports exactly that
+// subset's findings plus the escape-hatch hygiene findings that concern
+// it (the hdlint -checks path). Directives for checks that did not run
+// are not called unused; unknown checks and missing reasons are reported
+// whatever runs.
 func TestSelectedAnalyzersOnly(t *testing.T) {
-	m, err := Load(filepath.Join("testdata", "dirty"))
+	root := filepath.Join("testdata", "dirty")
+	m, err := Load(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(m, []*Analyzer{AtomicWriteAnalyzer}, DefaultConfig())
-	for _, d := range diags {
-		if d.Check != "atomicwrite" && d.Check != "allow" {
-			t.Errorf("unexpected check %s in subset run: %s", d.Check, d)
+	got := diagKeys(Run(m, []*Analyzer{AtomicWriteAnalyzer}, DefaultConfig()))
+	var want []string
+	for _, w := range wantMarkers(t, root) {
+		if strings.HasSuffix(w, ":atomicwrite") || strings.HasSuffix(w, ":allow") {
+			want = append(want, w)
 		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("atomicwrite-only run:\ngot\n%s\nwant\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
 // TestRepoClean pins the tentpole invariant: the repository itself has
-// zero hdlint findings. Any new violation fails go test, not just CI's
+// zero hdlint findings, with every analyzer at once and with each alone
+// (hdlint -checks <name>). Any new violation fails go test, not just CI's
 // hdlint step.
 func TestRepoClean(t *testing.T) {
-	diags := runFixture(t, filepath.Join("..", ".."))
-	if len(diags) != 0 {
+	m, err := Load(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := Run(m, Analyzers(), DefaultConfig()); len(diags) != 0 {
 		t.Fatalf("repository has %d hdlint findings:\n%s",
 			len(diags), strings.Join(diagKeys(diags), "\n"))
+	}
+	for _, a := range Analyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			if diags := Run(m, []*Analyzer{a}, DefaultConfig()); len(diags) != 0 {
+				t.Fatalf("hdlint -checks %s has %d findings:\n%s",
+					a.Name, len(diags), strings.Join(diagKeys(diags), "\n"))
+			}
+		})
 	}
 }

@@ -74,17 +74,6 @@ func FromInt(v int64, width int) Word {
 	return FromUint(uint64(v), width)
 }
 
-// FromBits builds a word from a little-endian bit slice (b[0] is the LSB).
-func FromBits(b []bool) Word {
-	w := NewWord(len(b))
-	for i, bit := range b {
-		if bit {
-			w.Set(i, true)
-		}
-	}
-	return w
-}
-
 // ParseWord parses a binary string written MSB-first, e.g. "1010" is the
 // value 10 with width 4. Underscores are ignored as digit separators.
 func ParseWord(s string) (Word, error) {
@@ -103,6 +92,8 @@ func ParseWord(s string) (Word, error) {
 }
 
 // MustParseWord is ParseWord that panics on error; for tests and constants.
+//
+//hdlint:allow deadexport test support: internal/stats tests build words with it
 func MustParseWord(s string) Word {
 	w, err := ParseWord(s)
 	if err != nil {
@@ -203,15 +194,6 @@ func (w Word) masked(limb int) uint64 {
 	return v
 }
 
-// PopCount returns the number of set bits.
-func (w Word) PopCount() int {
-	n := 0
-	for i := range w.limbs {
-		n += bits.OnesCount64(w.masked(i))
-	}
-	return n
-}
-
 // String renders the word MSB-first, the conventional way to read a bus.
 func (w Word) String() string {
 	var b strings.Builder
@@ -223,15 +205,6 @@ func (w Word) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Bits returns the word as a little-endian bool slice.
-func (w Word) Bits() []bool {
-	out := make([]bool, w.width)
-	for i := range out {
-		out[i] = w.Bit(i)
-	}
-	return out
 }
 
 // Concat returns the concatenation of w (low part) and hi (high part):
@@ -306,19 +279,6 @@ func StableZeros(u, v Word) int {
 			stable0 &= u.topMask()
 		}
 		n += bits.OnesCount64(stable0)
-	}
-	return n
-}
-
-// StableOnes returns the number of bit positions that are one in both u
-// and v.
-func StableOnes(u, v Word) int {
-	if u.width != v.width {
-		panic(fmt.Sprintf("logic: StableOnes width mismatch %d vs %d", u.width, v.width))
-	}
-	n := 0
-	for i := range u.limbs {
-		n += bits.OnesCount64(u.masked(i) & v.masked(i))
 	}
 	return n
 }

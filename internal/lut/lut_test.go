@@ -14,6 +14,15 @@ import (
 	"hdpower/internal/sim"
 )
 
+// MustNew is New for models known valid (test fixtures).
+func MustNew(m *core.Model) *Table {
+	t, err := New(m)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // sparseModel builds a model with deliberate coefficient gaps so the
 // flattening has to reproduce P's interpolation and PEnhanced's fallback.
 func sparseModel(m int, enhanced bool) *core.Model {

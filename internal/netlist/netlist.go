@@ -21,9 +21,6 @@ type NetID int
 // GateID identifies a gate instance within one Netlist.
 type GateID int
 
-// InvalidNet is returned for nets that do not exist.
-const InvalidNet NetID = -1
-
 // driverKind distinguishes how a net is driven.
 type driverKind int
 
@@ -191,12 +188,6 @@ func (n *Netlist) Xor(a, b NetID) NetID { return n.AddGate(cells.Xor2, a, b) }
 // Xnor returns !(a ^ b).
 func (n *Netlist) Xnor(a, b NetID) NetID { return n.AddGate(cells.Xnor2, a, b) }
 
-// Nand returns !(a & b).
-func (n *Netlist) Nand(a, b NetID) NetID { return n.AddGate(cells.Nand2, a, b) }
-
-// Nor returns !(a | b).
-func (n *Netlist) Nor(a, b NetID) NetID { return n.AddGate(cells.Nor2, a, b) }
-
 // Mux returns sel ? d1 : d0.
 func (n *Netlist) Mux(d0, d1, sel NetID) NetID { return n.AddGate(cells.Mux2, d0, d1, sel) }
 
@@ -264,23 +255,11 @@ func (n *Netlist) NetName(id NetID) string {
 	return n.nets[id].name
 }
 
-// NetFanout returns the number of gate input pins the net drives.
-func (n *Netlist) NetFanout(id NetID) int {
-	n.checkNet(id)
-	return len(n.nets[id].fanout)
-}
-
 // IsConst reports whether the net is a constant tie, and its value.
 func (n *Netlist) IsConst(id NetID) (val, isConst bool) {
 	n.checkNet(id)
 	nt := n.nets[id]
 	return nt.constVal, nt.drvKind == driverConst
-}
-
-// IsInput reports whether the net is a primary input.
-func (n *Netlist) IsInput(id NetID) bool {
-	n.checkNet(id)
-	return n.nets[id].drvKind == driverInput
 }
 
 // FanoutPins returns (gate, pin-index) pairs fed by net id. The returned
@@ -381,13 +360,6 @@ func (n *Netlist) mustFinalize() {
 func (n *Netlist) TopoOrder() []GateID {
 	n.mustFinalize()
 	return n.order
-}
-
-// Levels returns the gates grouped by logic level; Levels()[0] contains
-// gates fed only by inputs and constants.
-func (n *Netlist) Levels() [][]GateID {
-	n.mustFinalize()
-	return n.levels
 }
 
 // Depth returns the number of logic levels (0 for a gateless netlist).

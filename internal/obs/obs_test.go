@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// Quantile estimates the q-quantile (q in [0,1]) of the observed values by
+// linear interpolation inside the winning bucket. Returns 0 when the
+// histogram is empty. The overflow bucket has no finite upper bound, so a
+// quantile that lands there is clamped to the largest finite bound instead
+// of being reported as +Inf; callers needing the true tail should widen the
+// bucket bounds.
+func (h *Histogram) Quantile(q float64) float64 {
+	counts := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return BucketQuantile(h.bounds, counts, q)
+}
+
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests")

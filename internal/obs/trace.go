@@ -116,11 +116,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// TraceIDFromContext returns the active trace ID, or "".
-func TraceIDFromContext(ctx context.Context) string {
-	return SpanFromContext(ctx).TraceID()
-}
-
 // Start begins a span as a child of the span in ctx (or as a new root
 // with a fresh trace ID) and returns a context carrying it. On a nil
 // tracer both return values degrade gracefully: the input context and a

@@ -121,9 +121,6 @@ func (g *Graph) Gain(a NodeID, c float64) NodeID {
 	return id
 }
 
-// Neg returns −a.
-func (g *Graph) Neg(a NodeID) NodeID { return g.Gain(a, -1) }
-
 // Add returns a + b.
 func (g *Graph) Add(a, b NodeID) NodeID { return g.linComb(a, b, 1) }
 
@@ -180,15 +177,6 @@ func (g *Graph) Stats(id NodeID) stats.WordStats {
 		ws.Rho = lag1 / variance
 	}
 	return ws
-}
-
-// InputNames returns the declared primary input names in order.
-func (g *Graph) InputNames() []string {
-	out := make([]string, len(g.inputs))
-	for i, in := range g.inputs {
-		out[i] = in.name
-	}
-	return out
 }
 
 func clampRho(r float64) float64 {

@@ -92,7 +92,7 @@ func TestCancellationIsExact(t *testing.T) {
 	// x + (−x) must vanish entirely.
 	g := New()
 	x := g.Input("x", stats.WordStats{Mean: 7, Std: 3, Rho: 0.5})
-	z := g.Add(x, g.Neg(x))
+	z := g.Add(x, g.Gain(x, -1))
 	ws := g.Stats(z)
 	if ws.Mean != 0 || ws.Std != 0 {
 		t.Errorf("cancelled stats = %+v", ws)
@@ -118,16 +118,6 @@ func TestBadNodePanics(t *testing.T) {
 		}
 	}()
 	g.Stats(NodeID(3))
-}
-
-func TestInputNames(t *testing.T) {
-	g := New()
-	g.Input("a", stats.WordStats{Std: 1})
-	g.Input("b", stats.WordStats{Std: 1})
-	names := g.InputNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
-	}
 }
 
 // Integration: propagate a 3-tap FIR y[n] = x[n] + 2x[n-1] + x[n-2] and

@@ -31,6 +31,8 @@ type paramModelJSON struct {
 }
 
 // MarshalJSON serializes the parameterized model.
+//
+//hdlint:allow deadexport json.Marshaler: encoding/json calls it when hdpower fit and modellib write a regression
 func (pm *ParamModel) MarshalJSON() ([]byte, error) {
 	return json.Marshal(paramModelJSON{
 		Format:      "hdpower-parammodel-v1",

@@ -168,9 +168,6 @@ func (s *Simulator) Clone() *Simulator {
 // Netlist returns the simulated netlist.
 func (s *Simulator) Netlist() *netlist.Netlist { return s.nl }
 
-// EngineKind returns the configured engine.
-func (s *Simulator) EngineKind() Engine { return s.engine }
-
 // NumInputBits returns the width of the input vector expected by Settle
 // and Apply.
 func (s *Simulator) NumInputBits() int { return len(s.inputNets) }

@@ -1,10 +1,9 @@
 // Package stats implements the word-level and bit-level signal statistics
 // underlying Section 6 of the paper: estimation of mean, variance and
-// lag-1 autocorrelation of a data stream; extraction of per-bit signal and
-// transition probabilities; the dual-bit-type breakpoints BP0/BP1 that
-// split a data word into an uncorrelated LSB region, a correlated middle
-// region and a sign region (Landman's data model, paper Fig. 5); and the
-// sign-region transition activity.
+// lag-1 autocorrelation of a data stream; the dual-bit-type breakpoints
+// BP0/BP1 that split a data word into an uncorrelated LSB region, a
+// correlated middle region and a sign region (Landman's data model, paper
+// Fig. 5); and the sign-region transition activity.
 package stats
 
 import (
@@ -62,48 +61,6 @@ func FromWords(words []logic.Word) (WordStats, error) {
 		xs[i] = w.Int()
 	}
 	return FromInts(xs)
-}
-
-// BitStats holds per-bit-position probabilities extracted from a stream.
-type BitStats struct {
-	// Signal[i] is the probability of bit i being 1.
-	Signal []float64
-	// Transition[i] is the probability of bit i differing between two
-	// consecutive words.
-	Transition []float64
-}
-
-// ExtractBitStats measures per-bit signal and transition probabilities
-// from a word stream. It needs at least two words of equal width.
-func ExtractBitStats(words []logic.Word) (BitStats, error) {
-	if len(words) < 2 {
-		return BitStats{}, fmt.Errorf("stats: need >= 2 words, got %d", len(words))
-	}
-	m := words[0].Width()
-	ones := make([]int, m)
-	trans := make([]int, m)
-	for j, w := range words {
-		if w.Width() != m {
-			return BitStats{}, fmt.Errorf("stats: word %d has width %d, want %d", j, w.Width(), m)
-		}
-		for i := 0; i < m; i++ {
-			if w.Bit(i) {
-				ones[i]++
-			}
-			if j > 0 && w.Bit(i) != words[j-1].Bit(i) {
-				trans[i]++
-			}
-		}
-	}
-	bs := BitStats{
-		Signal:     make([]float64, m),
-		Transition: make([]float64, m),
-	}
-	for i := 0; i < m; i++ {
-		bs.Signal[i] = float64(ones[i]) / float64(len(words))
-		bs.Transition[i] = float64(trans[i]) / float64(len(words)-1)
-	}
-	return bs, nil
 }
 
 // Breakpoints are the bit positions separating the three regions of

@@ -53,47 +53,6 @@ func TestRhoRecoversARParameter(t *testing.T) {
 	}
 }
 
-func TestExtractBitStatsRandom(t *testing.T) {
-	words := stimuli.Take(stimuli.Random(8, 4), 4000)
-	bs, err := ExtractBitStats(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if math.Abs(bs.Signal[i]-0.5) > 0.05 {
-			t.Errorf("bit %d signal prob %v", i, bs.Signal[i])
-		}
-		if math.Abs(bs.Transition[i]-0.5) > 0.05 {
-			t.Errorf("bit %d transition prob %v", i, bs.Transition[i])
-		}
-	}
-}
-
-func TestExtractBitStatsCounter(t *testing.T) {
-	// A binary counter has exact transition activities: bit i toggles
-	// every 2^i increments.
-	words := stimuli.Take(stimuli.Counter(8, 0, 1), 1025)
-	bs, err := ExtractBitStats(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		want := 1.0 / float64(int(1)<<uint(i))
-		if math.Abs(bs.Transition[i]-want) > 0.01 {
-			t.Errorf("counter bit %d transition %v, want %v", i, bs.Transition[i], want)
-		}
-	}
-}
-
-func TestExtractBitStatsValidation(t *testing.T) {
-	if _, err := ExtractBitStats([]logic.Word{logic.NewWord(4)}); err == nil {
-		t.Error("single word accepted")
-	}
-	if _, err := ExtractBitStats([]logic.Word{logic.NewWord(4), logic.NewWord(5)}); err == nil {
-		t.Error("width mismatch accepted")
-	}
-}
-
 func TestBreakpointsOrdering(t *testing.T) {
 	cases := []WordStats{
 		{Mean: 0, Std: 100, Rho: 0},

@@ -72,31 +72,6 @@ func (s *randomSource) Next() logic.Word {
 	return w
 }
 
-// counterSource emits successive values of a binary counter (data type V).
-type counterSource struct {
-	width int
-	value uint64
-	step  uint64
-}
-
-// Counter returns a binary up-counter source starting at start and
-// advancing by step each sample. Widths above 64 are not supported.
-func Counter(width int, start, step uint64) Source {
-	mustWidth(width)
-	if width > 64 {
-		panic(fmt.Sprintf("stimuli: counter width %d > 64", width))
-	}
-	return &counterSource{width: width, value: start, step: step}
-}
-
-func (s *counterSource) Width() int { return s.width }
-
-func (s *counterSource) Next() logic.Word {
-	w := logic.FromUint(s.value, s.width)
-	s.value += s.step
-	return w
-}
-
 // arSource quantizes a Gaussian AR(1) process into two's-complement words.
 // The marginal distribution is N(mean, std²) with lag-1 autocorrelation
 // rho; samples are clamped to the representable range.
@@ -154,33 +129,6 @@ func quantize(v float64, width int) logic.Word {
 		r = lo
 	}
 	return logic.FromInt(int64(r), width)
-}
-
-// Replay returns a source that cycles through the given words forever.
-func Replay(words []logic.Word) Source {
-	if len(words) == 0 {
-		panic("stimuli: Replay with no words")
-	}
-	w := words[0].Width()
-	for _, word := range words {
-		if word.Width() != w {
-			panic("stimuli: Replay width mismatch")
-		}
-	}
-	return &replaySource{words: words}
-}
-
-type replaySource struct {
-	words []logic.Word
-	pos   int
-}
-
-func (s *replaySource) Width() int { return s.words[0].Width() }
-
-func (s *replaySource) Next() logic.Word {
-	w := s.words[s.pos]
-	s.pos = (s.pos + 1) % len(s.words)
-	return w
 }
 
 // Concat glues several sources into one wide word per sample: the first

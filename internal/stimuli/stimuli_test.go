@@ -3,8 +3,6 @@ package stimuli
 import (
 	"math"
 	"testing"
-
-	"hdpower/internal/logic"
 )
 
 func mean(xs []int64) float64 {
@@ -79,8 +77,9 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 }
 
 func TestCounterSequence(t *testing.T) {
-	src := Counter(4, 14, 1)
-	want := []uint64{14, 15, 0, 1, 2}
+	// The type-V counter wraps at 2^(width-1), inside the positive range.
+	src := counterMod(4, 6, 1)
+	want := []uint64{6, 7, 0, 1, 2}
 	for i, w := range Take(src, 5) {
 		if w.Uint() != want[i] {
 			t.Errorf("counter[%d] = %d, want %d", i, w.Uint(), want[i])
@@ -145,21 +144,9 @@ func TestQuantizeRounds(t *testing.T) {
 	}
 }
 
-func TestReplayCycles(t *testing.T) {
-	words := []logic.Word{logic.FromUint(1, 4), logic.FromUint(2, 4)}
-	src := Replay(words)
-	got := Take(src, 5)
-	want := []uint64{1, 2, 1, 2, 1}
-	for i := range got {
-		if got[i].Uint() != want[i] {
-			t.Errorf("replay[%d] = %d, want %d", i, got[i].Uint(), want[i])
-		}
-	}
-}
-
 func TestConcatLayout(t *testing.T) {
-	a := Replay([]logic.Word{logic.FromUint(0x3, 4)})
-	b := Replay([]logic.Word{logic.FromUint(0x5, 4)})
+	a := counterMod(4, 0x3, 0)
+	b := counterMod(4, 0x5, 0)
 	src := Concat(a, b)
 	if src.Width() != 8 {
 		t.Fatalf("concat width = %d", src.Width())
@@ -237,75 +224,4 @@ func TestConcatNoSourcesPanics(t *testing.T) {
 		}
 	}()
 	Concat()
-}
-
-func TestReplayEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Replay(nil) accepted")
-		}
-	}()
-	Replay(nil)
-}
-
-func TestSinePeriodAndAmplitude(t *testing.T) {
-	src := Sine(12, 1000, 0.01, 0, 1)
-	xs := TakeInts(src, 300) // 3 full periods
-	var lo, hi int64 = 1 << 20, -(1 << 20)
-	for _, v := range xs {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi < 950 || hi > 1050 || lo > -950 || lo < -1050 {
-		t.Errorf("sine range [%d, %d], want ~[-1000, 1000]", lo, hi)
-	}
-	// Period 100: sample 0 and sample 100 should match closely.
-	if d := xs[0] - xs[100]; d > 2 || d < -2 {
-		t.Errorf("periodicity violated: %d vs %d", xs[0], xs[100])
-	}
-}
-
-func TestSineNoiseAddsVariance(t *testing.T) {
-	clean := TakeInts(Sine(14, 500, 0.013, 0, 2), 5000)
-	noisy := TakeInts(Sine(14, 500, 0.013, 200, 2), 5000)
-	if stddev(noisy) <= stddev(clean) {
-		t.Errorf("noise did not add variance: %v vs %v", stddev(noisy), stddev(clean))
-	}
-}
-
-func TestSineValidation(t *testing.T) {
-	for _, f := range []float64{0, 0.5, -0.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Sine freq %v accepted", f)
-				}
-			}()
-			Sine(8, 10, f, 0, 1)
-		}()
-	}
-}
-
-func TestChirpSweepsCorrelation(t *testing.T) {
-	// Low-frequency segments are more correlated than high-frequency ones.
-	src := Chirp(14, 2000, 0.005, 0.2, 4000, 3)
-	xs := TakeInts(src, 4000)
-	early := lag1(xs[:800]) // near f0: slow, highly correlated
-	late := lag1(xs[3200:]) // near f1: fast, less correlated
-	if early <= late {
-		t.Errorf("chirp correlation did not fall: early %.3f, late %.3f", early, late)
-	}
-}
-
-func TestChirpValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero period accepted")
-		}
-	}()
-	Chirp(8, 10, 0.01, 0.1, 0, 1)
 }

@@ -109,9 +109,6 @@ func (p *Profiler) register(key Key, classes int) *ModelProf {
 	return mp
 }
 
-// Dropped returns the number of model registrations refused by the cap.
-func (p *Profiler) Dropped() uint64 { return p.dropped.Load() }
-
 // RecordClass counts one estimate landing in Hd class hd. hint selects
 // the shard; callers pass a per-worker value so concurrent recorders
 // spread across shards. Nil-safe and allocation-free.

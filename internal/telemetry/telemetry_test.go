@@ -10,6 +10,9 @@ import (
 	"time"
 )
 
+// Dropped returns the number of model registrations refused by the cap.
+func (p *Profiler) Dropped() uint64 { return p.dropped.Load() }
+
 // clockAt builds a Config.Now returning a fixed, settable time.
 type clock struct {
 	mu sync.Mutex

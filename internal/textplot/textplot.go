@@ -112,33 +112,6 @@ func ErrorBars(title string, xs []int, y, relDev []float64, width int) string {
 	return b.String()
 }
 
-// Bars renders labelled horizontal bars.
-func Bars(title string, labels []string, values []float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	_, vmax := minMax(values)
-	if vmax <= 0 {
-		vmax = 1
-	}
-	wl := 0
-	for _, l := range labels {
-		if len(l) > wl {
-			wl = len(l)
-		}
-	}
-	for i, l := range labels {
-		bar := int(math.Round(values[i] / vmax * float64(width)))
-		if bar < 0 {
-			bar = 0
-		}
-		fmt.Fprintf(&b, "%-*s | %-*s %10.4g\n", wl, l, width, strings.Repeat("=", bar), values[i])
-	}
-	return b.String()
-}
-
 func minMax(xs []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, x := range xs {

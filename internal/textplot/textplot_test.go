@@ -54,10 +54,3 @@ func TestErrorBars(t *testing.T) {
 		t.Errorf("bar lengths not increasing: %d vs %d", c1, c3)
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars("sizes", []string{"small", "large"}, []float64{1, 10}, 20)
-	if !strings.Contains(out, "small") || !strings.Contains(out, "large") {
-		t.Errorf("bars output:\n%s", out)
-	}
-}

@@ -1,13 +1,12 @@
-// Package verilog writes and reads gate-level structural Verilog for the
+// Package verilog writes gate-level structural Verilog for the
 // repository's netlists, so generated datapath components can be inspected
-// with standard EDA tooling (or imported from it).
+// with standard EDA tooling.
 //
 // The writer emits only Verilog built-in primitives (and, or, nand, nor,
 // xor, xnor, not, buf) — complex cells (MUX2, AOI21, OAI21) are
 // decomposed — plus `assign` statements for constants and output
-// aliases. The reader accepts exactly that subset, so Write → Parse is a
-// supported round trip (functionally equivalent, provable with
-// internal/bdd; gate-identical except for the decomposed complex cells).
+// aliases. The package's tests read that subset back and prove the
+// round trip functionally equivalent with internal/bdd.
 package verilog
 
 import (
