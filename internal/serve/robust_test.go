@@ -360,3 +360,16 @@ func TestStaleCheckpointMismatchRestartsFresh(t *testing.T) {
 		t.Fatalf("build over stale checkpoint: %d %s", resp.StatusCode, data)
 	}
 }
+
+// TestRetryDelayBounded pins the build-retry backoff for any attempt
+// count: every delay lies in (0, 5s+1ms], including the attempts from 36
+// on, where the default 250ms base shifted left overflowed int64 and
+// rand.Int63n panicked.
+func TestRetryDelayBounded(t *testing.T) {
+	s := &Server{cfg: Config{BuildRetryBackoff: 250 * time.Millisecond}}
+	for attempt := 0; attempt <= 100; attempt++ {
+		if d := s.retryDelay(attempt); d <= 0 || d > 5*time.Second+time.Millisecond {
+			t.Fatalf("attempt %d: delay %v outside (0, 5.001s]", attempt, d)
+		}
+	}
+}

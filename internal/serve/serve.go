@@ -835,11 +835,16 @@ func isTransientBuildErr(err error) bool {
 
 // retryDelay is capped exponential backoff with full jitter: uniform in
 // (0, base·2^attempt], never above 5s. Jitter keeps a fleet of restarted
-// builds from thundering onto the same instant.
+// builds from thundering onto the same instant. The limit doubles only
+// while below the cap, so no attempt count can overflow it.
 func (s *Server) retryDelay(attempt int) time.Duration {
-	limit := s.cfg.BuildRetryBackoff << uint(attempt)
-	if limit > 5*time.Second {
-		limit = 5 * time.Second
+	const maxDelay = 5 * time.Second
+	limit := s.cfg.BuildRetryBackoff
+	for i := 0; i < attempt && limit < maxDelay; i++ {
+		limit *= 2
+	}
+	if limit > maxDelay {
+		limit = maxDelay
 	}
 	return time.Duration(rand.Int63n(int64(limit))) + time.Millisecond
 }
