@@ -5,14 +5,18 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
 # Enforced coverage floors (percent of statements) for the packages the
-# paper's correctness hangs on; `make cover` fails below them. The LUT
-# and Hd-distribution memo floors guard the estimate fast path: a wrong
-# flattened table silently misprices every fast-path answer. The
-# telemetry floor guards the measurement plane itself: a wrong window
-# ring or burn rate silently mispages and misbudgets refinement.
+# paper's correctness hangs on; `make cover` fails below them. The
+# netlist floor guards the compiled program every engine (sim, power,
+# bitsim) reads its topology from: a wrong fanout list or capacitance
+# silently misprices every charge. The LUT and Hd-distribution memo
+# floors guard the estimate fast path: a wrong flattened table silently
+# misprices every fast-path answer. The telemetry floor guards the
+# measurement plane itself: a wrong window ring or burn rate silently
+# mispages and misbudgets refinement.
 COVER_FLOOR_CORE      ?= 90
 COVER_FLOOR_SIM       ?= 90
 COVER_FLOOR_BITSIM    ?= 90
+COVER_FLOOR_NETLIST   ?= 90
 COVER_FLOOR_LUT       ?= 90
 COVER_FLOOR_HDDIST    ?= 90
 COVER_FLOOR_TELEMETRY ?= 90
@@ -61,17 +65,19 @@ chaos:
 		$(GO) test -race -count=1 ./internal/core/... ./internal/bitsim/... ./internal/atomicio/... \
 		./internal/faultpoint/... ./internal/modellib/... ./internal/serve/... ./internal/fleet/...
 
-# Coverage profiles with enforced floors on internal/core and
-# internal/sim; CI publishes the profiles as artifacts.
+# Coverage profiles with enforced floors on internal/core, sim, bitsim,
+# netlist, lut, hddist and telemetry; CI publishes the profiles as
+# artifacts.
 cover:
 	$(GO) test -coverprofile=coverage_core.out ./internal/core
 	$(GO) test -coverprofile=coverage_sim.out ./internal/sim
 	$(GO) test -coverprofile=coverage_bitsim.out ./internal/bitsim
+	$(GO) test -coverprofile=coverage_netlist.out ./internal/netlist
 	$(GO) test -coverprofile=coverage_lut.out ./internal/lut
 	$(GO) test -coverprofile=coverage_hddist.out ./internal/hddist
 	$(GO) test -coverprofile=coverage_telemetry.out ./internal/telemetry
 	@for spec in core:$(COVER_FLOOR_CORE) sim:$(COVER_FLOOR_SIM) bitsim:$(COVER_FLOOR_BITSIM) \
-			lut:$(COVER_FLOOR_LUT) hddist:$(COVER_FLOOR_HDDIST) \
+			netlist:$(COVER_FLOOR_NETLIST) lut:$(COVER_FLOOR_LUT) hddist:$(COVER_FLOOR_HDDIST) \
 			telemetry:$(COVER_FLOOR_TELEMETRY); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		total=$$($(GO) tool cover -func=coverage_$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
