@@ -146,22 +146,6 @@ func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
 // Mux returns sel ? hi : lo.
 func (m *Manager) Mux(lo, hi, sel Ref) Ref { return m.ITE(sel, hi, lo) }
 
-// Eval evaluates f under a complete variable assignment.
-func (m *Manager) Eval(f Ref, assignment []bool) bool {
-	if len(assignment) != m.numVars {
-		panic(fmt.Sprintf("bdd: assignment has %d vars, want %d", len(assignment), m.numVars))
-	}
-	for f != True && f != False {
-		n := m.nodes[f]
-		if assignment[n.level] {
-			f = n.hi
-		} else {
-			f = n.lo
-		}
-	}
-	return f == True
-}
-
 // AnySat returns one satisfying assignment of f, or ok=false for the
 // constant-false function. Unconstrained variables are reported false.
 func (m *Manager) AnySat(f Ref) (assignment []bool, ok bool) {

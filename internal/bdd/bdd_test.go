@@ -1,10 +1,27 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// Eval evaluates f under a complete variable assignment.
+func (m *Manager) Eval(f Ref, assignment []bool) bool {
+	if len(assignment) != m.numVars {
+		panic(fmt.Sprintf("bdd: assignment has %d vars, want %d", len(assignment), m.numVars))
+	}
+	for f != True && f != False {
+		n := m.nodes[f]
+		if assignment[n.level] {
+			f = n.hi
+		} else {
+			f = n.lo
+		}
+	}
+	return f == True
+}
 
 // NumNodes returns the size of the node table (including terminals).
 func (m *Manager) NumNodes() int { return len(m.nodes) }

@@ -71,32 +71,14 @@ func (m *Manager) gate(kind cells.Kind, ins []netlist.NetID, refs []Ref) Ref {
 		return m.Not(a(0))
 	case cells.And2:
 		return m.And(a(0), a(1))
-	case cells.And3:
-		return m.And(m.And(a(0), a(1)), a(2))
 	case cells.Or2:
 		return m.Or(a(0), a(1))
-	case cells.Or3:
-		return m.Or(m.Or(a(0), a(1)), a(2))
-	case cells.Nand2:
-		return m.Not(m.And(a(0), a(1)))
-	case cells.Nand3:
-		return m.Not(m.And(m.And(a(0), a(1)), a(2)))
-	case cells.Nor2:
-		return m.Not(m.Or(a(0), a(1)))
-	case cells.Nor3:
-		return m.Not(m.Or(m.Or(a(0), a(1)), a(2)))
 	case cells.Xor2:
 		return m.Xor(a(0), a(1))
-	case cells.Xor3:
-		return m.Xor(m.Xor(a(0), a(1)), a(2))
 	case cells.Xnor2:
 		return m.Xnor(a(0), a(1))
 	case cells.Mux2:
 		return m.Mux(a(0), a(1), a(2))
-	case cells.Aoi21:
-		return m.Not(m.Or(m.And(a(0), a(1)), a(2)))
-	case cells.Oai21:
-		return m.Not(m.And(m.Or(a(0), a(1)), a(2)))
 	}
 	panic(fmt.Sprintf("bdd: unhandled gate kind %v", kind))
 }

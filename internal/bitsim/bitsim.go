@@ -24,16 +24,17 @@
 //     engine in internal/sim remains the golden reference, and
 //     characterization cross-validates the two on sampled patterns.
 //
-// A Meter weights toggles with the same per-net switched capacitances as
-// power.Meter (netlist.NetCap), accumulating charge per lane, so a batch
+// A Meter reads its topology from the netlist's compiled netlist.Program,
+// the one sim and power.Meter read, and weights toggles with the same
+// per-net switched capacitances, accumulating charge per lane, so a batch
 // returns the per-pair charges the macro-model characterizer consumes.
 //
 // # Concurrency
 //
 // A Meter is not safe for concurrent use, but Clone returns an
-// independent meter sharing the immutable topology (flattened gate table,
-// fanout lists, capacitances), so one meter per goroutine may simulate
-// concurrently — the same pooling contract as sim.Simulator.
+// independent meter sharing the immutable program, so one meter per
+// goroutine may simulate concurrently — the same pooling contract as
+// sim.Simulator.
 package bitsim
 
 import (
@@ -73,29 +74,13 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// gateRec is the flattened per-gate record the hot loops walk: kind plus
-// up to three input net ids and the output net id, all int32 to keep the
-// table compact and cache-friendly. Unused input slots are 0 and never
-// read (evalPacked dispatches on kind).
-type gateRec struct {
-	kind cells.Kind
-	in   [3]int32
-	out  int32
-}
-
 // Meter simulates one netlist 64 pattern pairs at a time and weights the
 // resulting activity with per-net capacitances. Not safe for concurrent
 // use; see Clone.
 type Meter struct {
 	nl   *netlist.Netlist
+	p    *netlist.Program // immutable topology, shared between clones
 	mode Mode
-
-	// Immutable after New; shared between clones.
-	inputNets []netlist.NetID
-	gates     []gateRec // in topological order
-	fanout    [][]int32 // per-net indices into gates
-	caps      []float64
-	depth     int
 
 	// Mutable per-batch state.
 	val     []uint64 // packed net values, bit l = lane l
@@ -107,7 +92,7 @@ type Meter struct {
 
 	// Unit-delay wavefront scratch.
 	mark    []int32  // per gate: step at which it was last marked dirty
-	dirty   []int32  // gate indices to re-evaluate this step
+	dirty   []int32  // gate positions to re-evaluate this step
 	pending []uint64 // new outputs of the dirty gates (two-phase commit)
 	changed []int32  // nets that changed in the current step
 }
@@ -121,143 +106,74 @@ func New(nl *netlist.Netlist, mode Mode) (*Meter, error) {
 	if mode != ZeroDelay && mode != UnitDelay {
 		return nil, fmt.Errorf("bitsim: unknown mode %d", int(mode))
 	}
-	m := &Meter{
-		nl:        nl,
-		mode:      mode,
-		inputNets: nl.InputNets(),
-		depth:     nl.Depth(),
-		caps:      make([]float64, nl.NumNets()),
-		val:       make([]uint64, nl.NumNets()),
-		toggles:   make([]int64, nl.NumNets()),
-		uPack:     make([]uint64, len(nl.InputNets())),
-		vPack:     make([]uint64, len(nl.InputNets())),
-		mark:      make([]int32, nl.NumGates()),
-	}
-	for id := range m.caps {
-		m.caps[id] = nl.NetCap(netlist.NetID(id))
-	}
-	// Flatten the gate table in topological order so the settle sweep is
-	// one linear pass, and remember each gate's position for the fanout
-	// lists the wavefront walks.
-	order := nl.TopoOrder()
-	m.gates = make([]gateRec, len(order))
-	pos := make([]int32, nl.NumGates())
-	for i, g := range order {
-		rec := gateRec{kind: nl.GateKind(g), out: int32(nl.GateOutput(g))}
-		for k, in := range nl.GateInputs(g) {
-			rec.in[k] = int32(in)
-		}
-		m.gates[i] = rec
-		pos[g] = int32(i)
-	}
-	m.fanout = make([][]int32, nl.NumNets())
-	for id := 0; id < nl.NumNets(); id++ {
-		pins := nl.FanoutPins(netlist.NetID(id))
-		if len(pins) == 0 {
-			continue
-		}
-		out := make([]int32, 0, len(pins))
-		for _, p := range pins {
-			out = append(out, pos[p.Gate])
-		}
-		m.fanout[id] = out
-	}
-	m.initConsts()
-	return m, nil
+	return newMeter(nl, nl.Program(), mode), nil
 }
 
-// initConsts ties constant nets across all lanes; they are never touched
+// newMeter returns a meter over the compiled program with fresh mutable
+// state. Constant nets are tied across all lanes here and never touched
 // again (settle and apply only write input nets and gate outputs).
-func (m *Meter) initConsts() {
-	for id := 0; id < m.nl.NumNets(); id++ {
-		if v, isConst := m.nl.IsConst(netlist.NetID(id)); isConst {
-			if v {
-				m.val[id] = ^uint64(0)
-			} else {
-				m.val[id] = 0
-			}
+func newMeter(nl *netlist.Netlist, p *netlist.Program, mode Mode) *Meter {
+	m := &Meter{
+		nl:      nl,
+		p:       p,
+		mode:    mode,
+		val:     make([]uint64, nl.NumNets()),
+		toggles: make([]int64, nl.NumNets()),
+		uPack:   make([]uint64, len(p.Inputs)),
+		vPack:   make([]uint64, len(p.Inputs)),
+		mark:    make([]int32, len(p.Gates)),
+	}
+	for _, t := range p.Ties {
+		if t.Val {
+			m.val[t.Net] = ^uint64(0)
 		}
 	}
+	return m
 }
 
 // Clone returns an independent meter over the same finalized netlist,
-// sharing the immutable topology and owning fresh value/toggle/scratch
+// sharing the immutable program and owning fresh value/toggle/scratch
 // state, for use on another goroutine.
-func (m *Meter) Clone() *Meter {
-	c := &Meter{
-		nl:        m.nl,
-		mode:      m.mode,
-		inputNets: m.inputNets,
-		gates:     m.gates,
-		fanout:    m.fanout,
-		caps:      m.caps,
-		depth:     m.depth,
-		val:       make([]uint64, len(m.val)),
-		toggles:   make([]int64, len(m.toggles)),
-		uPack:     make([]uint64, len(m.uPack)),
-		vPack:     make([]uint64, len(m.vPack)),
-		mark:      make([]int32, len(m.mark)),
-	}
-	c.initConsts()
-	return c
-}
+func (m *Meter) Clone() *Meter { return newMeter(m.nl, m.p, m.mode) }
 
 // Netlist returns the simulated netlist.
 func (m *Meter) Netlist() *netlist.Netlist { return m.nl }
 
 // NumInputBits returns the input vector width expected by CycleBatch.
-func (m *Meter) NumInputBits() int { return len(m.inputNets) }
+func (m *Meter) NumInputBits() int { return len(m.p.Inputs) }
 
 // evalPacked computes a gate's packed output from the current net values.
 // Each case is the bitwise form of the cells.Eval truth table, applied to
 // all 64 lanes at once. Inverting kinds also invert the padding lanes of
 // a partial batch; that is harmless, because padded lanes carry u == v
 // and therefore never change after the settle sweep.
-func (m *Meter) evalPacked(g *gateRec) uint64 {
-	a := m.val[g.in[0]]
-	switch g.kind {
+func (m *Meter) evalPacked(g *netlist.Gate) uint64 {
+	a := m.val[g.In[0]]
+	switch g.Kind {
 	case cells.Buf:
 		return a
 	case cells.Inv:
 		return ^a
 	case cells.And2:
-		return a & m.val[g.in[1]]
-	case cells.And3:
-		return a & m.val[g.in[1]] & m.val[g.in[2]]
+		return a & m.val[g.In[1]]
 	case cells.Or2:
-		return a | m.val[g.in[1]]
-	case cells.Or3:
-		return a | m.val[g.in[1]] | m.val[g.in[2]]
-	case cells.Nand2:
-		return ^(a & m.val[g.in[1]])
-	case cells.Nand3:
-		return ^(a & m.val[g.in[1]] & m.val[g.in[2]])
-	case cells.Nor2:
-		return ^(a | m.val[g.in[1]])
-	case cells.Nor3:
-		return ^(a | m.val[g.in[1]] | m.val[g.in[2]])
+		return a | m.val[g.In[1]]
 	case cells.Xor2:
-		return a ^ m.val[g.in[1]]
-	case cells.Xor3:
-		return a ^ m.val[g.in[1]] ^ m.val[g.in[2]]
+		return a ^ m.val[g.In[1]]
 	case cells.Xnor2:
-		return ^(a ^ m.val[g.in[1]])
+		return ^(a ^ m.val[g.In[1]])
 	case cells.Mux2:
-		sel := m.val[g.in[2]]
-		return (a &^ sel) | (m.val[g.in[1]] & sel)
-	case cells.Aoi21:
-		return ^((a & m.val[g.in[1]]) | m.val[g.in[2]])
-	case cells.Oai21:
-		return ^((a | m.val[g.in[1]]) & m.val[g.in[2]])
+		sel := m.val[g.In[2]]
+		return (a &^ sel) | (m.val[g.In[1]] & sel)
 	}
-	panic(fmt.Sprintf("bitsim: unhandled gate kind %v", g.kind))
+	panic(fmt.Sprintf("bitsim: unhandled gate kind %v", g.Kind))
 }
 
 // bump records a packed change mask on one net: per-net toggles via
 // popcount, per-lane charge via a bit-scan over the set lanes.
 func (m *Meter) bump(id int32, changed uint64) {
 	m.toggles[id] += int64(bits.OnesCount64(changed))
-	c := m.caps[id]
+	c := m.p.Cap[id]
 	for msk := changed; msk != 0; msk &= msk - 1 {
 		m.qacc[bits.TrailingZeros64(msk)] += c
 	}
@@ -281,7 +197,7 @@ func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 		panic(fmt.Sprintf("bitsim: charge buffer of %d for %d pairs", len(q), len(us)))
 	}
 	faultpoint.Delay("bitsim.batch") // chaos: slow batches must not change results
-	w := len(m.inputNets)
+	w := len(m.p.Inputs)
 	for l := range us {
 		if us[l].Width() != w || vs[l].Width() != w {
 			panic(fmt.Sprintf("bitsim: input vector widths %d/%d, netlist has %d input bits",
@@ -297,12 +213,13 @@ func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 		m.qacc[l] = 0
 	}
 	// Settle on u: steady state is mode-independent, one topological sweep.
-	for i, id := range m.inputNets {
+	for i, id := range m.p.Inputs {
 		m.val[id] = m.uPack[i]
 	}
-	for gi := range m.gates {
-		g := &m.gates[gi]
-		m.val[g.out] = m.evalPacked(g)
+	gates := m.p.Gates
+	for gi := range gates {
+		g := &gates[gi]
+		m.val[g.Out] = m.evalPacked(g)
 	}
 	switch m.mode {
 	case ZeroDelay:
@@ -320,19 +237,20 @@ func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 // topological order, counting at most one toggle per net — the exact
 // semantics of sim.ZeroDelay, 64 lanes at a time.
 func (m *Meter) applyZeroDelay() {
-	for i, id := range m.inputNets {
+	for i, id := range m.p.Inputs {
 		nv := m.vPack[i]
 		if c := m.val[id] ^ nv; c != 0 {
 			m.val[id] = nv
 			m.bump(int32(id), c)
 		}
 	}
-	for gi := range m.gates {
-		g := &m.gates[gi]
+	gates := m.p.Gates
+	for gi := range gates {
+		g := &gates[gi]
 		nv := m.evalPacked(g)
-		if c := m.val[g.out] ^ nv; c != 0 {
-			m.val[g.out] = nv
-			m.bump(g.out, c)
+		if c := m.val[g.Out] ^ nv; c != 0 {
+			m.val[g.Out] = nv
+			m.bump(g.Out, c)
 		}
 	}
 }
@@ -350,7 +268,7 @@ func (m *Meter) applyUnitDelay() {
 		m.mark[i] = -1
 	}
 	m.changed = m.changed[:0]
-	for i, id := range m.inputNets {
+	for i, id := range m.p.Inputs {
 		nv := m.vPack[i]
 		if c := m.val[id] ^ nv; c != 0 {
 			m.val[id] = nv
@@ -361,7 +279,7 @@ func (m *Meter) applyUnitDelay() {
 	for step := int32(0); len(m.changed) > 0; step++ {
 		m.dirty = m.dirty[:0]
 		for _, id := range m.changed {
-			for _, gi := range m.fanout[id] {
+			for _, gi := range m.p.Fanout[id] {
 				if m.mark[gi] != step {
 					m.mark[gi] = step
 					m.dirty = append(m.dirty, gi)
@@ -370,11 +288,11 @@ func (m *Meter) applyUnitDelay() {
 		}
 		m.pending = m.pending[:0]
 		for _, gi := range m.dirty {
-			m.pending = append(m.pending, m.evalPacked(&m.gates[gi]))
+			m.pending = append(m.pending, m.evalPacked(&m.p.Gates[gi]))
 		}
 		m.changed = m.changed[:0]
 		for k, gi := range m.dirty {
-			out := m.gates[gi].out
+			out := m.p.Gates[gi].Out
 			nv := m.pending[k]
 			if c := m.val[out] ^ nv; c != 0 {
 				m.val[out] = nv

@@ -16,24 +16,16 @@ import "fmt"
 // Kind identifies a primitive gate.
 type Kind int
 
-// The primitive gate kinds. All are single-output.
+// The primitive gate kinds. All are single-output. They are exactly the
+// kinds the netlist builders emit.
 const (
 	Buf Kind = iota
 	Inv
 	And2
-	And3
 	Or2
-	Or3
-	Nand2
-	Nand3
-	Nor2
-	Nor3
 	Xor2
-	Xor3
 	Xnor2
-	Mux2  // inputs: d0, d1, sel; output: sel ? d1 : d0
-	Aoi21 // inputs: a, b, c; output: !((a&b)|c)
-	Oai21 // inputs: a, b, c; output: !((a|b)&c)
+	Mux2 // inputs: d0, d1, sel; output: sel ? d1 : d0
 	numKinds
 )
 
@@ -41,19 +33,10 @@ var kindNames = [...]string{
 	Buf:   "BUF",
 	Inv:   "INV",
 	And2:  "AND2",
-	And3:  "AND3",
 	Or2:   "OR2",
-	Or3:   "OR3",
-	Nand2: "NAND2",
-	Nand3: "NAND3",
-	Nor2:  "NOR2",
-	Nor3:  "NOR3",
 	Xor2:  "XOR2",
-	Xor3:  "XOR3",
 	Xnor2: "XNOR2",
 	Mux2:  "MUX2",
-	Aoi21: "AOI21",
-	Oai21: "OAI21",
 }
 
 // String returns the conventional library name of the gate kind.
@@ -85,25 +68,16 @@ type Cell struct {
 }
 
 // table is indexed by Kind. The relative magnitudes follow typical
-// standard-cell libraries: an XOR costs roughly twice a NAND in both load
-// and delay; inverting gates are cheapest.
+// standard-cell libraries: an XOR costs about half as much again as an
+// AND in load and delay, and the single-input cells are cheapest.
 var table = [numKinds]Cell{
 	Buf:   {Buf, 1, 1.0, 1.0, 1},
 	Inv:   {Inv, 1, 1.0, 0.8, 1},
 	And2:  {And2, 2, 1.2, 1.4, 2},
-	And3:  {And3, 3, 1.3, 1.7, 2},
 	Or2:   {Or2, 2, 1.2, 1.4, 2},
-	Or3:   {Or3, 3, 1.3, 1.7, 2},
-	Nand2: {Nand2, 2, 1.1, 1.1, 1},
-	Nand3: {Nand3, 3, 1.2, 1.4, 2},
-	Nor2:  {Nor2, 2, 1.1, 1.2, 1},
-	Nor3:  {Nor3, 3, 1.2, 1.5, 2},
 	Xor2:  {Xor2, 2, 1.8, 2.2, 3},
-	Xor3:  {Xor3, 3, 2.2, 3.0, 3},
 	Xnor2: {Xnor2, 2, 1.8, 2.2, 3},
 	Mux2:  {Mux2, 3, 1.4, 1.8, 2},
-	Aoi21: {Aoi21, 3, 1.2, 1.5, 2},
-	Oai21: {Oai21, 3, 1.2, 1.5, 2},
 }
 
 // Lookup returns the library data for a gate kind.
@@ -126,8 +100,11 @@ func Kinds() []Kind {
 	return out
 }
 
-// Eval computes the gate's boolean function on the given inputs.
+// Eval computes the gate's boolean function on the given inputs: the
+// reference truth table the simulators' evaluators implement.
 // It panics if the input count does not match the kind's pin count.
+//
+//hdlint:allow deadexport test support: the cells truth-table tests and sim's direct-evaluation fuzz test use it as the reference gate function
 func Eval(k Kind, in []bool) bool {
 	c := Lookup(k)
 	if len(in) != c.NumInputs {
@@ -140,24 +117,10 @@ func Eval(k Kind, in []bool) bool {
 		return !in[0]
 	case And2:
 		return in[0] && in[1]
-	case And3:
-		return in[0] && in[1] && in[2]
 	case Or2:
 		return in[0] || in[1]
-	case Or3:
-		return in[0] || in[1] || in[2]
-	case Nand2:
-		return !(in[0] && in[1])
-	case Nand3:
-		return !(in[0] && in[1] && in[2])
-	case Nor2:
-		return !(in[0] || in[1])
-	case Nor3:
-		return !(in[0] || in[1] || in[2])
 	case Xor2:
 		return in[0] != in[1]
-	case Xor3:
-		return (in[0] != in[1]) != in[2]
 	case Xnor2:
 		return in[0] == in[1]
 	case Mux2:
@@ -165,10 +128,6 @@ func Eval(k Kind, in []bool) bool {
 			return in[1]
 		}
 		return in[0]
-	case Aoi21:
-		return !((in[0] && in[1]) || in[2])
-	case Oai21:
-		return !((in[0] || in[1]) && in[2])
 	}
 	panic("cells: unreachable")
 }

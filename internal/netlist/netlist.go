@@ -4,8 +4,9 @@
 // cells library connected by single-driver nets, with named input and
 // output buses.
 //
-// The package is purely structural: simulation lives in internal/sim and
-// charge accounting in internal/power.
+// The package is purely structural. It compiles each finalized netlist
+// once into the Program that internal/sim, internal/power and
+// internal/bitsim read, and holds no simulation state.
 package netlist
 
 import (
@@ -75,6 +76,7 @@ type Netlist struct {
 	finalized bool
 	levels    [][]GateID // gates grouped by logic level, valid after Finalize
 	order     []GateID   // topological order, valid after Finalize
+	prog      *Program   // compiled form, valid after Finalize
 }
 
 // New returns an empty netlist with the given instance name.
@@ -262,29 +264,10 @@ func (n *Netlist) IsConst(id NetID) (val, isConst bool) {
 	return nt.constVal, nt.drvKind == driverConst
 }
 
-// FanoutPins returns (gate, pin-index) pairs fed by net id. The returned
-// slices alias internal state and must not be modified.
-func (n *Netlist) FanoutPins(id NetID) []struct {
-	Gate  GateID
-	Input int
-} {
-	n.checkNet(id)
-	out := make([]struct {
-		Gate  GateID
-		Input int
-	}, len(n.nets[id].fanout))
-	for i, p := range n.nets[id].fanout {
-		out[i] = struct {
-			Gate  GateID
-			Input int
-		}{p.gate, p.input}
-	}
-	return out
-}
-
-// Finalize validates the netlist (single drivers, acyclicity) and computes
-// the topological gate ordering and level structure. It is idempotent, and
-// implied by TopoOrder/Levels. After Finalize the netlist is immutable.
+// Finalize validates the netlist (single drivers, acyclicity), computes
+// the topological gate ordering and level structure, and compiles the
+// Program the engines simulate. It is idempotent, and implied by
+// TopoOrder, Depth and Program. After Finalize the netlist is immutable.
 func (n *Netlist) Finalize() error {
 	if n.finalized {
 		return nil
@@ -344,6 +327,7 @@ func (n *Netlist) Finalize() error {
 	}
 	n.order = order
 	n.levels = levels
+	n.prog = n.compile()
 	n.finalized = true
 	return nil
 }

@@ -232,11 +232,67 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-func TestFanoutPins(t *testing.T) {
-	n, _ := buildXorPair(t)
-	bNet := n.Inputs()[1].Nets[0]
-	pins := n.FanoutPins(bNet)
-	if len(pins) != 2 {
-		t.Fatalf("fanout pins = %d, want 2", len(pins))
+// TestProgram checks the compiled netlist: gates in topological order
+// with fanout lists of positions (not gate ids), cell delays, NetCap per
+// net, input nets and constant ties; surgery drops it, and the next
+// Program recompiles without touching the old one.
+func TestProgram(t *testing.T) {
+	n := New("prog")
+	a := n.AddInputBus("a", 1).Nets[0]
+	b := n.AddInputBus("b", 1).Nets[0]
+	one, zero := n.Const(true), n.Const(false)
+	x := n.Xor(a, b)         // gate 0, position 0
+	y := n.Not(x)            // gate 1, position 2: ready only after gate 0
+	m := n.Mux(zero, b, one) // gate 2, position 1
+	n.MarkOutputBus("y", []NetID{y, m})
+	p := n.Program()
+	if n.Program() != p {
+		t.Fatal("Program recompiled a finalized netlist")
+	}
+	kinds := []cells.Kind{cells.Xor2, cells.Mux2, cells.Inv}
+	ins := [][3]int32{{int32(a), int32(b)}, {int32(zero), int32(b), int32(one)}, {int32(x)}}
+	outs := []NetID{x, m, y}
+	for i, g := range p.Gates {
+		if g.Kind != kinds[i] || g.In != ins[i] || NetID(g.Out) != outs[i] {
+			t.Errorf("gate %d = %+v, want %v %v -> %d", i, g, kinds[i], ins[i], outs[i])
+		}
+		if p.Delay[i] != cells.Lookup(kinds[i]).Delay {
+			t.Errorf("gate %d delay %d", i, p.Delay[i])
+		}
+	}
+	// b feeds the XOR (position 0) before the MUX (position 1); x feeds
+	// the INV at position 2.
+	if got := p.Fanout[b]; len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("fanout of b = %v, want [0 1]", got)
+	}
+	if got := p.Fanout[x]; len(got) != 1 || got[0] != 2 {
+		t.Errorf("fanout of x = %v, want [2]", got)
+	}
+	if got := p.Fanout[y]; len(got) != 0 {
+		t.Errorf("fanout of y = %v, want none", got)
+	}
+	for id, c := range p.Cap {
+		if c != n.NetCap(NetID(id)) {
+			t.Errorf("Cap[%d] = %v, NetCap %v", id, c, n.NetCap(NetID(id)))
+		}
+	}
+	if len(p.Inputs) != 2 || p.Inputs[0] != a || p.Inputs[1] != b {
+		t.Errorf("inputs = %v", p.Inputs)
+	}
+	if len(p.Ties) != 2 || p.Ties[0] != (Tie{one, true}) || p.Ties[1] != (Tie{zero, false}) {
+		t.Errorf("ties = %v", p.Ties)
+	}
+
+	n.RewireGateInput(1, 0, a)
+	if n.prog != nil {
+		t.Fatal("surgery kept the compiled program")
+	}
+	// The rewired INV no longer waits for the XOR: it moves to position 1.
+	q := n.Program()
+	if q == p || q.Gates[1].Kind != cells.Inv || q.Gates[1].In[0] != int32(a) {
+		t.Errorf("recompiled gates %+v", q.Gates)
+	}
+	if p.Gates[2].In[0] != int32(x) {
+		t.Errorf("surgery changed the old program: %+v", p.Gates)
 	}
 }

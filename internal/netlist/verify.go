@@ -439,12 +439,13 @@ func (n *Netlist) findUnreachable() []Diag {
 // `hdpower verify -inject` exist to reject; production code must never
 // call them.
 
-// definalize drops the cached topological structure so analysis methods
-// revalidate after surgery.
+// definalize drops the cached topological structure and the compiled
+// Program, so analysis methods and engines revalidate after surgery.
 func (n *Netlist) definalize() {
 	n.finalized = false
 	n.order = nil
 	n.levels = nil
+	n.prog = nil
 }
 
 // RewireGateInput redirects input pin `pin` of gate g to net id. Wiring a

@@ -19,11 +19,12 @@ import (
 )
 
 // Meter measures per-cycle charge consumption of one netlist. It wraps a
-// simulator and pre-computes per-net capacitances. Not safe for concurrent
-// use; Clone returns an independent meter for use on another goroutine.
+// simulator and weights its toggles with the per-net capacitances of the
+// netlist's compiled netlist.Program. Not safe for concurrent use; Clone
+// returns an independent meter for use on another goroutine.
 type Meter struct {
-	s    *sim.Simulator
-	caps []float64
+	s *sim.Simulator
+	p *netlist.Program // the program s simulates; Cap weights its toggles
 }
 
 // NewMeter builds a meter over the netlist using the given simulation
@@ -34,19 +35,15 @@ func NewMeter(nl *netlist.Netlist, engine sim.Engine) (*Meter, error) {
 	if err != nil {
 		return nil, err
 	}
-	caps := make([]float64, nl.NumNets())
-	for id := range caps {
-		caps[id] = nl.NetCap(netlist.NetID(id))
-	}
-	return &Meter{s: s, caps: caps}, nil
+	return &Meter{s: s, p: nl.Program()}, nil
 }
 
 // Clone returns an independent meter over the same netlist. The clone
-// shares the immutable capacitance table and circuit topology with the
-// receiver (see sim.Simulator.Clone) and owns its simulation state, so
-// clones may measure concurrently — one meter per goroutine.
+// shares the immutable program with the receiver (see
+// sim.Simulator.Clone) and owns its simulation state, so clones may
+// measure concurrently — one meter per goroutine.
 func (m *Meter) Clone() *Meter {
-	return &Meter{s: m.s.Clone(), caps: m.caps}
+	return &Meter{s: m.s.Clone(), p: m.p}
 }
 
 // Simulator exposes the underlying simulator (for functional checks).
@@ -62,10 +59,11 @@ func (m *Meter) Reset(u logic.Word) { m.s.Settle(u) }
 // the resulting transient.
 func (m *Meter) Cycle(v logic.Word) float64 {
 	tog := m.s.Apply(v)
+	caps := m.p.Cap
 	var q float64
 	for id, c := range tog {
 		if c != 0 {
-			q += m.caps[id] * float64(c)
+			q += caps[id] * float64(c)
 		}
 	}
 	return q

@@ -24,8 +24,8 @@ import (
 // inertialEvent is a scheduled output change of one gate.
 type inertialEvent struct {
 	time int
-	seq  int // tie-break for determinism
-	gate netlist.GateID
+	seq  int   // tie-break for determinism
+	gate int32 // position in the program's gate list, -1 once cancelled
 	val  bool
 }
 
@@ -54,7 +54,7 @@ func (s *Simulator) applyInertial(v logic.Word) {
 	// pending[g] points at the live scheduled transition of gate g, nil
 	// if none. Cancelled events stay in the heap with gate = -1.
 	if s.pending == nil {
-		s.pending = make([]*inertialEvent, s.nl.NumGates())
+		s.pending = make([]*inertialEvent, len(s.p.Gates))
 	}
 	for i := range s.pending {
 		s.pending[i] = nil
@@ -63,9 +63,9 @@ func (s *Simulator) applyInertial(v logic.Word) {
 	seq := 0
 
 	// evaluate gate g at time t: schedule/cancel its output transition.
-	evaluate := func(g netlist.GateID, t int) {
-		newVal := s.evalGate(g)
-		out := s.nl.GateOutput(g)
+	evaluate := func(g int32, t int) {
+		newVal := s.evalGate(&s.p.Gates[g])
+		out := s.p.Gates[g].Out
 		if p := s.pending[g]; p != nil {
 			if p.val == newVal {
 				return // already heading there
@@ -78,19 +78,19 @@ func (s *Simulator) applyInertial(v logic.Word) {
 		if s.value[out] == newVal {
 			return // stable at the right value, nothing to schedule
 		}
-		e := &inertialEvent{time: t + s.delay[g], seq: seq, gate: g, val: newVal}
+		e := &inertialEvent{time: t + s.p.Delay[g], seq: seq, gate: g, val: newVal}
 		seq++
 		s.pending[g] = e
 		heap.Push(&queue, e)
 	}
 
 	// Apply input edges at t = 0.
-	for i, id := range s.inputNets {
+	for i, id := range s.p.Inputs {
 		nv := v.Bit(i)
 		if s.value[id] != nv {
 			s.value[id] = nv
 			s.toggles[id]++
-			for _, g := range s.fanout[id] {
+			for _, g := range s.p.Fanout[id] {
 				evaluate(g, 0)
 			}
 		}
@@ -101,7 +101,7 @@ func (s *Simulator) applyInertial(v logic.Word) {
 			continue // cancelled
 		}
 		s.pending[e.gate] = nil
-		out := s.nl.GateOutput(e.gate)
+		out := netlist.NetID(s.p.Gates[e.gate].Out)
 		if s.value[out] == e.val {
 			continue
 		}
@@ -110,7 +110,7 @@ func (s *Simulator) applyInertial(v logic.Word) {
 		if s.recording {
 			s.record = append(s.record, event{time: e.time, net: out, val: e.val})
 		}
-		for _, g := range s.fanout[out] {
+		for _, g := range s.p.Fanout[out] {
 			evaluate(g, e.time)
 		}
 	}

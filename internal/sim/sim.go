@@ -22,11 +22,12 @@
 //
 // A Simulator is not safe for concurrent use, but Clone returns an
 // independent simulator over the same finalized netlist: clones share the
-// immutable topology (netlist, input ordering, topological order, per-gate
-// delays, fanout tables) and own all mutable value/toggle/event state, so
-// one simulator per goroutine — the original and any number of clones —
-// may run Settle/Apply concurrently. Cloning is O(nets), far cheaper than
-// New, which is what makes worker pools over a shared netlist practical.
+// netlist's immutable netlist.Program (input nets, gates in topological
+// order, per-gate delays, fanout lists) and own all mutable
+// value/toggle/event state, so one simulator per goroutine — the original
+// and any number of clones — may run Settle/Apply concurrently. Cloning
+// is O(nets), which is what makes worker pools over a shared netlist
+// practical.
 package sim
 
 import (
@@ -68,20 +69,15 @@ func (e Engine) String() string {
 // create one Simulator per goroutine (see Clone).
 type Simulator struct {
 	nl     *netlist.Netlist
+	p      *netlist.Program // immutable topology, shared between clones
 	engine Engine
-
-	// Immutable after New; shared between clones.
-	inputNets []netlist.NetID
-	order     []netlist.GateID
-	fanout    [][]netlist.GateID // per-net fanout gates, precomputed
-	delay     []int              // per-gate delay, precomputed
 
 	value   []bool  // current value per net
 	toggles []int64 // per-net toggle counts of the last Apply
 
 	// event-driven state
-	buckets   [][]netlist.GateID // time wheel, index = absolute time
-	scheduled []int              // last time a gate was scheduled, -1 if never
+	buckets   [][]int32 // time wheel of gate positions, index = absolute time
+	scheduled []int     // last time a gate was scheduled, -1 if never
 
 	// inertial-engine state
 	pending []*inertialEvent
@@ -102,80 +98,45 @@ func New(nl *netlist.Netlist, engine Engine) (*Simulator, error) {
 	if engine != ZeroDelay && engine != EventDriven && engine != Inertial {
 		return nil, fmt.Errorf("sim: unknown engine %d", int(engine))
 	}
+	return newSimulator(nl, nl.Program(), engine), nil
+}
+
+// newSimulator returns a simulator over the compiled program with fresh
+// mutable state; constants hold their value forever.
+func newSimulator(nl *netlist.Netlist, p *netlist.Program, engine Engine) *Simulator {
 	s := &Simulator{
 		nl:        nl,
+		p:         p,
 		engine:    engine,
-		inputNets: nl.InputNets(),
-		order:     nl.TopoOrder(),
 		value:     make([]bool, nl.NumNets()),
 		toggles:   make([]int64, nl.NumNets()),
-		scheduled: make([]int, nl.NumGates()),
-		delay:     make([]int, nl.NumGates()),
+		scheduled: make([]int, len(p.Gates)),
 	}
-	for g := 0; g < nl.NumGates(); g++ {
-		s.delay[g] = cells.Lookup(nl.GateKind(netlist.GateID(g))).Delay
+	for _, t := range p.Ties {
+		s.value[t.Net] = t.Val
 	}
-	// Flatten the fanout gate lists once; the event loops walk them on
-	// every transition and must not allocate there.
-	s.fanout = make([][]netlist.GateID, nl.NumNets())
-	for id := 0; id < nl.NumNets(); id++ {
-		pins := nl.FanoutPins(netlist.NetID(id))
-		if len(pins) == 0 {
-			continue
-		}
-		gates := make([]netlist.GateID, len(pins))
-		for i, p := range pins {
-			gates[i] = p.Gate
-		}
-		s.fanout[id] = gates
-	}
-	// Constants hold their value forever.
-	for id := 0; id < nl.NumNets(); id++ {
-		if v, isConst := nl.IsConst(netlist.NetID(id)); isConst {
-			s.value[id] = v
-		}
-	}
-	return s, nil
+	return s
 }
 
 // Clone returns an independent simulator over the same finalized netlist.
-// The clone shares the receiver's immutable topology — netlist, input
-// ordering, topological order, per-gate delays, and fanout tables — and
-// owns fresh value, toggle, and event state, so the clone and the receiver
-// may simulate concurrently on different goroutines. The clone starts
+// The clone shares the receiver's immutable netlist.Program and owns fresh
+// value, toggle, and event state, so the clone and the receiver may
+// simulate concurrently on different goroutines. The clone starts
 // unsettled (Settle must be called before Apply) regardless of the
 // receiver's state, and never inherits VCD recording.
-func (s *Simulator) Clone() *Simulator {
-	c := &Simulator{
-		nl:        s.nl,
-		engine:    s.engine,
-		inputNets: s.inputNets,
-		order:     s.order,
-		fanout:    s.fanout,
-		delay:     s.delay,
-		value:     make([]bool, len(s.value)),
-		toggles:   make([]int64, len(s.toggles)),
-		scheduled: make([]int, len(s.scheduled)),
-	}
-	for id := 0; id < c.nl.NumNets(); id++ {
-		if v, isConst := c.nl.IsConst(netlist.NetID(id)); isConst {
-			c.value[id] = v
-		}
-	}
-	return c
-}
+func (s *Simulator) Clone() *Simulator { return newSimulator(s.nl, s.p, s.engine) }
 
 // Netlist returns the simulated netlist.
 func (s *Simulator) Netlist() *netlist.Netlist { return s.nl }
 
 // NumInputBits returns the width of the input vector expected by Settle
 // and Apply.
-func (s *Simulator) NumInputBits() int { return len(s.inputNets) }
+func (s *Simulator) NumInputBits() int { return len(s.p.Inputs) }
 
 func (s *Simulator) checkWidth(v logic.Word) {
-	if v.Width() != len(s.inputNets) {
+	if v.Width() != len(s.p.Inputs) {
 		panic(fmt.Sprintf("sim: input vector width %d, netlist has %d input bits",
-			v.Width(), len(s.inputNets)))
+			v.Width(), len(s.p.Inputs)))
 	}
 }
 
@@ -184,48 +145,40 @@ func (s *Simulator) checkWidth(v logic.Word) {
 // first Apply.
 func (s *Simulator) Settle(u logic.Word) {
 	s.checkWidth(u)
-	for i, id := range s.inputNets {
+	for i, id := range s.p.Inputs {
 		s.value[id] = u.Bit(i)
 	}
 	// Steady state is engine-independent: evaluate in topological order.
-	for _, g := range s.order {
-		s.value[s.nl.GateOutput(g)] = s.evalGate(g)
+	for gi := range s.p.Gates {
+		g := &s.p.Gates[gi]
+		s.value[g.Out] = s.evalGate(g)
 	}
 	s.settled = true
 }
 
-func (s *Simulator) evalGate(g netlist.GateID) bool {
-	ins := s.nl.GateInputs(g)
-	switch s.nl.GateKind(g) {
-	// Hot path: inline the common kinds to avoid slice allocation.
-	case cells.Inv:
-		return !s.value[ins[0]]
+// evalGate computes a gate's output from the current net values.
+func (s *Simulator) evalGate(g *netlist.Gate) bool {
+	a := s.value[g.In[0]]
+	switch g.Kind {
 	case cells.Buf:
-		return s.value[ins[0]]
+		return a
+	case cells.Inv:
+		return !a
 	case cells.And2:
-		return s.value[ins[0]] && s.value[ins[1]]
+		return a && s.value[g.In[1]]
 	case cells.Or2:
-		return s.value[ins[0]] || s.value[ins[1]]
-	case cells.Nand2:
-		return !(s.value[ins[0]] && s.value[ins[1]])
-	case cells.Nor2:
-		return !(s.value[ins[0]] || s.value[ins[1]])
+		return a || s.value[g.In[1]]
 	case cells.Xor2:
-		return s.value[ins[0]] != s.value[ins[1]]
+		return a != s.value[g.In[1]]
 	case cells.Xnor2:
-		return s.value[ins[0]] == s.value[ins[1]]
+		return a == s.value[g.In[1]]
 	case cells.Mux2:
-		if s.value[ins[2]] {
-			return s.value[ins[1]]
+		if s.value[g.In[2]] {
+			return s.value[g.In[1]]
 		}
-		return s.value[ins[0]]
-	default:
-		buf := make([]bool, len(ins))
-		for i, id := range ins {
-			buf[i] = s.value[id]
-		}
-		return cells.Eval(s.nl.GateKind(g), buf)
+		return a
 	}
+	panic(fmt.Sprintf("sim: unhandled gate kind %v", g.Kind))
 }
 
 // Apply switches the inputs to vector v, simulates the transient, and
@@ -251,19 +204,19 @@ func (s *Simulator) Apply(v logic.Word) []int64 {
 }
 
 func (s *Simulator) applyZeroDelay(v logic.Word) {
-	for i, id := range s.inputNets {
+	for i, id := range s.p.Inputs {
 		nv := v.Bit(i)
 		if s.value[id] != nv {
 			s.value[id] = nv
 			s.toggles[id]++
 		}
 	}
-	for _, g := range s.order {
-		out := s.nl.GateOutput(g)
+	for gi := range s.p.Gates {
+		g := &s.p.Gates[gi]
 		nv := s.evalGate(g)
-		if s.value[out] != nv {
-			s.value[out] = nv
-			s.toggles[out]++
+		if s.value[g.Out] != nv {
+			s.value[g.Out] = nv
+			s.toggles[g.Out]++
 		}
 	}
 }
@@ -272,10 +225,14 @@ func (s *Simulator) applyEventDriven(v logic.Word) {
 	for i := range s.scheduled {
 		s.scheduled[i] = -1
 	}
-	s.buckets = s.buckets[:0]
+	// Empty the time wheel but keep every bucket's storage, so a warm
+	// simulator schedules without allocating.
+	for t := range s.buckets {
+		s.buckets[t] = s.buckets[t][:0]
+	}
 
 	// Input edges at t = 0 schedule their fanout gates.
-	for i, id := range s.inputNets {
+	for i, id := range s.p.Inputs {
 		nv := v.Bit(i)
 		if s.value[id] != nv {
 			s.value[id] = nv
@@ -287,11 +244,11 @@ func (s *Simulator) applyEventDriven(v logic.Word) {
 		}
 	}
 	for t := 0; t < len(s.buckets); t++ {
-		bucket := s.buckets[t]
-		for _, g := range bucket {
-			out := s.nl.GateOutput(g)
+		for _, gi := range s.buckets[t] {
+			g := &s.p.Gates[gi]
 			nv := s.evalGate(g)
-			if s.value[out] != nv {
+			if s.value[g.Out] != nv {
+				out := netlist.NetID(g.Out)
 				s.value[out] = nv
 				s.toggles[out]++
 				if s.recording {
@@ -306,16 +263,16 @@ func (s *Simulator) applyEventDriven(v logic.Word) {
 // scheduleFanout schedules evaluation of every gate fed by net id, at
 // time now + delay(gate). Duplicate same-time schedules are suppressed.
 func (s *Simulator) scheduleFanout(id netlist.NetID, now int) {
-	for _, g := range s.fanout[id] {
-		t := now + s.delay[g]
-		if s.scheduled[g] == t {
+	for _, gi := range s.p.Fanout[id] {
+		t := now + s.p.Delay[gi]
+		if s.scheduled[gi] == t {
 			continue
 		}
-		s.scheduled[g] = t
+		s.scheduled[gi] = t
 		for len(s.buckets) <= t {
 			s.buckets = append(s.buckets, nil)
 		}
-		s.buckets[t] = append(s.buckets[t], g)
+		s.buckets[t] = append(s.buckets[t], gi)
 	}
 }
 
@@ -334,6 +291,8 @@ func (s *Simulator) OutputWord(b netlist.Bus) logic.Word {
 // Eval is a convenience for functional verification: it settles on the
 // vector and returns the value of the named output bus. Activity counters
 // are left in an unspecified state.
+//
+//hdlint:allow deadexport test support: the dwlib generator tests check every module's function through it
 func (s *Simulator) Eval(v logic.Word, output string) (logic.Word, error) {
 	for _, b := range s.nl.Outputs() {
 		if b.Name == output {

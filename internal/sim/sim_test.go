@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hdpower/internal/dwlib"
 	"hdpower/internal/logic"
 	"hdpower/internal/netlist"
 )
@@ -286,5 +287,37 @@ func TestInertialFiltersNarrowPulse(t *testing.T) {
 func TestInertialEngineName(t *testing.T) {
 	if Inertial.String() != "inertial" {
 		t.Errorf("name = %q", Inertial)
+	}
+}
+
+// TestWarmCycleDoesNotAllocate pins the steady-state cost of a cycle on
+// the csa-multiplier:8 array: once every pair of a set has run, further
+// Settle+Apply cycles on ZeroDelay and EventDriven allocate nothing (the
+// event engine reuses its time-wheel buckets). Inertial's heap events are
+// not covered.
+func TestWarmCycleDoesNotAllocate(t *testing.T) {
+	nl := dwlib.CSAMult(8, 8)
+	rng := rand.New(rand.NewSource(5))
+	words := make([]logic.Word, 16)
+	for i := range words {
+		words[i] = logic.FromUint(rng.Uint64()&0xffff, 16)
+	}
+	for _, engine := range []Engine{ZeroDelay, EventDriven} {
+		s, err := New(nl, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		cycle := func() {
+			s.Settle(words[k%len(words)])
+			s.Apply(words[(k+1)%len(words)])
+			k++
+		}
+		for range words {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(64, cycle); allocs != 0 {
+			t.Errorf("%s: %v allocations per warm Settle+Apply, want 0", engine, allocs)
+		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // Parse reads the structural Verilog subset produced by Write and
 // rebuilds a netlist. Supported constructs: one module; `input`/`output`
 // bus declarations; `wire` declarations; the built-in primitives and,
-// or, nand, nor, xor (2 or 3 inputs), xnor (2), not, buf; and `assign`
-// of a constant (1'b0/1'b1) or of another net (alias).
+// or, xor, xnor (2 inputs each), not, buf; and `assign` of a constant
+// (1'b0/1'b1) or of another net (alias).
 func Parse(r io.Reader) (*netlist.Netlist, error) {
 	type gateDecl struct {
 		prim string
@@ -87,7 +87,7 @@ func Parse(r io.Reader) (*netlist.Netlist, error) {
 			assigns = append(assigns, [2]string{
 				strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]),
 			})
-		case "and", "or", "nand", "nor", "xor", "xnor", "not", "buf":
+		case "and", "or", "xor", "xnor", "not", "buf":
 			open := strings.Index(stmt, "(")
 			closeIdx := strings.LastIndex(stmt, ")")
 			if open < 0 || closeIdx < open {
@@ -246,15 +246,8 @@ func primKind(prim string, inputs int) (cells.Kind, error) {
 		{"buf", 1}:  cells.Buf,
 		{"not", 1}:  cells.Inv,
 		{"and", 2}:  cells.And2,
-		{"and", 3}:  cells.And3,
 		{"or", 2}:   cells.Or2,
-		{"or", 3}:   cells.Or3,
-		{"nand", 2}: cells.Nand2,
-		{"nand", 3}: cells.Nand3,
-		{"nor", 2}:  cells.Nor2,
-		{"nor", 3}:  cells.Nor3,
 		{"xor", 2}:  cells.Xor2,
-		{"xor", 3}:  cells.Xor3,
 		{"xnor", 2}: cells.Xnor2,
 	}
 	k, ok := kinds[key{prim, inputs}]

@@ -102,17 +102,19 @@ module maj (a, y);
   wire t0;
   wire t1;
   wire t2;
+  wire t3;
   and g0 (t0, a[0], a[1]);
   and g1 (t1, a[0], a[2]);
   and g2 (t2, a[1], a[2]);
-  or g3 (y[0], t0, t1, t2);
+  or g3 (t3, t0, t1);
+  or g4 (y[0], t3, t2);
 endmodule
 `
 	nl, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nl.NumGates() != 4 {
+	if nl.NumGates() != 5 {
 		t.Errorf("gates = %d", nl.NumGates())
 	}
 	if nl.Name != "maj" {

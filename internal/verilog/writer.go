@@ -2,11 +2,11 @@
 // repository's netlists, so generated datapath components can be inspected
 // with standard EDA tooling.
 //
-// The writer emits only Verilog built-in primitives (and, or, nand, nor,
-// xor, xnor, not, buf) — complex cells (MUX2, AOI21, OAI21) are
-// decomposed — plus `assign` statements for constants and output
-// aliases. The package's tests read that subset back and prove the
-// round trip functionally equivalent with internal/bdd.
+// The writer emits only two-input and single-input Verilog built-in
+// primitives (and, or, xor, xnor, not, buf) — MUX2 is decomposed — plus
+// `assign` statements for constants and output aliases. The package's
+// tests read that subset back and prove the round trip functionally
+// equivalent with internal/bdd.
 package verilog
 
 import (
@@ -17,6 +17,16 @@ import (
 	"hdpower/internal/cells"
 	"hdpower/internal/netlist"
 )
+
+// primitives names the Verilog built-in primitive of every kind but Mux2.
+var primitives = [...]string{
+	cells.Buf:   "buf",
+	cells.Inv:   "not",
+	cells.And2:  "and",
+	cells.Or2:   "or",
+	cells.Xor2:  "xor",
+	cells.Xnor2: "xnor",
+}
 
 // Write emits the netlist as structural Verilog.
 func Write(w io.Writer, nl *netlist.Netlist) error {
@@ -92,24 +102,9 @@ func Write(w io.Writer, nl *netlist.Netlist) error {
 		}
 		out := names[nl.GateOutput(g)]
 		var err error
-		switch kind := nl.GateKind(g); kind {
-		case cells.Buf:
-			err = emit("buf", out, in[0])
-		case cells.Inv:
-			err = emit("not", out, in[0])
-		case cells.And2, cells.And3:
-			err = emit("and", out, in...)
-		case cells.Or2, cells.Or3:
-			err = emit("or", out, in...)
-		case cells.Nand2, cells.Nand3:
-			err = emit("nand", out, in...)
-		case cells.Nor2, cells.Nor3:
-			err = emit("nor", out, in...)
-		case cells.Xor2, cells.Xor3:
-			err = emit("xor", out, in...)
-		case cells.Xnor2:
-			err = emit("xnor", out, in...)
-		case cells.Mux2:
+		if kind := nl.GateKind(g); kind != cells.Mux2 {
+			err = emit(primitives[kind], out, in...)
+		} else {
 			// out = sel ? d1 : d0 decomposed into primitives.
 			var nsel, t0, t1 string
 			if nsel, err = tmp(); err != nil {
@@ -131,26 +126,6 @@ func Write(w io.Writer, nl *netlist.Netlist) error {
 				return err
 			}
 			err = emit("or", out, t0, t1)
-		case cells.Aoi21:
-			var t string
-			if t, err = tmp(); err != nil {
-				return err
-			}
-			if err = emit("and", t, in[0], in[1]); err != nil {
-				return err
-			}
-			err = emit("nor", out, t, in[2])
-		case cells.Oai21:
-			var t string
-			if t, err = tmp(); err != nil {
-				return err
-			}
-			if err = emit("or", t, in[0], in[1]); err != nil {
-				return err
-			}
-			err = emit("nand", out, t, in[2])
-		default:
-			err = fmt.Errorf("verilog: unhandled gate kind %v", kind)
 		}
 		if err != nil {
 			return err
