@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"os"
 	"runtime"
 
@@ -258,15 +257,20 @@ func (o *CharacterizeOptions) workerCount() int {
 // populate the extreme stable-zero classes of the enhanced model; it is
 // only used for the enhanced coefficient table.
 //
-// The stream is a pure function of (m, seed, mode) and is pinned
-// draw-for-draw: Next builds words limb by limb and replaces rand.Intn by
-// a division-free replica, but consumes exactly the rng draws of the
-// original per-bit generator and produces exactly its bits.
+// The stream is a function of (m, seed mod (2³¹−1), mode): seeds
+// congruent mod 2³¹−1 select the same stream, and seed 0 the stream of
+// seed 89482311, because seeded math/rand keeps only that residue. It is
+// pinned draw-for-draw to the original per-bit generator over
+// rand.New(rand.NewSource(seed)): Next builds words limb by limb from
+// rngSource, an in-package replica of that source, compares each draw
+// with an integer threshold instead of converting it to a float, and
+// replaces rand.Intn by a division-free replica, but consumes exactly the
+// original's draws and produces exactly its bits.
 type PairSource struct {
 	m       int
-	rng     *rand.Rand
+	src     rngSource // replica of rand.NewSource(seed)
 	idx     []int     // scratch permutation
-	div     []intnDiv // div[n] replicates rng.Intn(n) for n in [1, m]
+	div     []intnDiv // div[n] replicates rand.Intn(n) for n in [1, m]
 	density bool      // stratify base-vector ones-density
 	buf     []uint64  // current limb slab
 	slab    []uint64  // unused tail of buf
@@ -278,25 +282,22 @@ type PairSource struct {
 // Kaser and Kurz, "Faster Remainder by Direct Computation", 2019).
 type intnDiv struct {
 	n     uint64
-	max   int32  // rejection threshold, (2^31-1) - 2^31 mod n
+	max   uint64 // rejection threshold, (2^31-1) - 2^31 mod n
 	recip uint64 // ceil(2^64 / n) mod 2^64
 }
 
 func newIntnDiv(n int) intnDiv {
 	return intnDiv{
 		n:     uint64(n),
-		max:   int32((1 << 31) - 1 - (1<<31)%uint32(n)),
+		max:   (1 << 31) - 1 - (1<<31)%uint64(n),
 		recip: ^uint64(0)/uint64(n) + 1,
 	}
 }
 
-// draw returns exactly what rng.Intn(n) would, from the same draws.
-func (d *intnDiv) draw(rng *rand.Rand) int {
-	v := int32(rng.Int63() >> 32)
-	for v > d.max {
-		v = int32(rng.Int63() >> 32)
-	}
-	r, _ := bits.Mul64(d.recip*uint64(v), d.n)
+// mod returns v mod n for an Int31 draw v ≤ max, which is what Intn(n)
+// returns for it: draw v with rngSource.int31(tap, feed, d.max) first.
+func (d *intnDiv) mod(v uint64) int {
+	r, _ := bits.Mul64(d.recip*v, d.n)
 	return int(r)
 }
 
@@ -321,27 +322,23 @@ func newPairSource(m int, seed int64, density bool) *PairSource {
 		panic(fmt.Sprintf("core: non-positive input width %d", m))
 	}
 	ps := &PairSource{
-		m:       m,
-		rng:     rand.New(rand.NewSource(seed)),
-		idx:     make([]int, m),
-		div:     make([]intnDiv, m+1),
-		density: density,
-	}
-	for i := range ps.idx {
-		ps.idx[i] = i
+		m:   m,
+		idx: make([]int, m),
+		div: make([]intnDiv, m+1),
 	}
 	for n := 1; n <= m; n++ {
 		ps.div[n] = newIntnDiv(n)
 	}
+	ps.reset(seed, density)
 	return ps
 }
 
 // reset restarts the stream exactly as newPairSource(m, seed, density)
-// would, reusing the source's rng, tables and limb slab. The words Next
+// would, reusing the source's tables and limb slab. The words Next
 // returned before the reset share that slab and are overwritten by later
 // draws, so only an owner that has dropped them may reset.
 func (ps *PairSource) reset(seed int64, density bool) {
-	ps.rng.Seed(seed)
+	ps.src.seed(seed)
 	for i := range ps.idx {
 		ps.idx[i] = i
 	}
@@ -349,8 +346,27 @@ func (ps *PairSource) reset(seed int64, density bool) {
 	ps.slab = ps.buf
 }
 
-// intn returns exactly what ps.rng.Intn(n) would, for n in [1, m].
-func (ps *PairSource) intn(n int) int { return ps.div[n].draw(ps.rng) }
+// flip draws the flip count i as 1 + rand.Intn(m), then i distinct flip
+// positions by a partial Fisher-Yates shuffle of ps.idx, and flips those
+// bits of the limbs vl. It draws from cursor (tap, feed) and returns the
+// cursor after the draws.
+func (ps *PairSource) flip(vl []uint64, tap, feed int) (int, int) {
+	s, idx, div := &ps.src, ps.idx, ps.div
+	d := &div[len(idx)]
+	r, tap, feed := s.int31(tap, feed, d.max)
+	i := 1 + d.mod(r)
+	for k := 0; k < i; k++ {
+		d := &div[len(idx)-k]
+		r, tap, feed = s.int31(tap, feed, d.max)
+		j := k + d.mod(r)
+		// Position k is final once swapped: later steps only draw from
+		// idx[k+1:].
+		p := idx[j]
+		idx[k], idx[j] = p, idx[k]
+		vl[uint(p)/logic.WordLimbBits] ^= 1 << (uint(p) % logic.WordLimbBits)
+	}
+	return tap, feed
+}
 
 // Next returns the next characterization pair. The two words are cut
 // side by side from a limb slab the source owns; words from earlier
@@ -364,32 +380,23 @@ func (ps *PairSource) Next() (u, v logic.Word) {
 	ul, vl := ps.slab[:n], ps.slab[n:2*n]
 	ps.slab = ps.slab[2*n:]
 
-	density := 0.5
+	// The ring cursor stays in locals for the whole pair. A bit is set
+	// where its Float64() < density, that is where the draw behind that
+	// Float64 is below t.
+	s := &ps.src
+	tap, feed := s.tap, s.feed
+	t := uint64(halfThreshold)
 	if ps.density {
-		density = 0.05 + 0.9*ps.rng.Float64()
+		var x uint64
+		x, tap, feed = s.frac(tap, feed)
+		t = fracThreshold(0.05 + 0.9*(float64(x)/(1<<63)))
 	}
-	// Float64 draws are non-negative, so comparing IEEE bit patterns as
-	// integers orders them exactly as x < density; the borrow of the
-	// subtraction is the bit, with no data-dependent branch.
-	dbits := math.Float64bits(density)
 	for k := range ul {
 		width := min(ps.m-k*logic.WordLimbBits, logic.WordLimbBits)
-		var limb uint64
-		for b := 0; b < width; b++ {
-			limb |= (math.Float64bits(ps.rng.Float64()) - dbits) >> 63 << uint(b)
-		}
-		ul[k] = limb
-	}
-	i := 1 + ps.intn(ps.m)
-	// Partial Fisher-Yates for i distinct flip positions.
-	for k := 0; k < i; k++ {
-		j := k + ps.intn(ps.m-k)
-		ps.idx[k], ps.idx[j] = ps.idx[j], ps.idx[k]
+		ul[k], tap, feed = s.limb(tap, feed, width, t)
 	}
 	copy(vl, ul)
-	for _, p := range ps.idx[:i] {
-		vl[p/logic.WordLimbBits] ^= 1 << uint(p%logic.WordLimbBits)
-	}
+	s.tap, s.feed = ps.flip(vl, tap, feed)
 	return logic.FromLimbs(ps.m, ul), logic.FromLimbs(ps.m, vl)
 }
 

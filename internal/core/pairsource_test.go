@@ -105,9 +105,24 @@ func FuzzPairSource(f *testing.F) {
 	})
 }
 
+// intn makes one Intn(n) draw from s the way Next does, for the n whose
+// intnDiv is d.
+func intn(s *rngSource, d *intnDiv) int {
+	r, tap, feed := s.int31(s.tap, s.feed, d.max)
+	s.tap, s.feed = tap, feed
+	return d.mod(r)
+}
+
+// int63 makes one Int63 draw from s.
+func int63(s *rngSource) int64 {
+	x, tap, feed := s.step(s.tap, s.feed)
+	s.tap, s.feed = tap, feed
+	return int64(x & rngMask)
+}
+
 // TestIntnMatchesRandIntn checks the division-free replica against
 // rand.Intn for every n in [1, 130], consuming the same draws, through
-// the PairSource table.
+// the PairSource table and the replica source.
 func TestIntnMatchesRandIntn(t *testing.T) {
 	const maxN = 130
 	for n := 1; n <= maxN; n++ {
@@ -115,11 +130,11 @@ func TestIntnMatchesRandIntn(t *testing.T) {
 		ps := newPairSource(maxN, seed, false)
 		ref := rand.New(rand.NewSource(seed))
 		for k := 0; k < 2000; k++ {
-			if got, want := ps.intn(n), ref.Intn(n); got != want {
+			if got, want := intn(&ps.src, &ps.div[n]), ref.Intn(n); got != want {
 				t.Fatalf("n=%d draw %d: intn %d, rand.Intn %d", n, k, got, want)
 			}
 		}
-		if ps.rng.Int63() != ref.Int63() {
+		if int63(&ps.src) != ref.Int63() {
 			t.Fatalf("n=%d: intn consumed a different number of draws", n)
 		}
 	}
@@ -130,13 +145,15 @@ func TestIntnMatchesRandIntn(t *testing.T) {
 func TestIntnDivLargeN(t *testing.T) {
 	for _, n := range []int{1<<30 + 1, 3 << 29, 1<<31 - 1, 1 << 30, 1000003} {
 		d := newIntnDiv(n)
-		rng, ref := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		var s rngSource
+		s.seed(int64(n))
+		ref := rand.New(rand.NewSource(int64(n)))
 		for k := 0; k < 2000; k++ {
-			if got, want := d.draw(rng), ref.Intn(n); got != want {
+			if got, want := intn(&s, &d), ref.Intn(n); got != want {
 				t.Fatalf("n=%d draw %d: %d, rand.Intn %d", n, k, got, want)
 			}
 		}
-		if rng.Int63() != ref.Int63() {
+		if int63(&s) != ref.Int63() {
 			t.Fatalf("n=%d: draw consumed a different number of draws", n)
 		}
 	}
@@ -168,6 +185,32 @@ func BenchmarkPairSourceNext(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ps.Next()
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkPairSourceShard prices one shard's pairs as runCharShard makes
+// them: a reset to the shard's seed, then shardPatterns pairs. Unlike
+// BenchmarkPairSourceNext it includes the per-shard seeding.
+func BenchmarkPairSourceShard(b *testing.B) {
+	for _, biased := range []bool{false, true} {
+		for _, m := range []int{17, 33, 65} {
+			name := "stratified"
+			if biased {
+				name = "biased"
+			}
+			b.Run(fmt.Sprintf("%s/m=%d", name, m), func(b *testing.B) {
+				ps := newPairSource(m, 1, biased)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ps.reset(shardSeed(1, 0, i), biased)
+					for j := 0; j < shardPatterns; j++ {
+						ps.Next()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shardPatterns), "ns/pair")
 			})
 		}
 	}

@@ -49,7 +49,11 @@ func shardPlan(patterns int) []shard {
 // shardSeed derives the PairSource seed of one shard from the run seed, a
 // stream discriminator (basic, biased, port A/B, …), and the shard index.
 // Chaining the splitmix64 finalizer per component keeps neighboring
-// (seed, stream, index) triples uncorrelated and collision-free.
+// (seed, stream, index) triples uncorrelated, and the 64-bit seeds of one
+// (seed, stream) never collide. A PairSource keeps only seed mod (2³¹−1),
+// though, so two of a phase's S shards draw the same stream with
+// probability about S²/2³² (DESIGN.md, "Shard streams repeat with small
+// probability").
 func shardSeed(seed int64, stream, index int) int64 {
 	const golden = 0x9e3779b97f4a7c15
 	x := mix64(uint64(seed) + golden*uint64(stream+1))

@@ -176,6 +176,19 @@ func TestAnalyticDistributionSkewedForCorrelatedStream(t *testing.T) {
 	}
 }
 
+// TestFromWordStatsHugeStd: at σ = math.MaxFloat64 every bit lies below
+// BP0 and toggles like a coin, so the mean Hd is m/2. With the breakpoints
+// wrapped to bit 0 it read 2.653 at m = 16.
+func TestFromWordStatsHugeStd(t *testing.T) {
+	const m = 16
+	for _, std := range []float64{1e300, 6e307, math.MaxFloat64} {
+		d := FromWordStats(stats.WordStats{Mean: 0, Std: std, Rho: 0.9}, m)
+		if got := d.Mean(); math.Abs(got-m/2) > 1e-9 {
+			t.Errorf("std=%g: mean Hd %v, want %v", std, got, m/2)
+		}
+	}
+}
+
 func TestConvolveTwoPorts(t *testing.T) {
 	a := Dist{0.5, 0.5}        // 1-bit port
 	b := Dist{0.25, 0.5, 0.25} // 2-bit port

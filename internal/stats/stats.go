@@ -90,15 +90,13 @@ func ComputeBreakpoints(ws WordStats, m int) Breakpoints {
 	if ws.Std <= 0 {
 		return Breakpoints{}
 	}
-	bp1 := int(math.Ceil(math.Log2(math.Abs(ws.Mean) + 3*ws.Std)))
+	bp1 := bitIndex(math.Ceil(math.Log2(math.Abs(ws.Mean)+3*ws.Std)), m)
 	rho := clamp(ws.Rho, -0.999999, 0.999999)
 	diffStd := ws.Std * math.Sqrt(2*(1-rho))
 	bp0 := 0
 	if diffStd >= 1 {
-		bp0 = int(math.Floor(math.Log2(diffStd)))
+		bp0 = bitIndex(math.Floor(math.Log2(diffStd)), m)
 	}
-	bp0 = clampInt(bp0, 0, m-1)
-	bp1 = clampInt(bp1, 0, m-1)
 	if bp0 > bp1 {
 		bp0 = bp1
 	}
@@ -191,12 +189,11 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+// bitIndex clamps a breakpoint computed in float space into [0, m-1]
+// before converting it to int. The order matters: once σ ≳ 6e307 the
+// logarithms are +Inf, and Go leaves the int conversion of an infinite or
+// out-of-range float implementation-dependent (amd64 gives MinInt64,
+// which a clamp after the conversion would turn into bit 0).
+func bitIndex(f float64, m int) int {
+	return int(clamp(f, 0, float64(m-1)))
 }

@@ -87,6 +87,32 @@ func TestBreakpointsMagnitudeRaisesBP1(t *testing.T) {
 	}
 }
 
+// TestBreakpointsHugeStd sweeps σ up to math.MaxFloat64, where |μ| + 3σ
+// and the difference deviation overflow to +Inf: both breakpoints must
+// keep rising to the top bit, never wrap to bit 0.
+func TestBreakpointsHugeStd(t *testing.T) {
+	const m = 16
+	for _, rho := range []float64{-1, 0, 0.9, 1} {
+		var prev Breakpoints
+		for std := 1.0; ; std *= 1.7 {
+			if math.IsInf(std, 1) {
+				std = math.MaxFloat64
+			}
+			bp := ComputeBreakpoints(WordStats{Mean: 0, Std: std, Rho: rho}, m)
+			if bp.BP0 < prev.BP0 || bp.BP1 < prev.BP1 {
+				t.Fatalf("rho=%v std=%g: breakpoints %+v fell from %+v", rho, std, bp, prev)
+			}
+			prev = bp
+			if std == math.MaxFloat64 {
+				break
+			}
+		}
+		if want := (Breakpoints{BP0: m - 1, BP1: m - 1}); prev != want {
+			t.Errorf("rho=%v std=MaxFloat64: breakpoints %+v, want %+v", rho, prev, want)
+		}
+	}
+}
+
 func TestBreakpointsDegenerate(t *testing.T) {
 	bp := ComputeBreakpoints(WordStats{Std: 0}, 16)
 	if bp.BP0 != 0 || bp.BP1 != 0 {
