@@ -12,7 +12,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 # floors guard the estimate fast path: a wrong flattened table silently
 # misprices every fast-path answer. The telemetry floor guards the
 # measurement plane itself: a wrong window ring or burn rate silently
-# mispages and misbudgets refinement.
+# mispages and misbudgets refinement. The serve floor guards the estimate
+# data plane, whose hand-rolled body parser reads untrusted bytes: a
+# number it scans wrong is a wrong answer, and one it wrongly refuses
+# leaves the allocation-free path without any error.
 COVER_FLOOR_CORE      ?= 90
 COVER_FLOOR_SIM       ?= 90
 COVER_FLOOR_BITSIM    ?= 90
@@ -20,6 +23,7 @@ COVER_FLOOR_NETLIST   ?= 90
 COVER_FLOOR_LUT       ?= 90
 COVER_FLOOR_HDDIST    ?= 90
 COVER_FLOOR_TELEMETRY ?= 90
+COVER_FLOOR_SERVE     ?= 85
 
 .PHONY: test lint race chaos cover fuzz bench bench-char bench-fresh bench-gate repro \
 	serve-bench serve-fresh serve-load serve-gate
@@ -66,7 +70,7 @@ chaos:
 		./internal/faultpoint/... ./internal/modellib/... ./internal/serve/... ./internal/fleet/...
 
 # Coverage profiles with enforced floors on internal/core, sim, bitsim,
-# netlist, lut, hddist and telemetry; CI publishes the profiles as
+# netlist, lut, hddist, telemetry and serve; CI publishes the profiles as
 # artifacts.
 cover:
 	$(GO) test -coverprofile=coverage_core.out ./internal/core
@@ -76,9 +80,10 @@ cover:
 	$(GO) test -coverprofile=coverage_lut.out ./internal/lut
 	$(GO) test -coverprofile=coverage_hddist.out ./internal/hddist
 	$(GO) test -coverprofile=coverage_telemetry.out ./internal/telemetry
+	$(GO) test -coverprofile=coverage_serve.out ./internal/serve
 	@for spec in core:$(COVER_FLOOR_CORE) sim:$(COVER_FLOOR_SIM) bitsim:$(COVER_FLOOR_BITSIM) \
 			netlist:$(COVER_FLOOR_NETLIST) lut:$(COVER_FLOOR_LUT) hddist:$(COVER_FLOOR_HDDIST) \
-			telemetry:$(COVER_FLOOR_TELEMETRY); do \
+			telemetry:$(COVER_FLOOR_TELEMETRY) serve:$(COVER_FLOOR_SERVE); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		total=$$($(GO) tool cover -func=coverage_$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 		echo "internal/$$pkg coverage: $$total% (floor $$floor%)"; \
@@ -95,8 +100,9 @@ cover:
 # ShardResult, which must leave the session untouched when it rejects it
 # — the hand-rolled estimate parser against encoding/json and every
 # estimate answer against an encoding/json rendering of core.Model prices
-# on arbitrary request bodies, and the NDJSON line splitter against
-# bytes.Split. Seed corpora live under each package's testdata/fuzz; a
+# on arbitrary request bodies, the parser's eight-byte number scanner
+# against strconv.ParseUint from any offset of arbitrary bytes, and the
+# NDJSON line splitter against bytes.Split. Seed corpora live under each package's testdata/fuzz; a
 # crasher lands there too.
 FUZZTIME ?= 15s
 
@@ -107,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimateDecoders$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzScanUint64$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReadLine$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Full benchmark sweep.

@@ -2,7 +2,7 @@ package hddist
 
 // memo.go memoizes the closed-form distribution pipeline for serving.
 // Deriving a Dist from word statistics is pure — the same
-// (N, μ, σ, ρ, width, ports) always yields the same distribution — and
+// (μ, σ, ρ, width, ports) always yields the same distribution — and
 // production estimate traffic clusters on a handful of stream profiles,
 // so the stats endpoint would otherwise recompute identical binomials and
 // convolutions millions of times. The cache is a bounded immutable
@@ -21,10 +21,10 @@ import (
 )
 
 // MemoKey identifies one memoized distribution: the word-level statistics
-// (paper Section 6's μ, σ, ρ plus the nominal sample count N), the
-// per-port word width, and the number of convolved ports.
+// (paper Section 6's μ, σ, ρ), the per-port word width, and the number of
+// convolved ports. The closed form never reads a stream's sample count N,
+// so the key leaves it out: queries that differ only in N share an entry.
 type MemoKey struct {
-	N     int
 	Mean  float64
 	Std   float64
 	Rho   float64
@@ -48,7 +48,6 @@ func (k MemoKey) Hash() uint64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(k.N))
 	mix(math.Float64bits(k.Mean))
 	mix(math.Float64bits(k.Std))
 	mix(math.Float64bits(k.Rho))
@@ -175,7 +174,7 @@ func (m *Memo) Get(key MemoKey, fn func() Dist) Dist {
 // width-bit port with the given word statistics — FromWordStats with a
 // cache in front.
 func (m *Memo) FromWordStats(ws stats.WordStats, width int) Dist {
-	key := MemoKey{N: ws.N, Mean: ws.Mean, Std: ws.Std, Rho: ws.Rho, Width: width, Ports: 1}
+	key := MemoKey{Mean: ws.Mean, Std: ws.Std, Rho: ws.Rho, Width: width, Ports: 1}
 	return m.Get(key, func() Dist { return FromWordStats(ws, width) })
 }
 
@@ -189,7 +188,7 @@ func (m *Memo) FromWordStatsPorts(ws stats.WordStats, width, ports int) Dist {
 	if ports <= 1 {
 		return m.FromWordStats(ws, width)
 	}
-	key := MemoKey{N: ws.N, Mean: ws.Mean, Std: ws.Std, Rho: ws.Rho, Width: width, Ports: ports}
+	key := MemoKey{Mean: ws.Mean, Std: ws.Std, Rho: ws.Rho, Width: width, Ports: ports}
 	return m.Get(key, func() Dist {
 		port := m.FromWordStats(ws, width)
 		dist := port

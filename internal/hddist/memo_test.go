@@ -99,14 +99,13 @@ func TestMemoDefaultCapacity(t *testing.T) {
 }
 
 func TestMemoKeyHashDiffers(t *testing.T) {
-	base := MemoKey{N: 1024, Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 1}
+	base := MemoKey{Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 1}
 	variants := []MemoKey{
-		{N: 1025, Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 1},
-		{N: 1024, Mean: 1.0000001, Std: 2, Rho: 0.5, Width: 8, Ports: 1},
-		{N: 1024, Mean: 1, Std: 2.5, Rho: 0.5, Width: 8, Ports: 1},
-		{N: 1024, Mean: 1, Std: 2, Rho: -0.5, Width: 8, Ports: 1},
-		{N: 1024, Mean: 1, Std: 2, Rho: 0.5, Width: 9, Ports: 1},
-		{N: 1024, Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 2},
+		{Mean: 1.0000001, Std: 2, Rho: 0.5, Width: 8, Ports: 1},
+		{Mean: 1, Std: 2.5, Rho: 0.5, Width: 8, Ports: 1},
+		{Mean: 1, Std: 2, Rho: -0.5, Width: 8, Ports: 1},
+		{Mean: 1, Std: 2, Rho: 0.5, Width: 9, Ports: 1},
+		{Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 2},
 	}
 	h := base.Hash()
 	for _, v := range variants {
@@ -116,6 +115,30 @@ func TestMemoKeyHashDiffers(t *testing.T) {
 	}
 	if base.Hash() != h {
 		t.Fatal("hash is not deterministic")
+	}
+}
+
+// TestMemoIgnoresSampleCount pins the memo to what the closed form reads:
+// the distribution of two streams that differ only in their sample count
+// N is the same, so the second query is a hit on the first one's entry.
+func TestMemoIgnoresSampleCount(t *testing.T) {
+	m := NewMemo(8)
+	ws := testWS(10)
+	other := ws
+	other.N = 500
+	first := m.FromWordStats(ws, 8)
+	second := m.FromWordStats(other, 8)
+	if hits, misses, _ := m.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+	if &second[0] != &first[0] {
+		t.Fatal("second query did not share the first one's distribution")
+	}
+	want := FromWordStats(other, 8)
+	for i := range want {
+		if first[i] != want[i] {
+			t.Fatalf("dist[%d]: %v, closed form at N=%d gives %v", i, first[i], other.N, want[i])
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -66,7 +67,8 @@ type lutSet struct {
 var emptyLutSet = &lutSet{tables: map[lutKey]*lut.Table{}}
 
 // estScratch is the pooled per-request working set of the estimator:
-// request body, hand-parsed series, and the rendered response.
+// request body, hand-parsed series, the rendered response and the
+// request's per-class cycle counts.
 // Steady-state requests allocate nothing; the pool warms to the live
 // request concurrency.
 type estScratch struct {
@@ -75,6 +77,9 @@ type estScratch struct {
 	zeros []int
 	words []uint64
 	out   []byte
+	// classes counts the request's cycles per Hd class for the traffic
+	// profiler, which takes them in one flush.
+	classes [telemetry.MaxClasses]uint64
 	// shard is this scratch's telemetry-profiler shard hint, assigned
 	// round-robin at pool-miss time. A scratch maps loosely to a concurrent
 	// worker, so reusing its hint spreads recorders across counter shards
@@ -203,103 +208,193 @@ func (p *jsParser) str() ([]byte, bool) {
 // int64 parses an optionally signed integer literal. A fraction or
 // exponent fails the parse (encoding/json reports the type error).
 func (p *jsParser) int64() (int64, bool) {
-	neg := p.eat('-')
-	u, ok := p.uint64()
-	if !ok {
-		return 0, false
+	v, end, _, ok := scanInt(p.b, p.i)
+	if ok {
+		p.i = end
 	}
-	if neg {
-		if u > 1<<63 {
-			return 0, false
-		}
-		return -int64(u), true
-	}
-	if u > math.MaxInt64 {
-		return 0, false
-	}
-	return int64(u), true
+	return v, ok
 }
 
-// uint64 parses an unsigned integer literal with overflow detection.
-func (p *jsParser) uint64() (uint64, bool) {
-	start := p.i
-	var v uint64
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c < '0' || c > '9' {
-			break
-		}
-		d := uint64(c - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-		p.i++
+// ones has a 1 in every byte; c*ones repeats byte c eight times.
+const ones = 0x0101010101010101
+
+// pow10 holds 10^k for every digit count k a chunk can add.
+var pow10 = [9]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// load8 reads the eight bytes at b[i:] as one little-endian word, the
+// byte at i lowest. Past the end of b it reads zero bytes, which are not
+// digits, so a number that ends the body ends inside the word.
+func load8(b []byte, i int) uint64 {
+	if len(b)-i >= 8 {
+		return binary.LittleEndian.Uint64(b[i:])
 	}
-	if p.i == start || p.b[start] == '0' && p.i-start > 1 {
-		return 0, false // no digits, or a leading zero JSON forbids
-	}
-	if p.i < len(p.b) {
-		switch p.b[p.i] {
-		case '.', 'e', 'E':
-			return 0, false
+	var tail [8]byte
+	copy(tail[:], b[i:])
+	return binary.LittleEndian.Uint64(tail[:])
+}
+
+// digitRun counts the ASCII digits at the low end of x before its first
+// other byte: 8 when every byte is a digit. Each byte's low seven bits
+// plus 0x50 reach the byte's high bit exactly when they are at least
+// '0', and plus 0x46 exactly when they are above '9'; neither sum
+// carries into the next byte. A byte is a digit when its own high bit is
+// clear, the first sum's is set and the second's clear.
+func digitRun(x uint64) uint {
+	const high = 0x80 * ones
+	low := x &^ high
+	other := (x | ^(low + 0x50*ones) | (low + 0x46*ones)) & high
+	return uint(bits.TrailingZeros64(other)) >> 3
+}
+
+// eightDigits is the value of the eight ASCII digits in x, the most
+// significant in the lowest byte, in three multiply-shift steps: each
+// step merges neighbouring 1-, 2- and then 4-digit groups into the low
+// half of their pair.
+func eightDigits(x uint64) uint64 {
+	x = (x & (0x0F * ones)) * (1 + 10<<8) >> 8
+	x = (x & 0x00FF00FF00FF00FF) * (1 + 100<<16) >> 16
+	return (x & 0x0000FFFF0000FFFF) * (1 + 10000<<32) >> 32
+}
+
+// lowDigits is the value of the n < 8 digits at the low end of x: shifted
+// to the top of the word, they have zero bytes in front of them, which
+// eightDigits reads as leading zeros.
+func lowDigits(x uint64, n uint) uint64 { return eightDigits(x << (64 - 8*n)) }
+
+// scanUint scans the unsigned integer literal at b[i:] eight bytes at a
+// time. It returns the value, the index past its last digit and the byte
+// there (0 at the end of b), so that an array takes the separator from
+// the word it has already loaded. A number is at most three words, since
+// 21 digits exceed MaxUint64, and only the third can overflow. It refuses
+// an empty run, a leading zero JSON forbids, a fraction or exponent, and
+// a value above MaxUint64.
+func scanUint(b []byte, i int) (v uint64, end int, next byte, ok bool) {
+	x := load8(b, i)
+	n := digitRun(x)
+	if n < 8 {
+		next = byte(x >> (8 * n))
+		if n == 0 || byte(x) == '0' && n > 1 || !numberEnd(next) {
+			return 0, 0, 0, false
 		}
+		return lowDigits(x, n), i + int(n), next, true
 	}
-	return v, true
+	if byte(x) == '0' {
+		return 0, 0, 0, false
+	}
+	v = eightDigits(x)
+	x = load8(b, i+8)
+	if n = digitRun(x); n < 8 {
+		next = byte(x >> (8 * n))
+		if !numberEnd(next) {
+			return 0, 0, 0, false
+		}
+		return v*pow10[n] + lowDigits(x, n), i + 8 + int(n), next, true
+	}
+	v = v*1e8 + eightDigits(x)
+	x = load8(b, i+16)
+	n = digitRun(x)
+	next = byte(x >> (8 * n))
+	if n > 4 || !numberEnd(next) {
+		return 0, 0, 0, false
+	}
+	hi, lo := bits.Mul64(v, pow10[n])
+	lo, carry := bits.Add64(lo, lowDigits(x, n), 0)
+	if hi|carry != 0 {
+		return 0, 0, 0, false
+	}
+	return lo, i + 16 + int(n), next, true
+}
+
+// scanInt scans an optionally signed integer literal at b[i:] as
+// scanUint does, refusing magnitudes outside int64.
+func scanInt(b []byte, i int) (v int64, end int, next byte, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	u, end, next, ok := scanUint(b, i)
+	if neg {
+		return -int64(u), end, next, ok && u <= 1<<63
+	}
+	return int64(u), end, next, ok && u <= math.MaxInt64
+}
+
+// numberEnd reports whether c may follow an integer: a fraction or an
+// exponent would make the number a float.
+func numberEnd(c byte) bool { return c != '.' && c|0x20 != 'e' }
+
+// element consumes the ',' or ']' after an array element, with any
+// whitespace around it, and reports whether another element follows.
+func (p *jsParser) element() (more, ok bool) {
+	p.ws()
+	if p.eat(',') {
+		p.ws()
+		return true, true
+	}
+	return false, p.eat(']')
 }
 
 // intArray parses a JSON array of integers into dst (reusing its
-// capacity) and returns the filled slice.
+// capacity) and returns the filled slice, whose contents mean nothing
+// when the parse fails. While a ',' and a digit follow an element, the
+// next element is scanned right away: no whitespace skip, no sign check.
 func (p *jsParser) intArray(dst []int) ([]int, bool) {
 	if !p.eat('[') {
-		return nil, false
+		return dst, false
 	}
 	p.ws()
 	if p.eat(']') {
 		return dst, true
 	}
+	b := p.b
 	for {
-		p.ws()
-		v, ok := p.int64()
+		v, end, next, ok := scanInt(b, p.i)
 		if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-			return nil, false
+			return dst, false
 		}
 		dst = append(dst, int(v))
-		p.ws()
-		if p.eat(',') {
-			continue
+		for next == ',' && end+1 < len(b) && b[end+1]-'0' <= 9 {
+			u, j, c, ok := scanUint(b, end+1)
+			if !ok || u > math.MaxInt32 {
+				return dst, false
+			}
+			dst = append(dst, int(u))
+			end, next = j, c
 		}
-		if p.eat(']') {
-			return dst, true
+		p.i = end
+		if more, ok := p.element(); !more {
+			return dst, ok
 		}
-		return nil, false
 	}
 }
 
-// uintArray parses a JSON array of unsigned integers into dst.
+// uintArray parses a JSON array of unsigned integers into dst, as
+// intArray does.
 func (p *jsParser) uintArray(dst []uint64) ([]uint64, bool) {
 	if !p.eat('[') {
-		return nil, false
+		return dst, false
 	}
 	p.ws()
 	if p.eat(']') {
 		return dst, true
 	}
+	b := p.b
 	for {
-		p.ws()
-		v, ok := p.uint64()
+		v, end, next, ok := scanUint(b, p.i)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		dst = append(dst, v)
-		p.ws()
-		if p.eat(',') {
-			continue
+		for next == ',' && end+1 < len(b) && b[end+1]-'0' <= 9 {
+			if v, end, next, ok = scanUint(b, end+1); !ok {
+				return dst, false
+			}
+			dst = append(dst, v)
 		}
-		if p.eat(']') {
-			return dst, true
+		p.i = end
+		if more, ok := p.element(); !more {
+			return dst, ok
 		}
-		return nil, false
 	}
 }
 
@@ -516,25 +611,35 @@ func (s *Server) estimate(body []byte, sc *estScratch, indent bool) ([]byte, *re
 	// the refinement loop budgets for, even while a fallback answers it.
 	// The interned module keeps the probe a plain map lookup for hot-shape
 	// bodies, and the sharded counters take atomic adds only. Model returns
-	// nil past the cap, which the record calls tolerate.
+	// nil past the cap, which the record calls tolerate. A line's classes
+	// are counted in scratch and flushed before its estimates, one add per
+	// class it hits.
 	mp := s.tel.Profiler().Model(telemetry.Key{
 		Module: req.Model.Module, Width: req.Model.Width, Seed: req.Model.Seed,
 	}, t.InputBits+1)
 	if mp != nil {
-		if len(req.Words) > 0 {
-			// Validation guarantees every word fits the m-bit mask, so the
-			// XOR popcount is exactly the per-cycle Hd.
-			for i := 1; i < len(req.Words); i++ {
-				mp.RecordClass(sc.shard, bits.OnesCount64(req.Words[i-1]^req.Words[i]))
-			}
-		} else {
-			for _, hd := range req.Hd {
-				mp.RecordClass(sc.shard, hd)
-			}
-		}
+		countClasses(&sc.classes, &req)
+		mp.RecordClasses(sc.shard, &sc.classes)
 		mp.RecordRequest(sc.shard, cycles, time.Since(start).Seconds())
 	}
 	return sc.out, nil
+}
+
+// countClasses counts a validated request's cycles per Hd class into
+// counts, folding classes past the last counter into it as RecordClass
+// does. Validation guarantees every word fits the model's m <= 64 bits,
+// so the XOR popcount of two words is exactly their cycle's Hd.
+func countClasses(counts *[telemetry.MaxClasses]uint64, req *estimateRequest) {
+	clear(counts[:])
+	if len(req.Words) > 0 {
+		for i := 1; i < len(req.Words); i++ {
+			counts[bits.OnesCount64(req.Words[i-1]^req.Words[i])]++
+		}
+		return
+	}
+	for _, hd := range req.Hd {
+		counts[min(hd, telemetry.MaxClasses-1)]++
+	}
 }
 
 // validate checks the request's series against an m-input model: exactly

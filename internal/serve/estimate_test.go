@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -245,15 +247,45 @@ func TestFastPathActuallyServes(t *testing.T) {
 // TestEstimateFastAllocs proves the estimator's central claim: a
 // steady-state hot-shape estimate — parse, resolve, validate, price,
 // render, account — performs zero heap allocations, in both the unary
-// (indented) and stream (compact) shapes and in every request mode.
+// (indented) and stream (compact) shapes and in every request mode. A
+// number the hand-rolled parser wrongly refused would still be answered
+// right, by encoding/json, which allocates, so the bodies also cover
+// every digit count from 1 to 20 (words on a 64-input model, up to
+// MaxUint64) and bodies whose last number ends 2 to 8 bytes before the
+// end, where the parser reads a zero-padded word.
 func TestEstimateFastAllocs(t *testing.T) {
-	s, ts := newTestServer(t, Config{BuildFunc: instantBuilds(4)})
+	s, ts := newTestServer(t, Config{BuildFunc: func(_ context.Context, spec BuildSpec, _ *core.Hooks) (*core.Model, error) {
+		return fakeModel(2 * spec.Width), nil
+	}})
 	buildReady(t, ts.URL, map[string]any{"module": "ripple-adder", "width": 2, "seed": 7})
+	for _, seed := range []int64{7, 1234567890123456789, -1234567890123456789} {
+		buildReady(t, ts.URL, map[string]any{"module": "ripple-adder", "width": 32, "seed": seed})
+	}
 
+	wide := fastModelJSON("ripple-adder", 32, 7)
+	words := []string{"0"}
+	for n := 1; n < 20; n++ {
+		words = append(words, "1234567890123456789"[:n])
+	}
+	words = append(words, strconv.FormatUint(math.MaxUint64, 10))
+	reversed := slices.Clone(words)
+	slices.Reverse(reversed)
 	bodies := map[string]string{
-		"hd":       `{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[0,1,2,3,4]}`,
-		"enhanced": `{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[1,2],"stable_zeros":[3,1]}`,
-		"words":    `{"model":{"module":"ripple-adder","width":2,"seed":7},"words":[0,15,3,9,12]}`,
+		"hd":          `{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[0,1,2,3,4]}`,
+		"enhanced":    `{"model":{"module":"ripple-adder","width":2,"seed":7},"hd":[1,2],"stable_zeros":[3,1]}`,
+		"words":       `{"model":{"module":"ripple-adder","width":2,"seed":7},"words":[0,15,3,9,12]}`,
+		"words 1-20":  `{"model":` + wide + `,"words":[` + strings.Join(words, ",") + `]}`,
+		"words 20-1":  `{"model":` + wide + `,"words":[` + strings.Join(reversed, ",") + `]}`,
+		"model last":  `{"hd":[64,0],"model":` + wide + `}`,
+		"seed 19":     `{"model":{"module":"ripple-adder","width":32,"seed":1234567890123456789},"hd":[1]}`,
+		"seed -19":    `{"model":{"module":"ripple-adder","width":32,"seed":-1234567890123456789},"hd":[1]}`,
+		"hd 2 digits": `{"model":` + wide + `,"hd":[10,64,9,33]}`,
+	}
+	for pad := 0; pad <= 6; pad++ {
+		tail := strings.Repeat(" ", pad)
+		bodies[fmt.Sprintf("hd end-%d", pad+2)] = `{"model":` + wide + `,"hd":[7,64]}` + tail
+		bodies[fmt.Sprintf("enhanced end-%d", pad+2)] = `{"model":` + wide + `,"hd":[7,4],"stable_zeros":[57,` +
+			strconv.Itoa(60-pad) + "]" + tail + "}"
 	}
 	for mode, body := range bodies {
 		for _, indent := range []bool{true, false} {
@@ -308,6 +340,17 @@ func TestEstimateFastFallbacks(t *testing.T) {
 		{"leading zero hd", `{"model":` + model + `,"hd":[01,2]}`, http.StatusBadRequest, false},
 		{"leading zero width", `{"model":{"module":"ripple-adder","width":02,"seed":7},"hd":[1]}`, http.StatusBadRequest, false},
 		{"leading zero seed", `{"model":{"module":"ripple-adder","width":2,"seed":-07},"hd":[1]}`, http.StatusBadRequest, false},
+		{"zero-padded 9 digits", `{"model":` + model + `,"words":[000000001,2]}`, http.StatusBadRequest, false},
+		{"zero-padded 17 digits", `{"model":` + model + `,"words":[1,00000000000000002]}`, http.StatusBadRequest, false},
+		// The eight-byte scanner takes a number in chunks of eight digits:
+		// the largest uint64 is its third chunk's widest accepted value.
+		{"max uint64", `{"model":` + model + `,"words":[0,18446744073709551615]}`, http.StatusBadRequest, true},
+		{"max uint64 + 1", `{"model":` + model + `,"words":[0,18446744073709551616]}`, http.StatusBadRequest, false},
+		{"21 digits", `{"model":` + model + `,"words":[0,100000000000000000000]}`, http.StatusBadRequest, false},
+		{"fraction after 8 digits", `{"model":` + model + `,"words":[0,12345678.5]}`, http.StatusBadRequest, false},
+		{"exponent after 8 digits", `{"model":` + model + `,"words":[0,12345678e0]}`, http.StatusBadRequest, false},
+		{"fraction after 16 digits", `{"model":` + model + `,"words":[0,1234567812345678.0]}`, http.StatusBadRequest, false},
+		{"exponent after 16 digits", `{"model":` + model + `,"words":[0,1234567812345678E2]}`, http.StatusBadRequest, false},
 	}
 	sc := getScratch()
 	defer putScratch(sc)
@@ -447,6 +490,38 @@ func FuzzEstimateDecoders(f *testing.F) {
 		}
 		if !bytes.Equal(indented, wantIndented) {
 			t.Fatalf("unary answer differs:\ngot:  %s\nwant: %s", indented, wantIndented)
+		}
+	})
+}
+
+// FuzzScanUint64 pins the hand-rolled parser's eight-byte number scanner
+// to strconv on arbitrary bytes from an arbitrary offset: it accepts
+// exactly when the run of digits there is non-empty, has no leading zero,
+// parses with strconv.ParseUint and is not followed by a fraction or an
+// exponent, and then returns ParseUint's value, consumes exactly the run
+// and reports the byte after it (0 at the end of the bytes).
+func FuzzScanUint64(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, off uint) {
+		start := int(off % uint(len(data)+1))
+		end := start
+		for end < len(data) && data[end] >= '0' && data[end] <= '9' {
+			end++
+		}
+		run := string(data[start:end])
+		var next byte
+		if end < len(data) {
+			next = data[end]
+		}
+		want, err := strconv.ParseUint(run, 10, 64)
+		accept := err == nil && (run[0] != '0' || len(run) == 1) &&
+			next != '.' && next != 'e' && next != 'E'
+		got, gotEnd, gotNext, ok := scanUint(data, start)
+		if ok != accept {
+			t.Fatalf("scanner accepted %q at %d = %v, want %v", data, start, ok, accept)
+		}
+		if ok && (got != want || gotEnd != end || gotNext != next) {
+			t.Fatalf("scanned %q at %d as %d up to %d before %q, want %d up to %d before %q",
+				data, start, got, gotEnd, gotNext, want, end, next)
 		}
 	})
 }

@@ -74,7 +74,9 @@ type statsRequest struct {
 	Mean float64 `json:"mean"`
 	Std  float64 `json:"std"`
 	Rho  float64 `json:"rho"`
-	// N is the nominal sample count behind the statistics (default 1024).
+	// N is the nominal sample count behind the statistics. It is accepted
+	// but does not affect the answer: the closed form reads only μ, σ, ρ
+	// and the width.
 	N int `json:"n,omitempty"`
 	// Width is the per-port word width of the stream.
 	Width int `json:"width"`
@@ -119,9 +121,6 @@ func (s *Server) handleEstimateStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "rho %v outside [-1, 1]", req.Rho)
 		return
 	}
-	if req.N == 0 {
-		req.N = 1024
-	}
 	if req.Ports == 0 {
 		req.Ports = m / req.Width
 	}
@@ -133,10 +132,11 @@ func (s *Server) handleEstimateStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The closed-form distribution depends only on (N, μ, σ, ρ, width,
-	// ports) — memoized, so repeated stats queries skip the analytic
-	// construction and convolution entirely and share one cached slice.
-	ws := stats.WordStats{N: req.N, Mean: req.Mean, Std: req.Std, Rho: req.Rho}
+	// The closed-form distribution depends only on (μ, σ, ρ, width, ports),
+	// not on N — memoized on exactly those, so repeated stats queries skip
+	// the analytic construction and convolution entirely and share one
+	// cached slice, whatever sample counts their clients send.
+	ws := stats.WordStats{Mean: req.Mean, Std: req.Std, Rho: req.Rho}
 	dist := s.distMemo.FromWordStatsPorts(ws, req.Width, req.Ports)
 	avg, err := t.AvgFromDist(dist)
 	if err != nil {

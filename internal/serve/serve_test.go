@@ -211,7 +211,6 @@ func postGet(t *testing.T, url string) (*http.Response, []byte) {
 // evaluation of the same pipeline.
 func TestEstimateStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{BuildFunc: instantBuilds(4)})
-	_ = s
 	resp, data := postJSON(t, ts.URL+"/v1/models/build",
 		map[string]any{"module": "ripple-adder", "width": 2, "seed": 7, "wait": true})
 	if resp.StatusCode != http.StatusOK {
@@ -240,6 +239,19 @@ func TestEstimateStats(t *testing.T) {
 	}
 	if math.Abs(sr.AvgHd-dist.Mean()) > 1e-12 {
 		t.Fatalf("avg hd = %v, want %v", sr.AvgHd, dist.Mean())
+	}
+
+	// The sample count does not affect the answer, so a query that
+	// differs only in n is answered from the memoized distribution.
+	_, misses, _ := s.distMemo.Stats()
+	req["n"] = 64
+	resp, again := postJSON(t, ts.URL+"/v1/estimate/stats", req)
+	if resp.StatusCode != http.StatusOK || string(again) != string(data) {
+		t.Fatalf("stats with n=64: %d %s, want the n=2000 answer %s", resp.StatusCode, again, data)
+	}
+	if hits, missesAfter, _ := s.distMemo.Stats(); hits != 1 || missesAfter != misses {
+		t.Fatalf("memo hits/misses %d/%d after a query differing only in n, want 1/%d",
+			hits, missesAfter, misses)
 	}
 }
 

@@ -122,6 +122,21 @@ func (m *ModelProf) RecordClass(hint uint32, hd int) {
 	m.shards[int(hint)%len(m.shards)].classes[hd].Add(1)
 }
 
+// RecordClasses counts counts[c] estimates landing in Hd class c, for a
+// whole request at once: one atomic add per non-empty class, where
+// RecordClass takes one per estimate. Nil-safe and allocation-free.
+func (m *ModelProf) RecordClasses(hint uint32, counts *[MaxClasses]uint64) {
+	if m == nil {
+		return
+	}
+	sh := &m.shards[int(hint)%len(m.shards)]
+	for c, n := range counts {
+		if n != 0 {
+			sh.classes[c].Add(n)
+		}
+	}
+}
+
 // RecordRequest counts one request against the model: how many estimates
 // it carried and how long the estimate computation took. Nil-safe and
 // allocation-free.
@@ -140,13 +155,16 @@ func (m *ModelProf) RecordRequest(hint uint32, estimates int, latSeconds float64
 	}
 }
 
-// Snapshot sums the model's shards. Writers record an estimate's class
-// hit before the estimate itself, so each shard's estimate count is read
+// Snapshot sums the model's shards. Writers record a request's class
+// hits before its estimates, so each shard's estimate count is read
 // before and after its class counters: the class hits read lie between
-// the first read and one past the second, and the shard reports the count
-// it held during its class reads that is nearest its hits. A snapshot
-// taken while writers record therefore never shows more skew between
-// hits and estimates than the records in flight.
+// the first read and the second plus the records in flight, and the
+// shard reports the count it held during its class reads that is nearest
+// its hits. A record in flight is a whole request: a writer flushes all
+// of a request's class hits (RecordClasses), then adds all its estimates.
+// A snapshot taken while writers record therefore never shows more skew
+// between hits and estimates than the estimates of the requests in
+// flight.
 func (m *ModelProf) Snapshot() ModelSnapshot {
 	s := ModelSnapshot{
 		Key:     m.key.String(),

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -228,6 +229,37 @@ func TestProfilerBasics(t *testing.T) {
 	nilProf.RecordRequest(0, 1, 0.001)
 }
 
+// TestRecordClassesMatchesRecordClass pins the batched class flush to the
+// per-estimate record: counting a series into a class array and flushing
+// it once leaves the snapshot that recording each class does, including
+// the fold of classes above the model's count into its top class.
+func TestRecordClassesMatchesRecordClass(t *testing.T) {
+	perCycle, batched := newProfiler(2, 4), newProfiler(2, 4)
+	key := Key{Module: "csa-multiplier", Width: 8, Seed: 1}
+	var counts [MaxClasses]uint64
+	for hint := uint32(0); hint < 3; hint++ {
+		clear(counts[:])
+		cycles := 0
+		for c := 0; c < MaxClasses; c++ {
+			for k := 0; k < (c*7+int(hint))%5; k++ {
+				perCycle.Model(key, 17).RecordClass(hint, c)
+				counts[c]++
+				cycles++
+			}
+		}
+		batched.Model(key, 17).RecordClasses(hint, &counts)
+		for _, p := range []*Profiler{perCycle, batched} {
+			p.Model(key, 17).RecordRequest(hint, cycles, 0.001)
+		}
+	}
+	got, want := batched.Model(key, 17).Snapshot(), perCycle.Model(key, 17).Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched snapshot %+v, per-cycle %+v", got, want)
+	}
+	var nilProf *ModelProf
+	nilProf.RecordClasses(0, &counts)
+}
+
 func TestProfilerCapAndOrder(t *testing.T) {
 	p := newProfiler(2, 2)
 	a := p.Model(Key{Module: "zzz", Width: 8, Seed: 1}, 4)
@@ -292,32 +324,52 @@ func TestTelemetrySnapshot(t *testing.T) {
 }
 
 // TestProfilerConcurrency hammers the sharded profiler from GOMAXPROCS
-// goroutines while a snapshotter runs concurrently: no counts may be lost,
-// and every intermediate snapshot must be internally consistent — counters
-// monotone between snapshots, bounded by the final totals, and the
-// class-sum never further from the estimate count than the number of
-// writers (each writer has at most one record in flight).
+// goroutines recording one estimate at a time and as many flushing
+// batchCycles-estimate batches with RecordClasses, while a snapshotter
+// runs concurrently: no counts may be lost, and every intermediate
+// snapshot must be internally consistent — counters monotone between
+// snapshots, bounded by the final totals, and the class-sum never further
+// from the estimate count than the records in flight allow (each writer
+// has at most one record, of at most batchCycles estimates, in flight).
 func TestProfilerConcurrency(t *testing.T) {
-	const iters = 20000
-	writers := runtime.GOMAXPROCS(0)
-	p := newProfiler(writers, 8)
+	const (
+		iters       = 20000
+		batchCycles = 64
+		classes     = 17
+	)
+	perCycle := runtime.GOMAXPROCS(0)
+	writers := 2 * perCycle
+	p := newProfiler(perCycle, 8)
 	key := Key{Module: "csa-multiplier", Width: 8, Seed: 1}
-	const classes = 17
 
 	var stop atomic.Bool
 	var writersWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writersWG.Add(1)
-		go func(hint uint32) {
+		go func(hint uint32, batched bool) {
 			defer writersWG.Done()
+			var counts [MaxClasses]uint64
 			for i := 0; i < iters; i++ {
 				mp := p.Model(key, classes)
-				mp.RecordClass(hint, i%classes)
-				mp.RecordRequest(hint, 1, 0.001)
+				if !batched {
+					mp.RecordClass(hint, i%classes)
+					mp.RecordRequest(hint, 1, 0.001)
+					continue
+				}
+				if i%batchCycles != batchCycles-1 {
+					continue
+				}
+				clear(counts[:])
+				for c := 0; c < batchCycles; c++ {
+					counts[(i+c)%classes]++
+				}
+				mp.RecordClasses(hint, &counts)
+				mp.RecordRequest(hint, batchCycles, 0.001)
 			}
-		}(uint32(w))
+		}(uint32(w), w >= perCycle)
 	}
 
+	bound := int64(2 * writers * batchCycles)
 	snapErr := make(chan error, 1)
 	go func() {
 		var prevHits, prevEst uint64
@@ -332,8 +384,8 @@ func TestProfilerConcurrency(t *testing.T) {
 						prevHits, hits, prevEst, s.Estimates)
 					return
 				}
-				if diff := int64(hits) - int64(s.Estimates); diff > int64(2*writers) || diff < -int64(2*writers) {
-					snapErr <- fmt.Errorf("snapshot skew %d exceeds in-flight bound %d", diff, 2*writers)
+				if diff := int64(hits) - int64(s.Estimates); diff > bound || diff < -bound {
+					snapErr <- fmt.Errorf("snapshot skew %d exceeds in-flight bound %d", diff, bound)
 					return
 				}
 				prevHits, prevEst = hits, s.Estimates
@@ -350,16 +402,19 @@ func TestProfilerConcurrency(t *testing.T) {
 	}
 
 	final := p.Model(key, classes).Snapshot()
-	want := uint64(writers) * iters
-	if final.Requests != want || final.Estimates != want {
-		t.Fatalf("lost counts: requests=%d estimates=%d, want %d", final.Requests, final.Estimates, want)
+	batches := uint64(iters / batchCycles)
+	wantEst := uint64(perCycle) * (iters + batches*batchCycles)
+	wantReq := uint64(perCycle) * (iters + batches)
+	if final.Requests != wantReq || final.Estimates != wantEst {
+		t.Fatalf("lost counts: requests=%d estimates=%d, want %d/%d",
+			final.Requests, final.Estimates, wantReq, wantEst)
 	}
 	var hits uint64
 	for _, h := range final.HdHits {
 		hits += h
 	}
-	if hits != want {
-		t.Fatalf("lost class hits: %d, want %d", hits, want)
+	if hits != wantEst {
+		t.Fatalf("lost class hits: %d, want %d", hits, wantEst)
 	}
 }
 
