@@ -90,8 +90,6 @@ func Lookup(k Kind) Cell {
 }
 
 // Kinds returns all defined gate kinds in a stable order.
-//
-//hdlint:allow deadexport test support: the sim and bitsim fuzz tests enumerate every gate kind with it
 func Kinds() []Kind {
 	out := make([]Kind, numKinds)
 	for i := range out {

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hdpower/internal/atomicio"
 )
 
 func TestParseBackendKind(t *testing.T) {
@@ -162,6 +165,49 @@ func TestCheckpointBackendMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "backend") {
 		t.Errorf("mismatch error does not name the backend: %v", err)
+	}
+}
+
+// TestCheckpointRefusesFloatChargeState: bit-parallel state accumulated
+// before charges were summed in integer tenths must be refused, never
+// merged with exact charges. A checkpoint carrying the topology hash the
+// float-summing engine recorded for this spec fails to resume with a
+// mismatch naming that hash, while the event backend's fingerprint for
+// the same spec keeps the value it had then.
+func TestCheckpointRefusesFloatChargeState(t *testing.T) {
+	const (
+		floatChargeHash = "761c0554eee11aabf8d1c544" // bitparallel, float per-lane sums
+		eventHash       = "44ea1101895e5f488cbd5eb9"
+	)
+	path := filepath.Join(t.TempDir(), "ck.json")
+	opt := ckOpts(2)
+	opt.Backend = BackendBitParallel
+	opt.Checkpoint = CheckpointOptions{Path: path, Resume: true}
+	killAt(t, 3, opt)
+
+	var ck Checkpoint
+	if err := atomicio.ReadJSON(path, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if ck.TopoHash != Fingerprint("ripple-adder", 8, opt) || ck.TopoHash == floatChargeHash {
+		t.Fatalf("checkpoint topology hash %s, fingerprint %s", ck.TopoHash, Fingerprint("ripple-adder", 8, opt))
+	}
+	ck.TopoHash = floatChargeHash
+	if err := atomicio.WriteJSON(path, &ck); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Characterize(meterFor(t, "ripple-adder", 4), "ripple-adder", opt)
+	var me *CheckpointMismatchError
+	if !errors.As(err, &me) {
+		t.Fatalf("want *CheckpointMismatchError, got %v", err)
+	}
+	if len(me.Diffs) != 1 || !strings.HasPrefix(me.Diffs[0], "topology hash") {
+		t.Errorf("mismatch diffs %q, want the topology hash alone", me.Diffs)
+	}
+
+	opt.Backend = BackendEvent
+	if got := Fingerprint("ripple-adder", 8, opt); got != eventHash {
+		t.Errorf("event fingerprint %s, want %s", got, eventHash)
 	}
 }
 

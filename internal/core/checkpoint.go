@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"hdpower/internal/atomicio"
+	"hdpower/internal/bitsim"
 )
 
 // checkpointFormat versions the checkpoint schema; bump on layout change.
@@ -124,10 +125,18 @@ func IsCheckpointMismatch(err error) bool {
 }
 
 // charTopoHash pins the structural constants of the deterministic stream.
+// The bit-parallel backend's entry also names its charge arithmetic, so
+// state priced by an engine that summed charge differently (the float
+// sums before bitsim.Arithmetic) is refused; the event backend's input
+// is unchanged.
 func charTopoHash(module string, inputBits int, opt *CharacterizeOptions) string {
+	backend := opt.Backend.Name()
+	if opt.Backend == BackendBitParallel {
+		backend += "|charge=" + bitsim.Arithmetic
+	}
 	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d|%v|%d|%d|%g|backend=%s|shard=%d|res=%d",
 		checkpointFormat, module, inputBits, opt.Seed, opt.Patterns, opt.Enhanced,
-		opt.ZClusters, opt.CheckEvery, opt.ConvergeTol, opt.Backend.Name(),
+		opt.ZClusters, opt.CheckEvery, opt.ConvergeTol, backend,
 		shardPatterns, epsilonReservoir)))
 	return hex.EncodeToString(h[:12])
 }

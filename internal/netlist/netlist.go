@@ -327,7 +327,12 @@ func (n *Netlist) Finalize() error {
 	}
 	n.order = order
 	n.levels = levels
-	n.prog = n.compile()
+	prog, err := n.compile()
+	if err != nil {
+		n.order, n.levels = nil, nil
+		return err
+	}
+	n.prog = prog
 	n.finalized = true
 	return nil
 }

@@ -1,6 +1,9 @@
 package netlist
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -276,6 +279,16 @@ func TestProgram(t *testing.T) {
 			t.Errorf("Cap[%d] = %v, NetCap %v", id, c, n.NetCap(NetID(id)))
 		}
 	}
+	// b drives the XOR and MUX data pins from a primary-input driver:
+	// 1.0 + 1.8 + 1.4 = 4.2, which the float sum only approximates.
+	if got := p.CapTenths[b]; got != 42 {
+		t.Errorf("CapTenths[b] = %d, want 42", got)
+	}
+	for id, c := range p.CapTenths {
+		if d := float64(c)/10 - p.Cap[id]; d > 1e-12 || d < -1e-12 {
+			t.Errorf("CapTenths[%d] = %d, Cap %v", id, c, p.Cap[id])
+		}
+	}
 	if len(p.Inputs) != 2 || p.Inputs[0] != a || p.Inputs[1] != b {
 		t.Errorf("inputs = %v", p.Inputs)
 	}
@@ -294,5 +307,59 @@ func TestProgram(t *testing.T) {
 	}
 	if p.Gates[2].In[0] != int32(x) {
 		t.Errorf("surgery changed the old program: %+v", p.Gates)
+	}
+}
+
+// TestTenths pins the one conversion from the cell table to integer
+// tenths: a whole number of tenths converts exactly, anything else is an
+// error, never a rounding.
+func TestTenths(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want int64
+	}{{0, 0}, {0.8, 8}, {1, 10}, {1.2, 12}, {1.4, 14}, {1.8, 18}, {2.2, 22}, {-0.3, -3}, {123456.7, 1234567}} {
+		if got, err := tenths(c.x); err != nil || got != c.want {
+			t.Errorf("tenths(%v) = %d, %v; want %d", c.x, got, err, c.want)
+		}
+	}
+	for _, x := range []float64{1.25, 0.05, 1.2000000000000002, math.NaN(), math.Inf(1), 1e300} {
+		if got, err := tenths(x); err == nil {
+			t.Errorf("tenths(%v) = %d, want an error", x, got)
+		}
+	}
+	if tenthsErr != nil {
+		t.Fatalf("cell table: %v", tenthsErr)
+	}
+	for _, k := range cells.Kinds() {
+		c := cells.Lookup(k)
+		if got := float64(cellTenths[k].in) / 10; got != c.InputCap {
+			t.Errorf("%s: input %v tenths, table %v", k, got, c.InputCap)
+		}
+		if got := float64(cellTenths[k].out) / 10; got != c.OutputCap {
+			t.Errorf("%s: output %v tenths, table %v", k, got, c.OutputCap)
+		}
+	}
+}
+
+// TestFinalizeRefusesInexactCells: a cell table that is not whole tenths
+// fails every Finalize with an error naming the cell, and leaves the
+// netlist unfinalized.
+func TestFinalizeRefusesInexactCells(t *testing.T) {
+	saved := tenthsErr
+	defer func() { tenthsErr = saved }()
+	tenthsErr = fmt.Errorf("cell AND2 input capacitance: %w", errors.New("1.25 is not a whole number of tenths"))
+	n := New("inexact")
+	a := n.AddInputBus("a", 2)
+	n.MarkOutputBus("y", []NetID{n.And(a.Nets[0], a.Nets[1])})
+	err := n.Finalize()
+	if err == nil || !strings.Contains(err.Error(), "AND2") {
+		t.Fatalf("Finalize = %v, want the cell table error", err)
+	}
+	if n.finalized || n.prog != nil || n.order != nil {
+		t.Fatal("a failed Finalize left the netlist finalized")
+	}
+	tenthsErr = saved
+	if err := n.Finalize(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,11 @@
 package netlist
 
-import "hdpower/internal/cells"
+import (
+	"fmt"
+	"math"
+
+	"hdpower/internal/cells"
+)
 
 // Program is a finalized netlist compiled once for simulation. Finalize
 // builds it, surgery drops it with the rest of the finalized state, and
@@ -19,6 +24,11 @@ type Program struct {
 	Delay []int
 	// Cap is each net's switched capacitance (NetCap), by net id.
 	Cap []float64
+	// CapTenths is each net's switched capacitance in tenths of a charge
+	// unit, by net id, summed in integers from the cell table. It is
+	// exact where Cap carries float rounding, so charges summed from it
+	// come out the same in any order.
+	CapTenths []int64
 	// Inputs are the primary input nets in InputNets order.
 	Inputs []NetID
 	// Ties are the constant nets with the values they are tied to.
@@ -49,15 +59,60 @@ func (n *Netlist) Program() *Program {
 	return n.prog
 }
 
+// piTenths and cellTenths are piDriverCap and the cell table's
+// capacitances in tenths, by kind, converted and checked once: a value
+// that is not a whole number of tenths leaves tenthsErr set, and every
+// Finalize fails with it rather than rounding.
+var piTenths, cellTenths, tenthsErr = tenthsTable()
+
+// capTenths is one kind's input and output capacitance in tenths.
+type capTenths struct{ in, out int64 }
+
+func tenthsTable() (int64, []capTenths, error) {
+	pi, err := tenths(piDriverCap)
+	if err != nil {
+		return 0, nil, fmt.Errorf("primary input driver capacitance: %w", err)
+	}
+	kinds := cells.Kinds()
+	t := make([]capTenths, len(kinds))
+	for _, k := range kinds {
+		c := cells.Lookup(k)
+		in, err := tenths(c.InputCap)
+		if err != nil {
+			return 0, nil, fmt.Errorf("cell %s input capacitance: %w", k, err)
+		}
+		out, err := tenths(c.OutputCap)
+		if err != nil {
+			return 0, nil, fmt.Errorf("cell %s output capacitance: %w", k, err)
+		}
+		t[k] = capTenths{in: in, out: out}
+	}
+	return pi, t, nil
+}
+
+// tenths returns x in tenths, failing unless x is the float nearest a
+// whole number of tenths below 2^53.
+func tenths(x float64) (int64, error) {
+	t := math.Round(x * 10)
+	if t/10 != x || math.Abs(t) >= 1<<53 {
+		return 0, fmt.Errorf("%v is not a whole number of tenths", x)
+	}
+	return int64(t), nil
+}
+
 // compile builds the Program from the topological order Finalize has
 // just computed.
-func (n *Netlist) compile() *Program {
+func (n *Netlist) compile() (*Program, error) {
+	if tenthsErr != nil {
+		return nil, fmt.Errorf("netlist %s: %w", n.Name, tenthsErr)
+	}
 	p := &Program{
-		Gates:  make([]Gate, len(n.order)),
-		Fanout: make([][]int32, len(n.nets)),
-		Delay:  make([]int, len(n.order)),
-		Cap:    make([]float64, len(n.nets)),
-		Inputs: n.InputNets(),
+		Gates:     make([]Gate, len(n.order)),
+		Fanout:    make([][]int32, len(n.nets)),
+		Delay:     make([]int, len(n.order)),
+		Cap:       make([]float64, len(n.nets)),
+		CapTenths: make([]int64, len(n.nets)),
+		Inputs:    n.InputNets(),
 	}
 	pos := make([]int32, len(n.gates))
 	for i, g := range n.order {
@@ -81,9 +136,24 @@ func (n *Netlist) compile() *Program {
 		}
 		p.Fanout[id] = flat[start:len(flat):len(flat)]
 		p.Cap[id] = n.NetCap(NetID(id))
+		p.CapTenths[id] = n.netCapTenths(NetID(id))
 		if nt.drvKind == driverConst {
 			p.Ties = append(p.Ties, Tie{Net: NetID(id), Val: nt.constVal})
 		}
 	}
-	return p
+	return p, nil
+}
+
+// netCapTenths is NetCap in tenths: the driver's output capacitance plus
+// the input capacitance of every pin the net fans out to.
+func (n *Netlist) netCapTenths(id NetID) int64 {
+	nt := &n.nets[id]
+	c := piTenths
+	if nt.drvKind == driverGate {
+		c = cellTenths[n.gates[nt.drvGate].kind].out
+	}
+	for _, pin := range nt.fanout {
+		c += cellTenths[n.gates[pin.gate].kind].in
+	}
+	return c
 }

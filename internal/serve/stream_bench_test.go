@@ -140,8 +140,8 @@ func appendFixtureLine(b []byte, rng *rand.Rand, sp fixtureSpec, m, shape int) [
 // Digests of every answer the fixture's requests get, stream batches and
 // unary requests separately.
 const (
-	goldenStreamDigest = "97ebc0abd948c2e7c23132961eac7a72961238dc94a6b027a7e5640626b04c28"
-	goldenUnaryDigest  = "b19ddc4ba6610ce6b119fa98e7fe70f5778f46c37bb02ce0f3b0ad268e8cf4ba"
+	goldenStreamDigest = "d42a3ca7082a2ec07bc1710ed86f20f68a7ccf9fb3936b51f5eb6609e0e15fba"
+	goldenUnaryDigest  = "154126343af4af81824679493d1f86b1fe66c882ded88794b2b103877e4e0787"
 )
 
 // TestEstimateGoldenDigests pins the exact response bytes of the hot
@@ -283,17 +283,17 @@ func BenchmarkEstimateStream(b *testing.B) {
 // server/set/plane.
 var goldenOffPathDigests = map[string]string{
 	"fixture/accounting":       "70113cf97256e1de283526c843d9112a00353aaf077d8d5f3a1bbc6f5b804133",
-	"fixture/decoded/stream":   "9bc967f830a24bf28f3539b474b3863a826d562f9080a4ff46fe2656f3f56248",
-	"fixture/decoded/unary":    "c7537a2705e41f54e454ff5b7b9a57bf35040bc1b3eb39a68c4f6661f6b8dd8f",
+	"fixture/decoded/stream":   "5eda68002d1a968c8522e54731d84c07cba1b9a06d3283ff14142fc105c90321",
+	"fixture/decoded/unary":    "31011b0204d397cd523fea6e2d53ae45d79cc0d144b951a85ae8bf4c06eab3a2",
 	"fixture/errors/stream":    "151a7fbcaac9b88630f2a4fc558d608039d936559924ac7f8881c0debe3ffc36",
 	"fixture/errors/unary":     "6ab6efaf6848dcbc848eece4ed83c31b2f266c3f48531c3a637a6a12418eff00",
-	"fixture/seed/stream":      "115fd869c5a12c6f7de454f2e5735be2fa0f40d8b26c93ad68c7fde7a7081c97",
-	"fixture/seed/unary":       "80fce97d0b9f5d00be8c25666fc407a9a80f8e8f5b7195145bbd7ead62cf3847",
-	"fixture/stats":            "beea28f10767ead8b479473e52e4260c3bed6d6ee7e3b6ca30a861d880f9c303",
+	"fixture/seed/stream":      "5e546973f56b8e4e4fa1a8ce4e48bff187660838944e5629d92b07a97a106095",
+	"fixture/seed/unary":       "2e7884094ca361b1c610c03fd4447c46d3cc0f586640d4ce513a28ed6d88ea8d",
+	"fixture/stats":            "1e391e77f6059204694536bc506aa2aa506ee9dbc8c78c111cb63a15d71a18ed",
 	"library/accounting":       "394cea07e1fd87e8833a0552cc07d780eb5aacd407d09ad1a0361124f213ea0e",
-	"library/estimates/stream": "04a0c53c3e7ae768008694e575391ed430bfd405863429eeadb6c2535477e591",
-	"library/estimates/unary":  "87b547a8fc61cb02cd815bfe0162e946b69acfd3a8a0f90775649710647f2e9e",
-	"library/stats":            "80ce4e425896bce36337c461089c40880cc399e80b330c7ddae0816172abc103",
+	"library/estimates/stream": "d10ad8403d86d39f6b90d24adb8d1912e2217b7d5c5cc5c86eb6be2b9a30ad70",
+	"library/estimates/unary":  "1578a7bdfec269523f6888fa8741d1d51efdee2827ad2ddffc5353eb56870a99",
+	"library/stats":            "6e6c222ba79447f7f23be1eded4d17027dcc8785373176114cc957b0324e1c6a",
 }
 
 // TestEstimateOffPathDigests pins the exact status and bytes of every
