@@ -109,6 +109,93 @@ func batchAll(t testing.TB, m *bitsim.Meter, us, vs []logic.Word) ([]int64, []fl
 	return toggles, q
 }
 
+// referenceActivity is the per-lane full-sweep reference both modes
+// must match exactly. Per pair it settles on u with one topological pass,
+// switches the inputs to v and then, for zero delay, sweeps the gates
+// once in topological order; for unit delay, every step evaluates every
+// gate against the pre-step values, commits, and stops at the first step
+// in which no net changes. Toggles are counted per net over all pairs,
+// and each pair's charge is summed in integer tenths.
+func referenceActivity(p *netlist.Program, mode bitsim.Mode, us, vs []logic.Word) ([]int64, []float64) {
+	val := make([]bool, len(p.CapTenths))
+	for _, t := range p.Ties {
+		val[t.Net] = t.Val
+	}
+	eval := func(g *netlist.Gate) bool {
+		var in [3]bool
+		n := cells.Lookup(g.Kind).NumInputs
+		for k := 0; k < n; k++ {
+			in[k] = val[g.In[k]]
+		}
+		return cells.Eval(g.Kind, in[:n])
+	}
+	toggles := make([]int64, len(val))
+	q := make([]float64, len(us))
+	next := make([]bool, len(p.Gates))
+	for j := range us {
+		for i, id := range p.Inputs {
+			val[id] = us[j].Bit(i)
+		}
+		for gi := range p.Gates {
+			val[p.Gates[gi].Out] = eval(&p.Gates[gi])
+		}
+		var tenths int64
+		set := func(id int, v bool) bool {
+			if val[id] == v {
+				return false
+			}
+			val[id] = v
+			toggles[id]++
+			tenths += p.CapTenths[id]
+			return true
+		}
+		for i, id := range p.Inputs {
+			set(int(id), vs[j].Bit(i))
+		}
+		if mode == bitsim.ZeroDelay {
+			for gi := range p.Gates {
+				set(int(p.Gates[gi].Out), eval(&p.Gates[gi]))
+			}
+		} else {
+			for changed := true; changed; {
+				for gi := range p.Gates {
+					next[gi] = eval(&p.Gates[gi])
+				}
+				changed = false
+				for gi := range p.Gates {
+					if set(int(p.Gates[gi].Out), next[gi]) {
+						changed = true
+					}
+				}
+			}
+		}
+		q[j] = float64(tenths) / 10
+	}
+	return toggles, q
+}
+
+// matchReference checks a meter against referenceActivity toggle for
+// toggle and charge for charge, with ==.
+func matchReference(t *testing.T, nl *netlist.Netlist, mode bitsim.Mode, us, vs []logic.Word) {
+	t.Helper()
+	m, err := bitsim.New(nl, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotQ := batchAll(t, m, us, vs)
+	want, wantQ := referenceActivity(nl.Program(), mode, us, vs)
+	for id := range want {
+		if got[id] != want[id] {
+			t.Fatalf("%s net %d: toggles %d, reference %d", mode, id, got[id], want[id])
+		}
+	}
+	for j := range wantQ {
+		if gotQ[j] != wantQ[j] {
+			t.Fatalf("%s pair %d: charge %v, reference %v", mode, j, gotQ[j], wantQ[j])
+		}
+	}
+}
+
 func relDiff(a, b float64) float64 {
 	if a == b {
 		return 0
@@ -180,6 +267,24 @@ func TestUnitDelayInvariants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEnginesMatchReference pins both modes exactly, not by invariants:
+// on the whole catalog at widths 8 and 16, over one full and one 37-lane
+// partial batch, every net's toggles and every pair's charge equal the
+// per-lane full-sweep reference.
+func TestEnginesMatchReference(t *testing.T) {
+	for _, name := range dwlib.Names() {
+		for _, width := range []int{8, 16} {
+			nl := buildModule(t, name, width)
+			t.Run(nl.Name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(width)*7919 + int64(len(name))))
+				us, vs := randPairs(rng, nl.NumInputBits(), bitsim.Lanes+37)
+				matchReference(t, nl, bitsim.ZeroDelay, us, vs)
+				matchReference(t, nl, bitsim.UnitDelay, us, vs)
+			})
+		}
 	}
 }
 
@@ -287,11 +392,9 @@ func TestPartialBatchMatchesSingles(t *testing.T) {
 		for id, n := range single.CycleBatch(us[j:j+1], vs[j:j+1], q1) {
 			sumToggles[id] += n
 		}
-		// Charges agree up to float summation order: the unit-delay
-		// wavefront visits nets in an order that depends on which lanes
-		// are active, so the same per-lane additions land in a different
-		// sequence.
-		if relDiff(qBatch[j], q1[0]) > 1e-9 {
+		// Charges are exact integer tenths, so which lanes share the
+		// batch cannot move a bit.
+		if qBatch[j] != q1[0] {
 			t.Fatalf("pair %d: batched charge %g, single %g", j, qBatch[j], q1[0])
 		}
 	}
@@ -356,26 +459,61 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// Circuit shapes for randomCircuit, as bits of its shape argument.
+const (
+	// shapeChain makes every gate a Buf, Inv, Xor2 or Xnor2 whose first
+	// input is the previous gate's output: a change of input 0 travels
+	// the whole chain, so the netlist is as deep as it has gates and the
+	// step bitsets span several words.
+	shapeChain = 1 << iota
+	// shapeReconverge adds a final XOR of the last gate's output with
+	// input 0, which glitches once at step 1 and again when the chain
+	// delivers.
+	shapeReconverge
+	// shapeTiesMuxes makes half the non-chain gates Mux2s and draws a
+	// quarter of all gate inputs from the constant ties, so selects
+	// switch and tied pins never do.
+	shapeTiesMuxes
+)
+
 // randomCircuit mirrors internal/sim's fuzz helper: a random combinational
 // DAG whose gate inputs are drawn from earlier nets (guaranteeing
-// acyclicity), with the last few gate outputs marked as the output bus.
-func randomCircuit(rng *rand.Rand, inputs, gates int) *netlist.Netlist {
+// acyclicity), shaped by the shape bits, with the last few gate outputs
+// marked as the output bus.
+func randomCircuit(rng *rand.Rand, inputs, gates int, shape uint8) *netlist.Netlist {
 	n := netlist.New("fuzz")
 	bus := n.AddInputBus("a", inputs)
-	pool := append([]netlist.NetID(nil), bus.Nets...)
-	pool = append(pool, n.Const(false), n.Const(true))
+	ties := []netlist.NetID{n.Const(false), n.Const(true)}
+	pool := append(append([]netlist.NetID(nil), bus.Nets...), ties...)
 	kinds := cells.Kinds()
+	chainKinds := []cells.Kind{cells.Buf, cells.Inv, cells.Xor2, cells.Xnor2}
 	var outs []netlist.NetID
+	prev := bus.Nets[0]
 	for g := 0; g < gates; g++ {
 		kind := kinds[rng.Intn(len(kinds))]
+		switch {
+		case shape&shapeChain != 0:
+			kind = chainKinds[rng.Intn(len(chainKinds))]
+		case shape&shapeTiesMuxes != 0 && rng.Intn(2) == 0:
+			kind = cells.Mux2
+		}
 		c := cells.Lookup(kind)
 		in := make([]netlist.NetID, c.NumInputs)
 		for i := range in {
 			in[i] = pool[rng.Intn(len(pool))]
+			if shape&shapeTiesMuxes != 0 && rng.Intn(4) == 0 {
+				in[i] = ties[rng.Intn(len(ties))]
+			}
 		}
-		out := n.AddGate(kind, in...)
-		pool = append(pool, out)
-		outs = append(outs, out)
+		if shape&shapeChain != 0 {
+			in[0] = prev
+		}
+		prev = n.AddGate(kind, in...)
+		pool = append(pool, prev)
+		outs = append(outs, prev)
+	}
+	if shape&shapeReconverge != 0 {
+		outs = append(outs, n.AddGate(cells.Xor2, prev, bus.Nets[0]))
 	}
 	k := len(outs)
 	if k > 4 {
@@ -390,18 +528,27 @@ func randomCircuit(rng *rand.Rand, inputs, gates int) *netlist.Netlist {
 }
 
 // FuzzEnginesAgree mirrors internal/sim's engine-agreement fuzz target for
-// the bit-parallel engine: on random DAGs and random batches, ZeroDelay
-// lanes must match the scalar simulator net-for-net, and UnitDelay must
-// preserve steady-state parity while only ever adding activity.
+// the bit-parallel engine: on random DAGs and random batches (a full and
+// a partial one), ZeroDelay lanes must match the scalar simulator
+// net-for-net, and both modes must equal the per-lane full-sweep
+// reference toggle for toggle and charge for charge. The seeds cover
+// constant ties, switching Mux2 selects, and chains deeper than 64 and
+// 128 levels, the last with glitches arriving after step 128.
 func FuzzEnginesAgree(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(40))
-	f.Add(int64(99), uint8(2), uint8(5))
-	f.Add(int64(-7), uint8(12), uint8(120))
-	f.Fuzz(func(t *testing.T, seed int64, inputs, gates uint8) {
+	f.Add(int64(1), uint8(6), uint8(40), uint8(0))
+	f.Add(int64(99), uint8(2), uint8(5), uint8(0))
+	f.Add(int64(-7), uint8(12), uint8(120), uint8(0))
+	f.Add(int64(5), uint8(4), uint8(40), uint8(shapeTiesMuxes))
+	f.Add(int64(13), uint8(7), uint8(90), uint8(shapeTiesMuxes|shapeReconverge))
+	f.Add(int64(6), uint8(3), uint8(90), uint8(shapeChain))
+	f.Add(int64(7), uint8(3), uint8(150), uint8(shapeChain|shapeReconverge))
+	f.Add(int64(8), uint8(5), uint8(199), uint8(shapeChain|shapeReconverge))
+	f.Add(int64(9), uint8(5), uint8(130), uint8(shapeChain|shapeTiesMuxes|shapeReconverge))
+	f.Fuzz(func(t *testing.T, seed int64, inputs, gates, shape uint8) {
 		ni := 1 + int(inputs)%16
-		ng := 1 + int(gates)%150
+		ng := 1 + int(gates)
 		build := func() *netlist.Netlist {
-			return randomCircuit(rand.New(rand.NewSource(seed)), ni, ng)
+			return randomCircuit(rand.New(rand.NewSource(seed)), ni, ng, shape)
 		}
 		nlA, nlB := build(), build()
 		if err := nlA.Finalize(); err != nil {
@@ -414,21 +561,13 @@ func FuzzEnginesAgree(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ud, err := bitsim.New(nlA, bitsim.UnitDelay)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5f3759df))
-		us, vs := randPairs(rng, zd.NumInputBits(), 32)
+		us, vs := randPairs(rng, zd.NumInputBits(), bitsim.Lanes+32)
 		zero, zeroQ := batchAll(t, zd, us, vs)
-		unit, _ := batchAll(t, ud, us, vs)
 		want, wantQ := scalarReference(t, nlB, sim.ZeroDelay, us, vs)
 		for id := range want {
 			if zero[id] != want[id] {
 				t.Fatalf("net %d: zero-delay toggles %d, scalar %d", id, zero[id], want[id])
-			}
-			if unit[id]%2 != zero[id]%2 || unit[id] < zero[id] {
-				t.Fatalf("net %d: unit-delay toggles %d vs zero-delay %d", id, unit[id], zero[id])
 			}
 		}
 		for j := range wantQ {
@@ -436,7 +575,70 @@ func FuzzEnginesAgree(f *testing.F) {
 				t.Fatalf("pair %d: charge %g, scalar %g", j, zeroQ[j], wantQ[j])
 			}
 		}
+		matchReference(t, nlA, bitsim.ZeroDelay, us, vs)
+		matchReference(t, nlA, bitsim.UnitDelay, us, vs)
 	})
+}
+
+// TestDeepChainGlitchesLate pins the multi-word step bitsets: on a
+// 200-gate inverter and buffer chain whose end an XOR joins with the
+// chain's input (201 levels, four bitset words), a flip of the input
+// reaches the XOR at step 1 and again at step 201. The XOR output must
+// glitch twice per flip, which it cannot if the wavefront stops within
+// the first 128 steps, and both modes must equal the reference.
+func TestDeepChainGlitchesLate(t *testing.T) {
+	nl := netlist.New("chain")
+	a := nl.AddInputBus("a", 1).Nets[0]
+	prev := a
+	for g := 0; g < 200; g++ {
+		if g%3 == 0 {
+			prev = nl.AddGate(cells.Buf, prev)
+		} else {
+			prev = nl.Not(prev)
+		}
+	}
+	xor := nl.Xor(prev, a)
+	nl.MarkOutputBus("y", []netlist.NetID{xor})
+	if err := nl.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	us, vs := randPairs(rand.New(rand.NewSource(8)), 1, bitsim.Lanes)
+	m, err := bitsim.New(nl, bitsim.UnitDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toggles := m.CycleBatch(us, vs, make([]float64, len(us)))
+	var flips int64
+	for l := range us {
+		if us[l].Bit(0) != vs[l].Bit(0) {
+			flips++
+		}
+	}
+	if flips == 0 || toggles[xor] != 2*flips {
+		t.Fatalf("XOR toggled %d times, want 2 per input flip (%d flips)", toggles[xor], flips)
+	}
+	matchReference(t, nl, bitsim.ZeroDelay, us, vs)
+	matchReference(t, nl, bitsim.UnitDelay, us, vs)
+}
+
+// TestWarmBatchDoesNotAllocate: once a meter has run a batch, CycleBatch
+// allocates nothing, in either mode, for full and partial batches.
+func TestWarmBatchDoesNotAllocate(t *testing.T) {
+	nl := buildModule(t, "booth-wallace-multiplier", 8)
+	for _, mode := range []bitsim.Mode{bitsim.ZeroDelay, bitsim.UnitDelay} {
+		m, err := bitsim.New(nl, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		us, vs := randPairs(rand.New(rand.NewSource(5)), m.NumInputBits(), bitsim.Lanes)
+		q := make([]float64, bitsim.Lanes)
+		for _, n := range []int{bitsim.Lanes, 37} {
+			m.CycleBatch(us[:n], vs[:n], q)
+			if a := testing.AllocsPerRun(20, func() { m.CycleBatch(us[:n], vs[:n], q) }); a != 0 {
+				t.Errorf("%s, %d pairs: %v allocations per warm batch", mode, n, a)
+			}
+		}
+	}
 }
 
 // TestBatchFaultpointArmed pins the chaos-engineering hook: the batch
@@ -464,11 +666,17 @@ func TestBatchFaultpointArmed(t *testing.T) {
 
 // BenchmarkCycleBatch prices full 64-lane batches of random pairs per
 // module and mode, reporting ns/pair; lane packing is part of the cost.
+// The multipliers are the four specs of perfbench's char-multipliers
+// workload.
 func BenchmarkCycleBatch(b *testing.B) {
 	for _, mod := range []struct {
 		name  string
 		width int
-	}{{"ripple-adder", 16}, {"kogge-stone-adder", 16}, {"csa-multiplier", 16}} {
+	}{
+		{"ripple-adder", 16}, {"kogge-stone-adder", 16},
+		{"csa-multiplier", 8}, {"csa-multiplier", 16},
+		{"booth-wallace-multiplier", 8}, {"booth-wallace-multiplier", 16},
+	} {
 		for _, mode := range []bitsim.Mode{bitsim.ZeroDelay, bitsim.UnitDelay} {
 			b.Run(fmt.Sprintf("%s-%d/%s", mod.name, mod.width, mode), func(b *testing.B) {
 				m, err := bitsim.New(buildModule(b, mod.name, mod.width), mode)

@@ -5,9 +5,11 @@ package core
 // (u, v) transition pairs and report the charge each pair consumed — so
 // that is the whole Backend interface. Two implementations exist: the
 // event-driven power.Meter (the golden reference, with per-gate transport
-// delays and exact glitch activity) and the bit-parallel internal/bitsim
-// engine (64 pairs per machine word, unit-delay glitch approximation,
-// an order of magnitude faster). Because the deterministic shard plan,
+// delays and exact glitch activity, charges summed in float64) and the
+// bit-parallel internal/bitsim engine (64 pairs per machine word,
+// unit-delay glitch approximation over a schedule compiled once per
+// backend, charges summed exactly in int64 tenths, an order of magnitude
+// faster). Because the deterministic shard plan,
 // ordered merge, checkpoints and bit-identical-resume guarantees live
 // above this interface, they hold unchanged for every backend; switching
 // backends changes the reference charges (and therefore the fitted
@@ -35,8 +37,9 @@ const (
 	// reference, and the slowest.
 	BackendEvent BackendKind = "event"
 	// BackendBitParallel characterizes through internal/bitsim: 64
-	// patterns per machine word with unit-delay glitch approximation.
-	// The fast default for bulk characterization.
+	// patterns per machine word with unit-delay glitch approximation and
+	// exact integer-tenths charge (bitsim.Arithmetic, part of its
+	// Fingerprint). The fast default for bulk characterization.
 	BackendBitParallel BackendKind = "bitparallel"
 )
 
@@ -103,13 +106,15 @@ func (b meterBackend) Name() string { return string(BackendEvent) }
 // bitsimBackend adapts the 64-lane bit-parallel meter: shard-sized pair
 // batches are chunked into full machine words. The shard size (128) is a
 // multiple of bitsim.Lanes, so full shards split into exactly two full
-// batches with no ragged remainder on the hot path.
+// batches with no ragged remainder on the hot path. Clones share the
+// meter's compiled unit-delay schedule.
 type bitsimBackend struct {
 	m *bitsim.Meter
 }
 
 // NewBitParallelBackend builds a bit-parallel characterization backend
-// over the netlist, with unit-delay glitch approximation.
+// over the netlist, with unit-delay glitch approximation, and compiles its
+// unit-delay schedule once.
 func NewBitParallelBackend(nl *netlist.Netlist) (Backend, error) {
 	m, err := bitsim.New(nl, bitsim.UnitDelay)
 	if err != nil {
