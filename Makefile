@@ -94,16 +94,20 @@ cover:
 # Identity and decode fuzzing, FUZZTIME per target (go test fuzzes one
 # target per invocation): the 64-lane transpose against per-bit packing,
 # the limb-level pair generator against a frozen copy of the per-bit one,
-# the bit-parallel engine against the scalar simulator, the two entry
+# the bit-parallel engine against the scalar simulator and, in both
+# modes, against a per-lane full-sweep reference, the two entry
 # points every build's merge state machine takes from bytes — resuming a
 # MergeSession from a decoded checkpoint, and merging a decoded
 # ShardResult, which must leave the session untouched when it rejects it
 # — the hand-rolled estimate parser against encoding/json and every
 # estimate answer against an encoding/json rendering of core.Model prices
 # on arbitrary request bodies, the parser's eight-byte number scanner
-# against strconv.ParseUint from any offset of arbitrary bytes, and the
-# NDJSON line splitter against bytes.Split. Seed corpora live under each package's testdata/fuzz; a
-# crasher lands there too.
+# against strconv.ParseUint from any offset of arbitrary bytes, the
+# NDJSON line splitter against bytes.Split, and the atomicio checksum
+# trailer parser (the bytes→payload decision behind ReadFile and Unseal)
+# against the exact bytes Seal writes. Seed corpora live under each
+# package's testdata/fuzz or in the target's f.Add seeds; a crasher lands
+# under testdata/fuzz.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -115,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimateDecoders$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanUint64$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReadLine$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyTrailer$$' -fuzztime $(FUZZTIME) ./internal/atomicio
 
 # Full benchmark sweep.
 bench:

@@ -139,19 +139,12 @@ func ReadFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, sum, length, ok := splitTrailer(raw)
-	if !ok {
-		return raw, ErrNoChecksum
+	payload, err := verifyTrailer(raw)
+	var ce *CorruptError
+	if errors.As(err, &ce) {
+		return nil, quarantineCorrupt(path, ce.Reason)
 	}
-	if length < 0 || length > len(payload) {
-		return nil, quarantineCorrupt(path, "trailer length out of range")
-	}
-	payload = payload[:length]
-	got := sha256.Sum256(payload)
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, quarantineCorrupt(path, "checksum mismatch")
-	}
-	return payload, nil
+	return payload, err
 }
 
 // ReadJSON reads, verifies, and unmarshals path into v. A file that fails
@@ -209,26 +202,50 @@ func appendTrailer(data []byte) []byte {
 	return out
 }
 
-// splitTrailer isolates the trailer line. ok is false when no trailer is
-// present (legacy file); a present-but-mangled trailer returns ok with an
-// out-of-range length or wrong-size sum so verification fails loudly
-// rather than silently treating the file as legacy.
-func splitTrailer(raw []byte) (payload []byte, sum string, length int, ok bool) {
+// sealedPath names the input of a *CorruptError that verifyTrailer
+// returns: bytes in memory, not yet a file.
+const sealedPath = "(sealed payload)"
+
+// verifyTrailer is the bytes→payload decision behind ReadFile and
+// Unseal, free of I/O. It accepts exactly what appendTrailer writes, with
+// or without the trailer line's final newline, and nothing else:
+//
+//   - (payload, nil) when the last line is a trailer whose SHA-256 and
+//     canonical decimal length match the payload, and the payload is
+//     followed only by the separator newline appendTrailer adds;
+//   - (raw, ErrNoChecksum) when the last line has no trailer prefix;
+//   - (nil, *CorruptError) for every other input: a present but mangled
+//     trailer fails loudly instead of passing as a legacy file.
+func verifyTrailer(raw []byte) ([]byte, error) {
 	trimmed := bytes.TrimSuffix(raw, []byte("\n"))
 	nl := bytes.LastIndexByte(trimmed, '\n')
 	line := trimmed[nl+1:] // nl == -1 → whole content
 	if !bytes.HasPrefix(line, []byte(trailerPrefix)) {
-		return raw, "", 0, false
+		return raw, ErrNoChecksum
 	}
-	fields := bytes.Split(line[len(trailerPrefix):], []byte(":"))
-	if len(fields) != 2 {
-		return raw[:nl+1], "", -1, true
+	corrupt := func(reason string) error { return &CorruptError{Path: sealedPath, Reason: reason} }
+	sum, field, ok := bytes.Cut(line[len(trailerPrefix):], []byte(":"))
+	n, err := strconv.Atoi(string(field))
+	if !ok || err != nil || n < 0 || strconv.Itoa(n) != string(field) {
+		return nil, corrupt("malformed trailer")
 	}
-	n, err := strconv.Atoi(string(fields[1]))
-	if err != nil {
-		return raw[:nl+1], string(fields[0]), -1, true
+	// appendTrailer writes the payload, then a newline unless the payload
+	// is non-empty and already ends with one, then the trailer line.
+	body := raw[:nl+1]
+	var payload []byte
+	switch {
+	case n == len(body)-1 && (n == 0 || body[n-1] != '\n'):
+		payload = body[:n]
+	case n == len(body) && n > 0:
+		payload = body
+	default:
+		return nil, corrupt("trailer length out of range")
 	}
-	return raw[:nl+1], string(fields[0]), n, true
+	got := sha256.Sum256(payload)
+	if hex.EncodeToString(got[:]) != string(sum) {
+		return nil, corrupt("checksum mismatch")
+	}
+	return payload, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power loss.

@@ -1,10 +1,5 @@
 package atomicio
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-)
-
 // seal.go applies the package's checksum-trailer discipline to payloads
 // that travel over a wire instead of through WriteFile. The distributed
 // characterization fleet seals each partial-accumulator upload so a torn
@@ -24,17 +19,9 @@ func Seal(data []byte) []byte { return appendTrailer(data) }
 // payload)", nothing quarantined), so receivers can reject the bytes —
 // and have them re-sent — instead of trusting a torn copy.
 func Unseal(raw []byte) ([]byte, error) {
-	payload, sum, length, ok := splitTrailer(raw)
-	if !ok {
-		return nil, ErrNoChecksum
-	}
-	if length < 0 || length > len(payload) {
-		return nil, &CorruptError{Path: "(sealed payload)", Reason: "trailer length out of range"}
-	}
-	payload = payload[:length]
-	got := sha256.Sum256(payload)
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, &CorruptError{Path: "(sealed payload)", Reason: "checksum mismatch"}
+	payload, err := verifyTrailer(raw)
+	if err != nil {
+		return nil, err
 	}
 	return payload, nil
 }
