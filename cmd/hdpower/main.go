@@ -335,9 +335,7 @@ func readJSONInput(path string) ([]byte, error) {
 }
 
 // progressLogHooks turns the characterization hook stream into structured
-// progress records: phase transitions, convergence checkpoints, early
-// stops. Listening to Convergence makes the engine evaluate checkpoints
-// even without -converge, which never changes the fitted model.
+// progress records: phase transitions and convergence checkpoints.
 func progressLogHooks(logger *slog.Logger) *core.Hooks {
 	return &core.Hooks{
 		PhaseStart: func(phase string, shards, patterns int) {
@@ -353,7 +351,6 @@ func progressLogHooks(logger *slog.Logger) *core.Hooks {
 			}
 			logger.Info("convergence", "patterns", patterns, "worst_change", worst)
 		},
-		EarlyStop: func(used int) { logger.Info("early stop", "patterns", used) },
 	}
 }
 

@@ -25,16 +25,6 @@ type CharacterizeOptions struct {
 	ZClusters int
 	// Seed makes the characterization stream deterministic.
 	Seed int64
-	// ConvergeTol, if positive, ends the run early once the largest
-	// relative change of any populated basic coefficient between
-	// consecutive check intervals drops below this tolerance — the
-	// paper's "characterization can be finished after the coefficient
-	// values have converged".
-	ConvergeTol float64
-	// CheckEvery is the convergence check interval in patterns
-	// (default 500). Checks run on merged shard boundaries, at the first
-	// boundary at or past each multiple of CheckEvery.
-	CheckEvery int
 	// Workers is the number of concurrent characterization workers
 	// sharing the pattern budget; 0 defaults to runtime.NumCPU(), 1
 	// forces the fully sequential path. The pattern stream is sharded
@@ -77,23 +67,20 @@ type Hooks struct {
 	PatternsSimulated func(n int)
 	// ShardMerged fires once per merged shard.
 	ShardMerged func()
-	// EarlyStop fires when the convergence check ends the run before the
-	// full pattern budget, with the patterns actually consumed.
-	EarlyStop func(patternsUsed int)
 	// PhaseStart fires when a characterization phase begins, with the
 	// phase name ("basic" or "biased"), the number of shards the phase
 	// will merge at most, and its pattern budget. Serving layers use it to
 	// size progress bars and open trace spans.
 	PhaseStart func(phase string, shards, patterns int)
 	// PhaseEnd fires exactly once per started phase, even when the phase
-	// is cut short by convergence or an Interrupt, so span-style observers
-	// can rely on balanced start/end pairs.
+	// is cut short by an Interrupt, so span-style observers can rely on
+	// balanced start/end pairs.
 	PhaseEnd func(phase string)
-	// Convergence fires at every convergence checkpoint with the merged
-	// pattern count and the worst relative coefficient change since the
-	// previous checkpoint (math.Inf(1) when a class first turned nonzero).
-	// With ConvergeTol <= 0 checkpoints are still evaluated for this hook
-	// — observability only, never an early stop.
+	// Convergence fires at every convergence checkpoint of the basic
+	// phase with the merged pattern count and the worst relative
+	// coefficient change since the previous checkpoint (math.Inf(1) when
+	// a class first turned nonzero). It only observes the trajectory:
+	// every run spends its whole pattern budget.
 	Convergence func(patterns int, worstChange float64)
 	// Resumed fires once, before any phase starts, when the run restores
 	// state from a checkpoint: the phase being resumed, plus the shard and
@@ -115,12 +102,6 @@ func (h *Hooks) patterns(n int) {
 func (h *Hooks) shardMerged() {
 	if h != nil && h.ShardMerged != nil {
 		h.ShardMerged()
-	}
-}
-
-func (h *Hooks) earlyStop(patternsUsed int) {
-	if h != nil && h.EarlyStop != nil {
-		h.EarlyStop(patternsUsed)
 	}
 }
 
@@ -154,12 +135,6 @@ func (h *Hooks) checkpointSaved(err error) {
 	}
 }
 
-// wantsConvergence reports whether convergence checkpoints must run even
-// without an early-stop tolerance.
-func (h *Hooks) wantsConvergence() bool {
-	return h != nil && h.Convergence != nil
-}
-
 // JoinHooks fans every callback out to all non-nil hook sets in order, so
 // independent observers (metrics, tracing, a flight recorder, progress
 // tracking) compose without knowing about each other.
@@ -187,11 +162,6 @@ func JoinHooks(hs ...*Hooks) *Hooks {
 			h.shardMerged()
 		}
 	}
-	j.EarlyStop = func(used int) {
-		for _, h := range live {
-			h.earlyStop(used)
-		}
-	}
 	j.PhaseStart = func(phase string, shards, patterns int) {
 		for _, h := range live {
 			h.phaseStart(phase, shards, patterns)
@@ -212,16 +182,9 @@ func JoinHooks(hs ...*Hooks) *Hooks {
 			h.checkpointSaved(err)
 		}
 	}
-	// Only forward Convergence when someone listens: its presence alone
-	// makes Characterize evaluate checkpoints (see wantsConvergence).
-	for _, h := range live {
-		if h.Convergence != nil {
-			j.Convergence = func(patterns int, worst float64) {
-				for _, h := range live {
-					h.convergence(patterns, worst)
-				}
-			}
-			break
+	j.Convergence = func(patterns int, worst float64) {
+		for _, h := range live {
+			h.convergence(patterns, worst)
 		}
 	}
 	return j
@@ -230,9 +193,6 @@ func JoinHooks(hs ...*Hooks) *Hooks {
 func (o *CharacterizeOptions) setDefaults() {
 	if o.Patterns <= 0 {
 		o.Patterns = 5000
-	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 500
 	}
 }
 
@@ -483,38 +443,37 @@ func resetAccs(accs []AccState) {
 	}
 }
 
-// convTracker runs the convergence check of Section 4.1 on merged shard
-// checkpoints: the first merged shard boundary at or past each multiple of
-// CheckEvery patterns.
+// checkEvery is the convergence check interval in patterns: checks run at
+// the first merged shard boundary at or past each multiple of it.
+const checkEvery = 500
+
+// convTracker records the convergence trajectory of Section 4.1 on merged
+// shard checkpoints: the first merged shard boundary at or past each
+// multiple of checkEvery patterns. The trajectory is observability only;
+// it never ends a run.
 type convTracker struct {
-	tol        float64
-	checkEvery int
-	nextCheck  int
-	prev       []float64 // per-class mean at the previous checkpoint
-	prevCount  []int64   // per-class sample count at the previous checkpoint
+	nextCheck int
+	prev      []float64 // per-class mean at the previous checkpoint
+	prevCount []int64   // per-class sample count at the previous checkpoint
 }
 
-func newConvTracker(m int, tol float64, checkEvery int) *convTracker {
+func newConvTracker(m int) *convTracker {
 	return &convTracker{
-		tol:        tol,
-		checkEvery: checkEvery,
-		nextCheck:  checkEvery,
-		prev:       make([]float64, m),
-		prevCount:  make([]int64, m),
+		nextCheck: checkEvery,
+		prev:      make([]float64, m),
+		prevCount: make([]int64, m),
 	}
 }
 
 // check evaluates a convergence checkpoint at the current merged state of
 // `patterns` characterization pairs. checked reports whether a checkpoint
-// was due (and worst is meaningful); stop reports whether the run has
-// converged under the tracker's tolerance.
-func (c *convTracker) check(basic []AccState, patterns int) (worst float64, checked, stop bool) {
+// was due (and worst is meaningful).
+func (c *convTracker) check(basic []AccState, patterns int) (worst float64, checked bool) {
 	if patterns < c.nextCheck {
-		return 0, false, false
+		return 0, false
 	}
-	c.nextCheck = patterns - patterns%c.checkEvery + c.checkEvery
-	worst = convergenceWorst(basic, c.prev, c.prevCount)
-	return worst, true, c.tol > 0 && worst < c.tol && patterns >= 2*c.checkEvery
+	c.nextCheck = patterns - patterns%checkEvery + checkEvery
+	return convergenceWorst(basic, c.prev, c.prevCount), true
 }
 
 // convergenceWorst returns the largest relative change of any populated
@@ -522,9 +481,9 @@ func (c *convTracker) check(basic []AccState, patterns int) (worst float64, chec
 // prevCount in place. A class whose running mean is zero contributes
 // nothing as long as no samples contradict it: a legitimately zero-mean
 // class (or one with zero samples-delta since the last checkpoint) counts
-// as converged instead of pinning the worst change at +Inf forever. Only
-// a class that first turns nonzero — new samples with no usable baseline —
-// reports +Inf, deferring convergence to the next checkpoint.
+// as settled instead of pinning the worst change at +Inf forever. Only a
+// class that first turns nonzero — new samples with no usable baseline —
+// reports +Inf.
 func convergenceWorst(basic []AccState, prev []float64, prevCount []int64) float64 {
 	worst := 0.0
 	for k := range basic {
@@ -679,8 +638,8 @@ func prepare(meter *power.Meter, moduleName string, opt *CharacterizeOptions, sh
 // Characterize is a fleet with one in-process worker: it simulates the
 // shards of each phase itself and feeds every partial, in shard order,
 // through the same MergeSession state machine a fleet coordinator drives,
-// so merging, the convergence check, early stop, phase hooks and the
-// coefficient fit exist once. What Characterize adds is the work at each
+// so merging, the convergence trajectory, phase hooks and the coefficient
+// fit exist once. What Characterize adds is the work at each
 // merged-shard boundary: polling Interrupt, the core.merge fault point,
 // and the file checkpoint, which is the session's Snapshot and which a
 // resumed run restores through the session's resume path.
@@ -712,33 +671,26 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 	// Phase 1 fills the basic classes with unbiased stratified pairs (and,
 	// for the enhanced table, its unbiased share of the E_{i,z} classes);
 	// phase 2 populates the extreme stable-zero classes uniform vectors
-	// almost never produce with density-stratified pairs, over the shards
-	// phase 1 consumed. The session decides where each phase ends, on the
-	// merged prefix only, so the early-stop point is worker-count-
-	// independent.
+	// almost never produce with density-stratified pairs, over the same
+	// shard plan.
 	plan, model, seed := s.plan, s.model, s.opt.Seed
 	var interrupted error
 	for !s.done && interrupted == nil {
 		biased, start := s.phase == PhaseBiased, s.merged
 		parts := shardPartials(model, len(pool), biased, s.opt.Enhanced)
-		runShardsOrdered(s.PhaseShards()-start, len(pool),
+		runShardsOrdered(len(plan)-start, len(pool),
 			func(w, idx int) *ShardResult {
 				return pool[w].runCharShard(parts, model, plan[start+idx], seed, biased)
 			},
 			func(_ int, part *ShardResult) bool {
-				stop := s.fold(part)
+				s.fold(part)
 				parts.put(part)
-				if !stop {
-					if interrupted = s.boundary(); interrupted != nil {
-						return false
-					}
-					if s.merged < s.PhaseShards() {
-						return true
-					}
-				}
-				s.complete()
-				return false
+				interrupted = s.boundary()
+				return interrupted == nil
 			})
+		if interrupted == nil {
+			s.complete()
+		}
 	}
 	if interrupted != nil {
 		s.Close()

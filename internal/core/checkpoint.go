@@ -63,14 +63,12 @@ type Checkpoint struct {
 	Format string `json:"format"`
 
 	// Identity: a resume must match all of these (see matches).
-	Module      string  `json:"module"`
-	InputBits   int     `json:"input_bits"`
-	Seed        int64   `json:"seed"`
-	Patterns    int     `json:"patterns"`
-	Enhanced    bool    `json:"enhanced"`
-	ZClusters   int     `json:"z_clusters"`
-	CheckEvery  int     `json:"check_every"`
-	ConvergeTol float64 `json:"converge_tol"`
+	Module    string `json:"module"`
+	InputBits int    `json:"input_bits"`
+	Seed      int64  `json:"seed"`
+	Patterns  int    `json:"patterns"`
+	Enhanced  bool   `json:"enhanced"`
+	ZClusters int    `json:"z_clusters"`
 	// Backend is the resolved simulation backend name ("event",
 	// "bitparallel"). Charges accumulated under one backend must never be
 	// merged with charges from another, so a resume under a different
@@ -83,15 +81,10 @@ type Checkpoint struct {
 	TopoHash string `json:"topo_hash"`
 
 	// Cursor: where the run stood when the snapshot was taken.
-	Phase        string `json:"phase"`         // PhaseBasic or PhaseBiased
-	ShardsMerged int    `json:"shards_merged"` // merged shards within Phase
-	// UsedShards is the basic phase's final shard count (== the biased
-	// phase's shard budget); meaningful once Phase == PhaseBiased.
-	UsedShards     int  `json:"used_shards"`
-	PatternsBasic  int  `json:"patterns_basic"`
-	PatternsBiased int  `json:"patterns_biased"`
-	EarlyStopped   bool `json:"early_stopped,omitempty"`
-	EarlyStopAt    int  `json:"early_stop_at,omitempty"`
+	Phase          string `json:"phase"`         // PhaseBasic or PhaseBiased
+	ShardsMerged   int    `json:"shards_merged"` // merged shards within Phase
+	PatternsBasic  int    `json:"patterns_basic"`
+	PatternsBiased int    `json:"patterns_biased"`
 
 	// Merged accumulator state.
 	Basic       []AccState   `json:"basic"`
@@ -129,15 +122,20 @@ func IsCheckpointMismatch(err error) bool {
 // state priced by an engine that summed charge differently (the float
 // sums before bitsim.Arithmetic) is refused; the event backend's input
 // is unchanged.
+//
+// The "500|0" entry is the retired convergence interval and early-stop
+// tolerance at their old defaults. Keeping them keeps every default-option
+// hash — Fingerprint, checkpoints and fleet ledgers — what it was, so
+// state written before the early stop was removed still resumes, while
+// state written with a tolerance, whose hash named it, is refused.
 func charTopoHash(module string, inputBits int, opt *CharacterizeOptions) string {
 	backend := opt.Backend.Name()
 	if opt.Backend == BackendBitParallel {
 		backend += "|charge=" + bitsim.Arithmetic
 	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d|%v|%d|%d|%g|backend=%s|shard=%d|res=%d",
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d|%v|%d|500|0|backend=%s|shard=%d|res=%d",
 		checkpointFormat, module, inputBits, opt.Seed, opt.Patterns, opt.Enhanced,
-		opt.ZClusters, opt.CheckEvery, opt.ConvergeTol, backend,
-		shardPatterns, epsilonReservoir)))
+		opt.ZClusters, backend, shardPatterns, epsilonReservoir)))
 	return hex.EncodeToString(h[:12])
 }
 
@@ -168,12 +166,6 @@ func (c *Checkpoint) matches(path, module string, inputBits int, opt *Characteri
 	if c.ZClusters != opt.ZClusters {
 		add("z_clusters", c.ZClusters, opt.ZClusters)
 	}
-	if c.CheckEvery != opt.CheckEvery {
-		add("check_every", c.CheckEvery, opt.CheckEvery)
-	}
-	if c.ConvergeTol != opt.ConvergeTol {
-		add("converge_tol", c.ConvergeTol, opt.ConvergeTol)
-	}
 	if c.Backend != opt.Backend.Name() {
 		add("backend", c.Backend, opt.Backend.Name())
 	}
@@ -192,21 +184,15 @@ func (c *Checkpoint) matches(path, module string, inputBits int, opt *Characteri
 func (c *Checkpoint) sanity(model *Model, shards int) error {
 	switch c.Phase {
 	case PhaseBasic:
-		if c.ShardsMerged < 0 || c.ShardsMerged > shards {
-			return fmt.Errorf("basic shard cursor %d outside [0, %d]", c.ShardsMerged, shards)
-		}
 	case PhaseBiased:
 		if !c.Enhanced {
 			return fmt.Errorf("biased phase in a non-enhanced run")
 		}
-		if c.UsedShards < 0 || c.UsedShards > shards {
-			return fmt.Errorf("used shards %d outside [0, %d]", c.UsedShards, shards)
-		}
-		if c.ShardsMerged < 0 || c.ShardsMerged > c.UsedShards {
-			return fmt.Errorf("biased shard cursor %d outside [0, %d]", c.ShardsMerged, c.UsedShards)
-		}
 	default:
 		return fmt.Errorf("unknown phase %q", c.Phase)
+	}
+	if c.ShardsMerged < 0 || c.ShardsMerged > shards {
+		return fmt.Errorf("%s shard cursor %d outside [0, %d]", c.Phase, c.ShardsMerged, shards)
 	}
 	if len(c.Basic) != model.InputBits {
 		return fmt.Errorf("%d basic accumulators, want %d", len(c.Basic), model.InputBits)
@@ -252,17 +238,15 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // run — file checkpoints and fleet ledger snapshots alike.
 func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Checkpoint {
 	return Checkpoint{
-		Format:      checkpointFormat,
-		Module:      module,
-		InputBits:   inputBits,
-		Seed:        opt.Seed,
-		Patterns:    opt.Patterns,
-		Enhanced:    opt.Enhanced,
-		ZClusters:   opt.ZClusters,
-		CheckEvery:  opt.CheckEvery,
-		ConvergeTol: opt.ConvergeTol,
-		Backend:     opt.Backend.Name(),
-		TopoHash:    charTopoHash(module, inputBits, opt),
+		Format:    checkpointFormat,
+		Module:    module,
+		InputBits: inputBits,
+		Seed:      opt.Seed,
+		Patterns:  opt.Patterns,
+		Enhanced:  opt.Enhanced,
+		ZClusters: opt.ZClusters,
+		Backend:   opt.Backend.Name(),
+		TopoHash:  charTopoHash(module, inputBits, opt),
 	}
 }
 
@@ -296,14 +280,6 @@ func (s *MergeSession) tick() {
 	if s.file.since >= s.file.every {
 		s.save()
 	}
-}
-
-// totalShardsMerged is the checkpoint's merged-shard total across phases.
-func (c *Checkpoint) totalShardsMerged() int {
-	if c.Phase == PhaseBiased {
-		return c.UsedShards + c.ShardsMerged
-	}
-	return c.ShardsMerged
 }
 
 // loadResume resolves the Resume option: it returns the checkpoint to

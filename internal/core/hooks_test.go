@@ -6,15 +6,14 @@ import (
 )
 
 // TestHooksObserveRun verifies the observability callbacks fire with
-// totals consistent with the run: patterns sum to the budget, shard counts
-// match the plan, and no early stop is reported without convergence.
+// totals consistent with the run: patterns sum to the budget and shard
+// counts match the plan.
 func TestHooksObserveRun(t *testing.T) {
 	meter := meterFor(t, "ripple-adder", 4)
-	patterns, shards, earlyStops := 0, 0, 0
+	patterns, shards := 0, 0
 	hooks := &Hooks{
 		PatternsSimulated: func(n int) { patterns += n },
 		ShardMerged:       func() { shards++ },
-		EarlyStop:         func(int) { earlyStops++ },
 	}
 	const budget = 600
 	if _, err := Characterize(meter, "hooked", CharacterizeOptions{
@@ -27,36 +26,6 @@ func TestHooksObserveRun(t *testing.T) {
 	}
 	if want := len(shardPlan(budget)); shards != want {
 		t.Errorf("hooks saw %d shards, want %d", shards, want)
-	}
-	if earlyStops != 0 {
-		t.Errorf("unexpected early stop report")
-	}
-}
-
-// TestHooksEarlyStop verifies EarlyStop fires when convergence ends the
-// run before the budget, and that the reported pattern count matches what
-// PatternsSimulated accumulated.
-func TestHooksEarlyStop(t *testing.T) {
-	meter := meterFor(t, "ripple-adder", 2)
-	patterns, stopAt := 0, 0
-	hooks := &Hooks{
-		PatternsSimulated: func(n int) { patterns += n },
-		EarlyStop:         func(used int) { stopAt = used },
-	}
-	if _, err := Characterize(meter, "hooked", CharacterizeOptions{
-		Patterns: 20000, Seed: 1, Workers: 1,
-		ConvergeTol: 0.5, CheckEvery: 200, Hooks: hooks,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if stopAt == 0 {
-		t.Fatalf("loose tolerance did not trigger an early stop")
-	}
-	if stopAt != patterns {
-		t.Errorf("EarlyStop reported %d patterns, hooks accumulated %d", stopAt, patterns)
-	}
-	if patterns >= 20000 {
-		t.Errorf("early stop consumed the whole budget (%d)", patterns)
 	}
 }
 

@@ -53,24 +53,20 @@ type RunManifest struct {
 	// PatternsBudget is the requested pattern budget after defaulting.
 	PatternsBudget int `json:"patterns_budget"`
 	// PatternsBasic / PatternsBiased are the patterns actually simulated
-	// per phase (basic < budget on an early stop or interrupt).
+	// per phase (less than the budget only when the run failed).
 	PatternsBasic  int `json:"patterns_basic"`
 	PatternsBiased int `json:"patterns_biased,omitempty"`
 	// ShardsPlanned / ShardsMerged count deterministic stream shards.
 	ShardsPlanned int `json:"shards_planned"`
 	ShardsMerged  int `json:"shards_merged"`
-	// EarlyStop records a convergence-triggered stop and the patterns it
-	// consumed.
-	EarlyStop           bool `json:"early_stop"`
-	EarlyStopAtPatterns int  `json:"early_stop_at_patterns,omitempty"`
 	// Resumed records that the run restored state from a checkpoint of an
 	// earlier process; ResumedFromPhase is the phase it continued in. The
 	// pattern and shard totals include the restored portion, but
 	// WallSeconds/CPUSeconds cover only the resumed segment.
 	Resumed          bool   `json:"resumed,omitempty"`
 	ResumedFromPhase string `json:"resumed_from_phase,omitempty"`
-	// Convergence is the checkpoint trajectory (needs either a positive
-	// ConvergeTol or any Convergence hook listener).
+	// Convergence is the basic phase's checkpoint trajectory, one point
+	// per check boundary the recorder saw.
 	Convergence []ConvergencePoint `json:"convergence,omitempty"`
 	// Coefficients is the final basic table: per Hd class the mean charge
 	// (p), intra-class deviation (epsilon) and sample count — "patterns
@@ -173,12 +169,6 @@ func (r *RunRecorder) Hooks() *Hooks {
 			defer r.mu.Unlock()
 			r.man.Convergence = append(r.man.Convergence,
 				ConvergencePoint{Patterns: patterns, WorstChange: worst})
-		},
-		EarlyStop: func(used int) {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			r.man.EarlyStop = true
-			r.man.EarlyStopAtPatterns = used
 		},
 		Resumed: func(phase string, shards, patternsBasic, patternsBiased int) {
 			r.mu.Lock()

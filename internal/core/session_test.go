@@ -31,13 +31,9 @@ func sessionModel(t *testing.T, module string, width, rangeShards int, opt Chara
 		if err != nil {
 			t.Fatal(err)
 		}
-		phase := s.Phase()
 		for _, r := range results {
 			if err := s.Merge(r); err != nil {
 				t.Fatal(err)
-			}
-			if s.Done() || s.Phase() != phase {
-				break // early stop truncates the phase mid-range
 			}
 		}
 	}
@@ -55,8 +51,6 @@ func TestMergeSessionBitIdentical(t *testing.T) {
 	}{
 		{"basic", CharacterizeOptions{Patterns: 2000, Seed: 7}},
 		{"enhanced", CharacterizeOptions{Patterns: 2000, Seed: 7, Enhanced: true, ZClusters: 3}},
-		{"early-stop", CharacterizeOptions{Patterns: 6000, Seed: 3, Enhanced: true,
-			ConvergeTol: 0.2, CheckEvery: 500}},
 		{"parallel-workers", CharacterizeOptions{Patterns: 2000, Seed: 11, Enhanced: true, Workers: 4}},
 	}
 	for _, tc := range cases {
@@ -84,7 +78,6 @@ func hookTrace(events *[]string) *Hooks {
 	return &Hooks{
 		PatternsSimulated: func(n int) { *events = append(*events, fmt.Sprintf("patterns:%d", n)) },
 		ShardMerged:       func() { *events = append(*events, "shard") },
-		EarlyStop:         func(p int) { *events = append(*events, fmt.Sprintf("stop:%d", p)) },
 		PhaseStart: func(phase string, shards, patterns int) {
 			*events = append(*events, fmt.Sprintf("start:%s:%d:%d", phase, shards, patterns))
 		},
@@ -96,7 +89,7 @@ func hookTrace(events *[]string) *Hooks {
 }
 
 func TestMergeSessionHookParity(t *testing.T) {
-	base := CharacterizeOptions{Patterns: 4000, Seed: 5, Enhanced: true, ConvergeTol: 0.2, CheckEvery: 500}
+	base := CharacterizeOptions{Patterns: 4000, Seed: 5, Enhanced: true}
 
 	var single []string
 	opt := base

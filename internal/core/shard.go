@@ -12,7 +12,7 @@ import (
 // by mix(seed, stream, i), and every shard carries its own partial
 // accumulators. Workers claim shards in any order, but partials are merged
 // strictly in shard-index order, so the merged sums, bounded deviation
-// reservoirs, and any early-stop decision are byte-identical for every
+// reservoirs and convergence trajectory are byte-identical for every
 // worker count — Workers only changes wall-clock time, never the model.
 
 // shardPatterns is the fixed shard size in characterization pairs. It is
@@ -72,11 +72,11 @@ func mix64(x uint64) uint64 {
 
 // runShardsOrdered executes run(worker, idx) for every shard index in
 // [0, n) on up to `workers` goroutines and feeds the results to merge in
-// strict shard-index order. merge returning false stops the run early:
-// later shards are discarded even if already computed, so the merged
-// prefix — and with it the early-stop point — is a pure function of the
-// shard contents, independent of the worker count and of scheduling.
-// It returns the number of shards merged.
+// strict shard-index order. merge returning false (an Interrupt) stops
+// the run: later shards are discarded even if already computed, so the
+// merged prefix a checkpoint records is a pure function of the shard
+// contents and the stop point, independent of the worker count and of
+// scheduling. It returns the number of shards merged.
 func runShardsOrdered[T any](n, workers int, run func(worker, idx int) T, merge func(idx int, r T) bool) int {
 	if workers > n {
 		workers = n
@@ -130,7 +130,7 @@ func runShardsOrdered[T any](n, workers int, run func(worker, idx int) T, merge 
 	stopped := false
 	for it := range out {
 		if stopped {
-			continue // drain in-flight results after an early stop
+			continue // drain in-flight results after a stop
 		}
 		pending[it.idx] = it.res
 		for {

@@ -86,9 +86,9 @@ func TestRunShardsOrderedMergesInOrder(t *testing.T) {
 	}
 }
 
-// TestRunShardsOrderedEarlyStopDeterministic checks that an early stop
-// decided on the merged prefix cuts at the same shard for every worker
-// count, and that no shard past the cut is ever merged.
+// TestRunShardsOrderedEarlyStopDeterministic checks that a stop decided
+// on the merged prefix (an Interrupt) cuts at the same shard for every
+// worker count, and that no shard past the cut is ever merged.
 func TestRunShardsOrderedEarlyStopDeterministic(t *testing.T) {
 	const n, stopAt = 64, 23
 	for _, workers := range []int{1, 3, 8} {

@@ -418,9 +418,9 @@ func (c *Coordinator) expireLocked(js *jobState, now time.Time) {
 }
 
 // mergeReadyLocked folds every uploaded range that has reached the merge
-// cursor into the session, strictly in shard order. An early stop or
-// phase transition mid-range discards the tail of that range and rebuilds
-// the lease table for the new phase.
+// cursor into the session, strictly in shard order. Ranges never cross a
+// phase end; merging the range that ends a phase rebuilds the lease table
+// for the next one.
 func (c *Coordinator) mergeReadyLocked(js *jobState) error {
 	for !js.sess.Done() {
 		r := js.rangeAtCursorLocked()
@@ -446,9 +446,6 @@ func (c *Coordinator) mergeReadyLocked(js *jobState) error {
 				r.state = rangePending
 				r.worker = ""
 				return nil
-			}
-			if js.sess.Done() || js.sess.Phase() != phase {
-				break // early stop truncated the phase mid-range
 			}
 		}
 		delete(js.uploads, r.start)

@@ -53,18 +53,16 @@ import (
 // whose fingerprint does not match what they recompute locally, so a
 // version-skewed worker can never contribute shards.
 type JobSpec struct {
-	ID          string  `json:"id"`
-	Module      string  `json:"module"`
-	Width       int     `json:"width"`
-	InputBits   int     `json:"input_bits"`
-	Seed        int64   `json:"seed"`
-	Patterns    int     `json:"patterns"`
-	Enhanced    bool    `json:"enhanced,omitempty"`
-	ZClusters   int     `json:"z_clusters,omitempty"`
-	CheckEvery  int     `json:"check_every,omitempty"`
-	ConvergeTol float64 `json:"converge_tol,omitempty"`
-	Backend     string  `json:"backend,omitempty"`
-	Fingerprint string  `json:"fingerprint"`
+	ID          string `json:"id"`
+	Module      string `json:"module"`
+	Width       int    `json:"width"`
+	InputBits   int    `json:"input_bits"`
+	Seed        int64  `json:"seed"`
+	Patterns    int    `json:"patterns"`
+	Enhanced    bool   `json:"enhanced,omitempty"`
+	ZClusters   int    `json:"z_clusters,omitempty"`
+	Backend     string `json:"backend,omitempty"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // moduleName is the characterization run name shared by coordinator and
@@ -80,13 +78,11 @@ func (j *JobSpec) moduleName() string {
 // stream (nor, therefore, the fingerprint).
 func (j *JobSpec) options() core.CharacterizeOptions {
 	return core.CharacterizeOptions{
-		Patterns:    j.Patterns,
-		Seed:        j.Seed,
-		Enhanced:    j.Enhanced,
-		ZClusters:   j.ZClusters,
-		CheckEvery:  j.CheckEvery,
-		ConvergeTol: j.ConvergeTol,
-		Backend:     core.BackendKind(j.Backend),
+		Patterns:  j.Patterns,
+		Seed:      j.Seed,
+		Enhanced:  j.Enhanced,
+		ZClusters: j.ZClusters,
+		Backend:   core.BackendKind(j.Backend),
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 )
 
 // spanHooks returns hooks that mirror one characterization run as child
-// spans of the span in ctx: one span per phase, one per merged shard
-// (spanning the time since the previous merge), and an instant span on an
-// early stop. Hooks are delivered on the run's single merging goroutine,
-// so the closure state needs no locking.
+// spans of the span in ctx: one span per phase and one per merged shard
+// (spanning the time since the previous merge). Hooks are delivered on
+// the run's single merging goroutine, so the closure state needs no
+// locking.
 func (s *Server) spanHooks(ctx context.Context) *core.Hooks {
 	var phaseCtx context.Context
 	var phaseSpan *obs.Span
@@ -42,11 +42,6 @@ func (s *Server) spanHooks(ctx context.Context) *core.Hooks {
 			now := time.Now()
 			_, sp := s.tracer.StartAt(phaseCtx, "shard.merge", lastMerge)
 			lastMerge = now
-			sp.End()
-		},
-		EarlyStop: func(used int) {
-			_, sp := s.tracer.Start(phaseCtx, "early_stop")
-			sp.SetAttr("patterns", strconv.Itoa(used))
 			sp.End()
 		},
 	}
