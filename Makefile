@@ -99,15 +99,21 @@ cover:
 # points every build's merge state machine takes from bytes — resuming a
 # MergeSession from a decoded checkpoint, and merging a decoded
 # ShardResult, which must leave the session untouched when it rejects it
-# — the hand-rolled estimate parser against encoding/json and every
-# estimate answer against an encoding/json rendering of core.Model prices
-# on arbitrary request bodies, the parser's eight-byte number scanner
+# — a fleet coordinator resuming a build from an arbitrary lease ledger,
+# sealed or not, which must fall back to a fresh build or finish exactly as
+# a merge session resumed from the same checkpoint, the hand-rolled
+# estimate parser against encoding/json and every estimate answer against
+# an encoding/json rendering of core.Model prices on arbitrary request
+# bodies, the parser's eight-byte number scanner
 # against strconv.ParseUint from any offset of arbitrary bytes, the
 # NDJSON line splitter against bytes.Split, and the atomicio checksum
 # trailer parser (the bytes→payload decision behind ReadFile and Unseal)
 # against the exact bytes Seal writes. Seed corpora live under each
 # package's testdata/fuzz or in the target's f.Add seeds; a crasher lands
-# under testdata/fuzz.
+# under testdata/fuzz. Each FuzzLoadLedger input runs a whole build with
+# fsynced ledger writes (several ms), so its minimizer is capped at 20
+# candidates per new input: at the 60 s default it spends the whole budget
+# minimizing the first one.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -116,6 +122,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime $(FUZZTIME) ./internal/bitsim
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadLedger$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimateDecoders$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanUint64$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReadLine$$' -fuzztime $(FUZZTIME) ./internal/serve

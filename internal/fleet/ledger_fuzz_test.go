@@ -1,0 +1,150 @@
+package fleet
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"hdpower/internal/atomicio"
+	"hdpower/internal/core"
+)
+
+// FuzzLoadLedger places arbitrary bytes, sealed with atomicio.Seal or
+// not, at a coordinator's ledger path and resumes the job from them. No
+// bytes may panic the coordinator or keep the build from finishing:
+//   - a ledger the coordinator refuses degrades to a fresh build, which
+//     must equal singleNode bit for bit;
+//   - a ledger it resumes must finish exactly as a core.MergeSession
+//     resumed from the same checkpoint and fed the rest of the plan does,
+//     and a snapshot the build itself took must finish as singleNode.
+func FuzzLoadLedger(f *testing.F) {
+	// Two shards per phase keep ledgers small: the fuzzer minimizes every
+	// new input it finds, one build per candidate.
+	spec := JobSpec{Module: "ripple-adder", Width: 2, Seed: 3, Patterns: 256, Enhanced: true}
+	want := singleNode(f, spec)
+	meter, err := spec.buildMeter()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// job is the spec as the coordinator completes and persists it.
+	job := spec
+	job.InputBits = meter.NumInputBits()
+	opt := job.options()
+	job.Fingerprint = core.Fingerprint(job.moduleName(), job.InputBits, opt)
+	job.ID = job.Fingerprint
+	shards := map[string][]core.ShardResult{}
+	for _, phase := range []string{core.PhaseBasic, core.PhaseBiased} {
+		rs, err := core.CharacterizeShardRange(meter, job.moduleName(), opt, phase, 0, core.NumShards(spec.Patterns))
+		if err != nil {
+			f.Fatal(err)
+		}
+		shards[phase] = rs
+	}
+	// replay is what a build resumed from cp must produce.
+	replay := func(cp *core.Checkpoint) (*core.Model, error) {
+		s, err := core.ResumeMergeSession(job.moduleName(), job.InputBits, opt, cp)
+		if err != nil {
+			return nil, err
+		}
+		defer s.Close()
+		for !s.Done() {
+			if err := s.Merge(shards[s.Phase()][s.MergedShards()]); err != nil {
+				return nil, err
+			}
+		}
+		return s.Finish()
+	}
+
+	// Seeds: the ledger of every merge point of both phases, sealed as the
+	// coordinator writes it, one of them also unsealed, and ledgers of the
+	// wrong format or job.
+	honest := map[string]bool{}
+	s, err := core.NewMergeSession(job.moduleName(), job.InputBits, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k := 0; ; k++ {
+		led := ledger{Format: ledgerFormat, Job: job, NextEpoch: int64(k), Checkpoint: s.Snapshot()}
+		raw, err := json.Marshal(led)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, true)
+		if k == 2 {
+			f.Add(raw, false)
+			other := led
+			other.Format = "hdpower-fleet-ledger-v0"
+			alien, _ := json.Marshal(other)
+			f.Add(alien, true)
+			other = led
+			other.Job.Fingerprint = "000000000000000000000000"
+			alien, _ = json.Marshal(other)
+			f.Add(alien, true)
+		}
+		cp, _ := json.Marshal(led.Checkpoint)
+		honest[string(cp)] = true
+		if s.Done() {
+			break
+		}
+		if err := s.Merge(shards[s.Phase()][s.MergedShards()]); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte(`{"format":"hdpower-fleet-ledger-v1","checkpoint":null}`), true)
+
+	f.Fuzz(func(t *testing.T, raw []byte, seal bool) {
+		if seal {
+			raw = atomicio.Seal(raw)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "job.fleet.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Decode the bytes as the coordinator does, from a copy: the build
+		// overwrites and finally removes its ledger.
+		decoded := filepath.Join(dir, "decoded.json")
+		if err := os.WriteFile(decoded, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var led ledger
+		readErr := atomicio.ReadJSON(decoded, &led)
+
+		resumed := false
+		c := NewCoordinator(Config{LeaseShards: 2, Tick: time.Millisecond, LocalWorkers: 1})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		got, err := c.RunJob(ctx, spec, RunOptions{
+			Hooks:      &core.Hooks{Resumed: func(string, int, int, int) { resumed = true }},
+			LedgerPath: path,
+			Resume:     true,
+		})
+		if !resumed {
+			if err != nil {
+				t.Fatalf("fresh build after a refused ledger failed: %v", err)
+			}
+			assertSameModel(t, got, want, "fresh build after a refused ledger")
+			return
+		}
+		if readErr != nil || led.Checkpoint == nil {
+			t.Fatalf("build resumed from a ledger that does not decode: %v", readErr)
+		}
+		wantModel, wantErr := replay(led.Checkpoint)
+		// Garbage accumulators can fit NaN coefficients, which DeepEqual
+		// never equates; %v prints every float exactly.
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%v", got) != fmt.Sprintf("%v", wantModel) {
+			t.Fatalf("resumed build diverges from a session resumed from its checkpoint:\n got %v, %v\nwant %v, %v",
+				got, err, wantModel, wantErr)
+		}
+		if cp, _ := json.Marshal(led.Checkpoint); honest[string(cp)] {
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameModel(t, got, want, "build resumed from its own snapshot")
+		}
+	})
+}
