@@ -35,7 +35,7 @@ type Profiler struct {
 	max     int
 	mu      sync.Mutex // guards registration (copy + swap of set)
 	set     atomic.Pointer[profSet]
-	dropped atomic.Uint64 // registrations refused by the MaxModels cap
+	dropped atomic.Uint64 // registrations refused by the model cap
 }
 
 // profSet is one immutable model-set snapshot. list preserves
@@ -62,6 +62,11 @@ type profShard struct {
 	latCount  atomic.Uint64
 }
 
+// maxProfiledModels caps the number of distinct models a Telemetry's
+// profiler tracks; registrations beyond it are counted in DroppedModels
+// instead of growing without bound.
+const maxProfiledModels = 128
+
 func newProfiler(shards, maxModels int) *Profiler {
 	p := &Profiler{shards: shards, max: maxModels}
 	p.set.Store(&profSet{byKey: map[Key]*ModelProf{}})
@@ -70,7 +75,7 @@ func newProfiler(shards, maxModels int) *Profiler {
 
 // Model returns the counters for key, registering the model on first
 // sight. The hit path is one atomic load plus a map probe and never
-// allocates. Returns nil (safe to record into) when the MaxModels cap is
+// allocates. Returns nil (safe to record into) when the model cap is
 // reached.
 func (p *Profiler) Model(key Key, classes int) *ModelProf {
 	if mp, ok := p.set.Load().byKey[key]; ok {

@@ -70,10 +70,6 @@ type Config struct {
 	// Bounds are the latency bucket upper bounds in seconds. Nil selects
 	// obs.LatencyBounds.
 	Bounds []float64
-	// MaxModels caps the number of distinct models the profiler tracks;
-	// registrations beyond the cap are counted in DroppedModels instead
-	// of growing without bound. Zero selects 128.
-	MaxModels int
 	// Shards is the profiler shard count per model. Zero selects
 	// GOMAXPROCS capped at 16.
 	Shards int
@@ -94,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Bounds) == 0 {
 		c.Bounds = obs.LatencyBounds()
-	}
-	if c.MaxModels <= 0 {
-		c.MaxModels = 128
 	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
@@ -122,7 +115,7 @@ func New(cfg Config) (*Telemetry, error) {
 	cfg = cfg.withDefaults()
 	return &Telemetry{
 		cfg:  cfg,
-		prof: newProfiler(cfg.Shards, cfg.MaxModels),
+		prof: newProfiler(cfg.Shards, maxProfiledModels),
 	}, nil
 }
 

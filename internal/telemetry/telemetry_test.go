@@ -58,8 +58,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Window != 10*time.Second || cfg.Windows != 30 || cfg.FastWindows != 3 {
 		t.Fatalf("window defaults wrong: %+v", cfg)
 	}
-	if len(cfg.Bounds) == 0 || cfg.MaxModels != 128 || cfg.Shards < 1 {
-		t.Fatalf("bounds/models/shards defaults wrong: %+v", cfg)
+	if len(cfg.Bounds) == 0 || cfg.Shards < 1 {
+		t.Fatalf("bounds/shards defaults wrong: %+v", cfg)
 	}
 	// FastWindows clamps to Windows.
 	cfg = Config{Now: cfg.Now, Windows: 2, FastWindows: 9}.withDefaults()
