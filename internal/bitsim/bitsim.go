@@ -4,8 +4,8 @@
 // ops derived from the internal/cells truth tables. It is the software
 // analogue of FPGA power-emulation — the lanes of a machine word play the
 // role of the replicated hardware — and exists to make the paper's
-// Hd-class characterization fast: per-net toggle counts come out of
-// bits.OnesCount64 instead of per-pattern event queues.
+// Hd-class characterization fast: each pair's charge comes out of
+// bit-sliced per-lane counters instead of per-pattern event queues.
 //
 // Two activity modes are available:
 //
@@ -34,14 +34,17 @@
 // replicas would evaluate.
 //
 // A Meter reads its topology from the netlist's compiled netlist.Program,
-// the one sim and power.Meter read, and weights toggles with the same
+// the one sim and power.Meter read, and weights changes with the same
 // per-net switched capacitances, held as int64 tenths of a charge unit
-// (netlist.Program.CapTenths). Changes are counted per capacitance class
-// in bit-sliced per-lane counters and turned into per-lane charges once
-// per batch, so a batch returns the per-pair charges the macro-model
-// characterizer consumes, exactly: a pair's charge is an integer number
-// of tenths divided by ten once, the same in any summation order, lane
-// and batch.
+// (netlist.Program.CapTenths). Nothing is counted per net: a step's
+// changes are committed run by run, a run's change masks summed per lane
+// by full adders four slots at a time into six carry-save registers, and
+// those added once per run to its capacitance class's bit-sliced lane
+// counters — the software form of power emulation's activity counters.
+// The counters are turned into per-lane charges once per batch, so a
+// batch returns the per-pair charges the macro-model characterizer
+// consumes, exactly: a pair's charge is an integer number of tenths
+// divided by ten once, the same in any summation order, lane and batch.
 //
 // # Concurrency
 //
@@ -107,18 +110,18 @@ type Meter struct {
 	mode Mode
 
 	// Mutable per-batch state.
-	val     []uint64 // packed net values, bit l = lane l
-	toggles []int64  // per-net toggles of the last batch
-	next    []uint64 // one UnitDelay step's new outputs, before commit
-	outs    []int32  // and the nets they drive
-	planes  []uint64 // per-class lane counters, bit-sliced (see add)
+	val    []uint64 // packed net values, bit l = lane l
+	next   []uint64 // one UnitDelay step's new outputs, before commit
+	outs   []int32  // and the nets they drive
+	planes []uint64 // per-class lane counters, bit-sliced (see add)
 
 	// Packing scratch.
 	uPack, vPack []uint64
 }
 
 // New builds a bit-parallel meter for the netlist and compiles its
-// schedule. The netlist is finalized (validated) as a side effect.
+// schedule, charging each net's changes to the class of its capacitance.
+// The netlist is finalized (validated) as a side effect.
 func New(nl *netlist.Netlist, mode Mode) (*Meter, error) {
 	if err := nl.Finalize(); err != nil {
 		return nil, fmt.Errorf("bitsim: %w", err)
@@ -127,7 +130,8 @@ func New(nl *netlist.Netlist, mode Mode) (*Meter, error) {
 		return nil, fmt.Errorf("bitsim: unknown mode %d", int(mode))
 	}
 	p := nl.Program()
-	return newMeter(nl, p, compile(p, mode), mode), nil
+	class, tenths := capClasses(p)
+	return newMeter(nl, p, compile(p, mode, class, tenths), mode), nil
 }
 
 // newMeter returns a meter over the compiled program and schedule with
@@ -136,17 +140,16 @@ func New(nl *netlist.Netlist, mode Mode) (*Meter, error) {
 // and apply only write input nets and gate outputs).
 func newMeter(nl *netlist.Netlist, p *netlist.Program, s *schedule, mode Mode) *Meter {
 	m := &Meter{
-		nl:      nl,
-		p:       p,
-		s:       s,
-		mode:    mode,
-		val:     make([]uint64, nl.NumNets()),
-		toggles: make([]int64, nl.NumNets()),
-		next:    make([]uint64, s.widest),
-		outs:    make([]int32, s.widest),
-		planes:  make([]uint64, s.planeOff[len(s.planeOff)-1]),
-		uPack:   make([]uint64, len(p.Inputs)),
-		vPack:   make([]uint64, len(p.Inputs)),
+		nl:     nl,
+		p:      p,
+		s:      s,
+		mode:   mode,
+		val:    make([]uint64, nl.NumNets()),
+		next:   make([]uint64, s.widest),
+		outs:   make([]int32, s.widest),
+		planes: make([]uint64, s.planeOff[len(s.planeOff)-1]),
+		uPack:  make([]uint64, len(p.Inputs)),
+		vPack:  make([]uint64, len(p.Inputs)),
 	}
 	for _, t := range p.Ties {
 		if t.Val {
@@ -157,8 +160,8 @@ func newMeter(nl *netlist.Netlist, p *netlist.Program, s *schedule, mode Mode) *
 }
 
 // Clone returns an independent meter over the same finalized netlist,
-// sharing the immutable program and schedule and owning fresh
-// value/toggle/scratch state, for use on another goroutine.
+// sharing the immutable program and schedule and owning fresh value,
+// counter and scratch state, for use on another goroutine.
 func (m *Meter) Clone() *Meter { return newMeter(m.nl, m.p, m.s, m.mode) }
 
 // Netlist returns the simulated netlist.
@@ -213,10 +216,9 @@ func add(planes, r []uint64) {
 	}
 }
 
-// record counts a packed change mask on one net: its toggles by popcount
-// and its charge on its class's lane counters.
+// record counts a packed change mask on one net on its class's lane
+// counters.
 func (m *Meter) record(id int32, c uint64) {
-	m.toggles[id] += int64(bits.OnesCount64(c))
 	k := m.s.class[id]
 	add(m.planes[m.s.planeOff[k]:m.s.planeOff[k+1]], []uint64{c})
 }
@@ -244,13 +246,19 @@ func (m *Meter) flush(q []float64) {
 
 // CycleBatch simulates up to Lanes pattern pairs: lane l settles on us[l]
 // without recording activity, then switches to vs[l] and accumulates the
-// transient. The per-pair charges are written into q[:len(us)], and the
-// per-net toggle counts aggregated over the whole batch are returned (the
-// slice is reused by the next CycleBatch; callers that retain it must
-// copy). Charges are counted in int64 tenths of a charge unit and divided
-// by ten once per pair, so they are exact: any order of summation gives
-// the same bits, and a pair prices the same in any batch and lane.
-func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
+// transient. The per-pair charges are written into q[:len(us)]. Charges
+// are counted in int64 tenths of a charge unit and divided by ten once
+// per pair, so they are exact: any order of summation gives the same
+// bits, and a pair prices the same in any batch and lane. No per-net
+// activity is kept.
+func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) {
+	m.simulate(us, vs, q)
+	m.flush(q[:len(us)])
+}
+
+// simulate checks and runs a batch, leaving its changes on the class
+// counters for flush.
+func (m *Meter) simulate(us, vs []logic.Word, q []float64) {
 	if len(us) != len(vs) {
 		panic(fmt.Sprintf("bitsim: batch of %d u-vectors but %d v-vectors", len(us), len(vs)))
 	}
@@ -270,9 +278,6 @@ func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 	}
 	logic.PackLanes(m.uPack, us)
 	logic.PackLanes(m.vPack, vs)
-	for i := range m.toggles {
-		m.toggles[i] = 0
-	}
 	// Settle on u: steady state is mode-independent, one topological sweep.
 	for i, id := range m.p.Inputs {
 		m.val[id] = m.uPack[i]
@@ -288,8 +293,6 @@ func (m *Meter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 	case UnitDelay:
 		m.applyUnitDelay()
 	}
-	m.flush(q[:len(us)])
-	return m.toggles
 }
 
 // edge switches the inputs to v, recording their changes, and reports
@@ -339,7 +342,7 @@ func (m *Meter) applyUnitDelay() {
 	}
 	s := m.s
 	gates := m.p.Gates
-	val, toggles := m.val, m.toggles
+	val := m.val
 	start, r0 := int32(0), int32(0)
 	for st, end := range s.stepEnd {
 		slots := s.slots[start:end]
@@ -355,15 +358,45 @@ func (m *Meter) applyUnitDelay() {
 		for _, run := range runs {
 			// A run's changes are counted per lane in six carry-save
 			// registers, bit j of a lane's count in cj; a run is at
-			// most maxRun slots long, so none overflows.
+			// most maxRun slots long, so none overflows. Full adders
+			// fold the change masks in four slots at a time, then two,
+			// then one.
 			var c0, c1, c2, c3, c4, c5 uint64
-			for ; k < run.end-start; k++ {
-				out := outs[k]
-				nv := next[k]
-				c := val[out] ^ nv
-				val[out] = nv
-				toggles[out] += int64(bits.OnesCount64(c))
-				any |= c
+			nv, out := next[k:run.end-start], outs[k:run.end-start]
+			k = run.end - start
+			for ; len(out) >= 4; nv, out = nv[4:], out[4:] {
+				a, b := commit(val, out[0], nv[0]), commit(val, out[1], nv[1])
+				c, d := commit(val, out[2], nv[2]), commit(val, out[3], nv[3])
+				// c0+a+b+c+d leaves c0 and two carries h, g of weight 2;
+				// c1+h+g leaves c1 and a carry f of weight 4.
+				t := c0 ^ a
+				u := t ^ b
+				h := c0&a | t&b
+				t = u ^ c
+				c0 = t ^ d
+				g := u&c | t&d
+				t = c1 ^ h
+				f := c1&h | t&g
+				c1 = t ^ g
+				c2, f = c2^f, c2&f
+				c3, f = c3^f, c3&f
+				c4, f = c4^f, c4&f
+				c5 ^= f
+			}
+			if len(out) >= 2 {
+				a, b := commit(val, out[0], nv[0]), commit(val, out[1], nv[1])
+				t := c0 ^ a
+				f := c0&a | t&b
+				c0 = t ^ b
+				c1, f = c1^f, c1&f
+				c2, f = c2^f, c2&f
+				c3, f = c3^f, c3&f
+				c4, f = c4^f, c4&f
+				c5 ^= f
+				nv, out = nv[2:], out[2:]
+			}
+			if len(out) == 1 {
+				c := commit(val, out[0], nv[0])
 				c0, c = c0^c, c0&c
 				c1, c = c1^c, c1&c
 				c2, c = c2^c, c2&c
@@ -371,8 +404,9 @@ func (m *Meter) applyUnitDelay() {
 				c4, c = c4^c, c4&c
 				c5 ^= c
 			}
-			if c0|c1|c2|c3|c4|c5 != 0 {
+			if r := c0 | c1 | c2 | c3 | c4 | c5; r != 0 {
 				add(m.planes[s.planeOff[run.class]:s.planeOff[run.class+1]], []uint64{c0, c1, c2, c3, c4, c5})
+				any |= r
 			}
 		}
 		if any == 0 {
@@ -380,6 +414,13 @@ func (m *Meter) applyUnitDelay() {
 		}
 		start, r0 = end, s.stepRuns[st]
 	}
+}
+
+// commit sets net out to nv and returns the lanes that changed.
+func commit(val []uint64, out int32, nv uint64) uint64 {
+	c := val[out] ^ nv
+	val[out] = nv
+	return c
 }
 
 // evalRun evaluates a run of gates of one kind into next, and their

@@ -92,18 +92,25 @@ func scalarReference(t testing.TB, nl *netlist.Netlist, engine sim.Engine,
 }
 
 // batchAll runs pairs through one bit-parallel meter in Lanes-sized
-// batches, accumulating per-net toggles and per-pair charges.
+// batches and returns its per-pair charges, with the per-net toggles read
+// off its per-net twin (bitsim.NewNetMeter), whose charges must equal the
+// meter's bit for bit in every batch, full or partial.
 func batchAll(t testing.TB, m *bitsim.Meter, us, vs []logic.Word) ([]int64, []float64) {
 	t.Helper()
+	nm := bitsim.NewNetMeter(m)
 	toggles := make([]int64, m.Netlist().NumNets())
 	q := make([]float64, len(us))
+	qNet := make([]float64, bitsim.Lanes)
 	for off := 0; off < len(us); off += bitsim.Lanes {
-		end := off + bitsim.Lanes
-		if end > len(us) {
-			end = len(us)
-		}
-		for id, n := range m.CycleBatch(us[off:end], vs[off:end], q[off:end]) {
+		end := min(off+bitsim.Lanes, len(us))
+		m.CycleBatch(us[off:end], vs[off:end], q[off:end])
+		for id, n := range nm.CycleBatch(us[off:end], vs[off:end], qNet) {
 			toggles[id] += n
+		}
+		for j := off; j < end; j++ {
+			if qNet[j-off] != q[j] {
+				t.Fatalf("pair %d: per-net meter charge %v, meter %v", j, qNet[j-off], q[j])
+			}
 		}
 	}
 	return toggles, q
@@ -370,7 +377,8 @@ func TestCycleBatchValidation(t *testing.T) {
 
 // TestPartialBatchMatchesSingles checks pad-lane inertness: a ragged batch
 // of k < Lanes pairs must price exactly like k single-pair batches — the
-// unused lanes contribute no toggles and no charge.
+// unused lanes contribute no toggles and no charge — on the meter and on
+// its per-net twin alike.
 func TestPartialBatchMatchesSingles(t *testing.T) {
 	nl := buildModule(t, "csa-multiplier", 4)
 	m, err := bitsim.New(nl, bitsim.UnitDelay)
@@ -379,23 +387,26 @@ func TestPartialBatchMatchesSingles(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	us, vs := randPairs(rng, m.NumInputBits(), 5)
-	qBatch := make([]float64, 8)
+	qBatch, qNet := make([]float64, 8), make([]float64, 8)
 	for i := range qBatch {
-		qBatch[i] = math.NaN() // sentinel: lanes beyond the batch stay untouched
+		qBatch[i], qNet[i] = math.NaN(), math.NaN() // sentinels: lanes beyond the batch stay untouched
 	}
-	batchToggles := append([]int64(nil), m.CycleBatch(us, vs, qBatch)...)
+	m.CycleBatch(us, vs, qBatch)
+	batchToggles := append([]int64(nil), bitsim.NewNetMeter(m).CycleBatch(us, vs, qNet)...)
 
-	single := m.Clone()
-	q1 := make([]float64, 1)
+	single, singleNet := m.Clone(), bitsim.NewNetMeter(m)
+	q1, q1Net := make([]float64, 1), make([]float64, 1)
 	sumToggles := make([]int64, len(batchToggles))
 	for j := range us {
-		for id, n := range single.CycleBatch(us[j:j+1], vs[j:j+1], q1) {
+		single.CycleBatch(us[j:j+1], vs[j:j+1], q1)
+		for id, n := range singleNet.CycleBatch(us[j:j+1], vs[j:j+1], q1Net) {
 			sumToggles[id] += n
 		}
 		// Charges are exact integer tenths, so which lanes share the
 		// batch cannot move a bit.
-		if qBatch[j] != q1[0] {
-			t.Fatalf("pair %d: batched charge %g, single %g", j, qBatch[j], q1[0])
+		if qBatch[j] != q1[0] || qNet[j] != q1[0] || q1Net[0] != q1[0] {
+			t.Fatalf("pair %d: batched charge %g (per-net %g), single %g (per-net %g)",
+				j, qBatch[j], qNet[j], q1[0], q1Net[0])
 		}
 	}
 	for id := range batchToggles {
@@ -404,8 +415,8 @@ func TestPartialBatchMatchesSingles(t *testing.T) {
 		}
 	}
 	for j := len(us); j < len(qBatch); j++ {
-		if !math.IsNaN(qBatch[j]) {
-			t.Fatalf("q[%d] overwritten to %g beyond the batch", j, qBatch[j])
+		if !math.IsNaN(qBatch[j]) || !math.IsNaN(qNet[j]) {
+			t.Fatalf("q[%d] overwritten to %g (per-net %g) beyond the batch", j, qBatch[j], qNet[j])
 		}
 	}
 }
@@ -607,7 +618,7 @@ func TestDeepChainGlitchesLate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toggles := m.CycleBatch(us, vs, make([]float64, len(us)))
+	toggles := bitsim.NewNetMeter(m).CycleBatch(us, vs, make([]float64, len(us)))
 	var flips int64
 	for l := range us {
 		if us[l].Bit(0) != vs[l].Bit(0) {
@@ -622,7 +633,8 @@ func TestDeepChainGlitchesLate(t *testing.T) {
 }
 
 // TestWarmBatchDoesNotAllocate: once a meter has run a batch, CycleBatch
-// allocates nothing, in either mode, for full and partial batches.
+// allocates nothing, in either mode, for full and partial batches, and
+// neither does its per-net twin's.
 func TestWarmBatchDoesNotAllocate(t *testing.T) {
 	nl := buildModule(t, "booth-wallace-multiplier", 8)
 	for _, mode := range []bitsim.Mode{bitsim.ZeroDelay, bitsim.UnitDelay} {
@@ -630,12 +642,17 @@ func TestWarmBatchDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		nm := bitsim.NewNetMeter(m)
 		us, vs := randPairs(rand.New(rand.NewSource(5)), m.NumInputBits(), bitsim.Lanes)
 		q := make([]float64, bitsim.Lanes)
 		for _, n := range []int{bitsim.Lanes, 37} {
 			m.CycleBatch(us[:n], vs[:n], q)
 			if a := testing.AllocsPerRun(20, func() { m.CycleBatch(us[:n], vs[:n], q) }); a != 0 {
 				t.Errorf("%s, %d pairs: %v allocations per warm batch", mode, n, a)
+			}
+			nm.CycleBatch(us[:n], vs[:n], q)
+			if a := testing.AllocsPerRun(20, func() { nm.CycleBatch(us[:n], vs[:n], q) }); a != 0 {
+				t.Errorf("%s, %d pairs: %v allocations per warm per-net batch", mode, n, a)
 			}
 		}
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // schedule.go compiles a netlist.Program once per New into what the
-// batch loops read: the capacitance class each net's changes are charged
-// to and, for UnitDelay, the static step schedule of the wavefront.
+// batch loops read: the class each net's changes are charged to (its
+// capacitance class) and, for UnitDelay, the static step schedule of the
+// wavefront.
 //
 // A net can change at step s of the wavefront only if some path from a
 // primary input reaches it through exactly s gates: inputs change at the
@@ -24,9 +25,9 @@ import (
 // schedule is a netlist.Program compiled for one Mode. It is immutable
 // and shared by every clone of the meter that compiled it.
 type schedule struct {
-	// tenths is each capacitance class's net capacitance in tenths of a
-	// charge unit, class each net's class, and class c's counter planes
-	// are Meter.planes[planeOff[c]:planeOff[c+1]].
+	// tenths is each class's net capacitance in tenths of a charge unit,
+	// class each net's class, and class c's counter planes are
+	// Meter.planes[planeOff[c]:planeOff[c+1]].
 	tenths   []int64
 	class    []int32
 	planeOff []int32
@@ -46,7 +47,7 @@ type schedule struct {
 // share a kind and an output class.
 type run struct {
 	kind  cells.Kind
-	class int32 // the outputs' capacitance class
+	class int32 // the outputs' class
 	end   int32 // one past the run's last slot
 }
 
@@ -54,23 +55,32 @@ type run struct {
 // changes per lane (see Meter.applyUnitDelay).
 const maxRun = 1<<6 - 1
 
-// compile builds the schedule for mode. Classes are the distinct
-// CapTenths values, numbered in net order. Each class gets as many
-// counter planes as it takes to count, per lane, every change one batch
-// can charge to it, so the counters cannot overflow before the flush at
-// the end of the batch.
-func compile(p *netlist.Program, mode Mode) *schedule {
-	s := &schedule{class: make([]int32, len(p.CapTenths))}
+// capClasses numbers the distinct CapTenths values in net order:
+// class[id] is net id's capacitance class and tenths[k] class k's
+// capacitance in tenths.
+func capClasses(p *netlist.Program) (class []int32, tenths []int64) {
+	class = make([]int32, len(p.CapTenths))
 	ids := make(map[int64]int32)
 	for id, c := range p.CapTenths {
 		k, ok := ids[c]
 		if !ok {
-			k = int32(len(s.tenths))
+			k = int32(len(tenths))
 			ids[c] = k
-			s.tenths = append(s.tenths, c)
+			tenths = append(tenths, c)
 		}
-		s.class[id] = k
+		class[id] = k
 	}
+	return class, tenths
+}
+
+// compile builds the schedule for mode over a class map: class[id] is
+// the class net id's changes are charged to, and tenths[k] the
+// capacitance of every net of class k. Each class gets as many counter
+// planes as it takes to count, per lane, every change one batch can
+// charge to it, so the counters cannot overflow before the flush at the
+// end of the batch.
+func compile(p *netlist.Program, mode Mode, class []int32, tenths []int64) *schedule {
+	s := &schedule{class: class, tenths: tenths}
 	events := make([]int, len(s.tenths)) // most changes per lane and batch, by class
 	for _, id := range p.Inputs {
 		events[s.class[id]]++

@@ -32,7 +32,8 @@ func TestCompileSchedule(t *testing.T) {
 	for i, g := range p.Gates {
 		pos[netlist.NetID(g.Out)] = int32(i)
 	}
-	s := compile(p, UnitDelay)
+	class, tenths := capClasses(p)
+	s := compile(p, UnitDelay, class, tenths)
 
 	wantSteps := [][]int32{
 		{pos[x], pos[y], pos[w]},
@@ -104,7 +105,7 @@ func TestCompileSchedule(t *testing.T) {
 		}
 	}
 
-	zd := compile(p, ZeroDelay)
+	zd := compile(p, ZeroDelay, class, tenths)
 	if len(zd.slots) != 0 || len(zd.stepEnd) != 0 || zd.widest != 0 {
 		t.Errorf("zero-delay schedule has steps: %d slots, %d steps", len(zd.slots), len(zd.stepEnd))
 	}
@@ -141,11 +142,11 @@ func TestCloneSharesSchedule(t *testing.T) {
 	}
 	nets := nl.NumNets()
 	for name, got := range map[string]int{
-		"val": cap(c.val), "toggles": cap(c.toggles), "next": cap(c.next), "outs": cap(c.outs), "planes": cap(c.planes),
+		"val": cap(c.val), "next": cap(c.next), "outs": cap(c.outs), "planes": cap(c.planes),
 		"uPack": cap(c.uPack), "vPack": cap(c.vPack),
 	} {
 		want := map[string]int{
-			"val": nets, "toggles": nets, "next": m.s.widest, "outs": m.s.widest, "planes": int(m.s.planeOff[len(m.s.planeOff)-1]),
+			"val": nets, "next": m.s.widest, "outs": m.s.widest, "planes": int(m.s.planeOff[len(m.s.planeOff)-1]),
 			"uPack": nl.NumInputBits(), "vPack": nl.NumInputBits(),
 		}[name]
 		if got != want {
