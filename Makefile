@@ -15,7 +15,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 # mispages and misbudgets refinement. The serve floor guards the estimate
 # data plane, whose hand-rolled body parser reads untrusted bytes: a
 # number it scans wrong is a wrong answer, and one it wrongly refuses
-# leaves the allocation-free path without any error.
+# leaves the allocation-free path without any error. The fleet floor
+# guards the distributed build: its coordinator merges uploaded bytes
+# from other processes, and a range it merges wrong or never merges is a
+# wrong model or a build that hangs.
 COVER_FLOOR_CORE      ?= 90
 COVER_FLOOR_SIM       ?= 90
 COVER_FLOOR_BITSIM    ?= 90
@@ -24,6 +27,7 @@ COVER_FLOOR_LUT       ?= 90
 COVER_FLOOR_HDDIST    ?= 90
 COVER_FLOOR_TELEMETRY ?= 90
 COVER_FLOOR_SERVE     ?= 85
+COVER_FLOOR_FLEET     ?= 80
 
 .PHONY: test lint race chaos cover fuzz bench bench-char bench-fresh bench-gate repro \
 	serve-bench serve-fresh serve-load serve-gate
@@ -70,8 +74,8 @@ chaos:
 		./internal/faultpoint/... ./internal/modellib/... ./internal/serve/... ./internal/fleet/...
 
 # Coverage profiles with enforced floors on internal/core, sim, bitsim,
-# netlist, lut, hddist, telemetry and serve; CI publishes the profiles as
-# artifacts.
+# netlist, lut, hddist, telemetry, serve and fleet; CI publishes the
+# profiles as artifacts.
 cover:
 	$(GO) test -coverprofile=coverage_core.out ./internal/core
 	$(GO) test -coverprofile=coverage_sim.out ./internal/sim
@@ -81,9 +85,10 @@ cover:
 	$(GO) test -coverprofile=coverage_hddist.out ./internal/hddist
 	$(GO) test -coverprofile=coverage_telemetry.out ./internal/telemetry
 	$(GO) test -coverprofile=coverage_serve.out ./internal/serve
+	$(GO) test -coverprofile=coverage_fleet.out ./internal/fleet
 	@for spec in core:$(COVER_FLOOR_CORE) sim:$(COVER_FLOOR_SIM) bitsim:$(COVER_FLOOR_BITSIM) \
 			netlist:$(COVER_FLOOR_NETLIST) lut:$(COVER_FLOOR_LUT) hddist:$(COVER_FLOOR_HDDIST) \
-			telemetry:$(COVER_FLOOR_TELEMETRY) serve:$(COVER_FLOOR_SERVE); do \
+			telemetry:$(COVER_FLOOR_TELEMETRY) serve:$(COVER_FLOOR_SERVE) fleet:$(COVER_FLOOR_FLEET); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		total=$$($(GO) tool cover -func=coverage_$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 		echo "internal/$$pkg coverage: $$total% (floor $$floor%)"; \
@@ -101,7 +106,11 @@ cover:
 # ShardResult, which must leave the session untouched when it rejects it
 # — a fleet coordinator resuming a build from an arbitrary lease ledger,
 # sealed or not, which must fall back to a fresh build or finish exactly as
-# a merge session resumed from the same checkpoint, the hand-rolled
+# a merge session resumed from the same checkpoint, a fleet coordinator
+# receiving arbitrary bytes, sealed or not, as the upload of a leased
+# range, which it must refuse with a 4xx or accept and still finish the
+# build, bit-identical to single-node unless it accepted dishonest
+# results, the hand-rolled
 # estimate parser against encoding/json and every estimate answer against
 # an encoding/json rendering of core.Model prices on arbitrary request
 # bodies, the parser's eight-byte number scanner
@@ -111,9 +120,10 @@ cover:
 # against the exact bytes Seal writes. Seed corpora live under each
 # package's testdata/fuzz or in the target's f.Add seeds; a crasher lands
 # under testdata/fuzz. Each FuzzLoadLedger input runs a whole build with
-# fsynced ledger writes (several ms), so its minimizer is capped at 20
-# candidates per new input: at the 60 s default it spends the whole budget
-# minimizing the first one.
+# fsynced ledger writes (several ms), and each FuzzHandleUpload input a
+# whole build over loopback HTTP, so their minimizers are capped at 20
+# candidates per new input: at the 60 s default they spend the whole
+# budget minimizing the first one.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -123,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadLedger$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleUpload$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimateDecoders$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanUint64$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReadLine$$' -fuzztime $(FUZZTIME) ./internal/serve

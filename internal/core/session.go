@@ -338,19 +338,24 @@ func (s *MergeSession) PhaseShards() int { return len(s.plan) }
 // called.
 func (s *MergeSession) Done() bool { return s.done }
 
-// validate rejects a ShardResult that cannot be merged at the session's
-// current position, before any state is touched — a rejected result
-// leaves the session unchanged, so the caller can discard the payload and
-// have the shard recomputed.
-func (s *MergeSession) validate(r *ShardResult) error {
+// validate rejects a ShardResult that cannot be merged k shards past
+// the session's current position, before any state is touched — a
+// rejected result leaves the session unchanged, so the caller can discard
+// the payload and have the shard recomputed.
+func (s *MergeSession) validate(r *ShardResult, k int) error {
 	if s.done {
 		return fmt.Errorf("core: merge session for %s is already complete", s.module)
 	}
-	if r.Index != s.merged {
-		return fmt.Errorf("core: shard %d out of order in the %s phase of %s (next is %d)",
-			r.Index, s.phase, s.module, s.merged)
+	at := s.merged + k
+	if at >= len(s.plan) {
+		return fmt.Errorf("core: shard %d lies past the %d-shard %s phase of %s",
+			r.Index, len(s.plan), s.phase, s.module)
 	}
-	if want := s.plan[s.merged].patterns; r.Patterns != want {
+	if r.Index != at {
+		return fmt.Errorf("core: shard %d out of order in the %s phase of %s (next is %d)",
+			r.Index, s.phase, s.module, at)
+	}
+	if want := s.plan[at].patterns; r.Patterns != want {
 		return fmt.Errorf("core: shard %d of %s carries %d patterns, plan says %d",
 			r.Index, s.module, r.Patterns, want)
 	}
@@ -387,10 +392,23 @@ func (s *MergeSession) validate(r *ShardResult) error {
 // session. Merging the shard that completes a phase advances the session,
 // possibly to Done.
 func (s *MergeSession) Merge(r ShardResult) error {
-	if err := s.validate(&r); err != nil {
-		return err
+	return s.MergeRange([]ShardResult{r})
+}
+
+// MergeRange folds a contiguous range of shard partials all or nothing:
+// the k-th result must carry index MergedShards()+k of the current phase,
+// and every result is validated before any is folded, so a rejected range
+// leaves the session unchanged. A range may end its phase but not cross
+// into the next one.
+func (s *MergeSession) MergeRange(rs []ShardResult) error {
+	for k := range rs {
+		if err := s.validate(&rs[k], k); err != nil {
+			return err
+		}
 	}
-	s.fold(&r)
+	for k := range rs {
+		s.fold(&rs[k])
+	}
 	if s.merged == len(s.plan) {
 		s.complete()
 	}

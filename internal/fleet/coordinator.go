@@ -418,9 +418,10 @@ func (c *Coordinator) expireLocked(js *jobState, now time.Time) {
 }
 
 // mergeReadyLocked folds every uploaded range that has reached the merge
-// cursor into the session, strictly in shard order. Ranges never cross a
-// phase end; merging the range that ends a phase rebuilds the lease table
-// for the next one.
+// cursor into the session, strictly in shard order and each range all or
+// nothing, so a range that fails validation leaves the cursor at its
+// start. Ranges never cross a phase end; merging the range that ends a
+// phase rebuilds the lease table for the next one.
 func (c *Coordinator) mergeReadyLocked(js *jobState) error {
 	for !js.sess.Done() {
 		r := js.rangeAtCursorLocked()
@@ -435,18 +436,17 @@ func (c *Coordinator) mergeReadyLocked(js *jobState) error {
 			return nil
 		}
 		phase := js.sess.Phase()
-		for _, res := range js.uploads[r.start] {
-			if err := js.sess.Merge(res); err != nil {
-				// A checksum-valid but semantically wrong payload (foreign
-				// build, wrong geometry). Discard and recompute the range.
-				c.met.zombieRejected.Inc()
-				c.log.Warn("upload failed merge validation; re-leasing range",
-					"job", js.spec.ID, "start", r.start, "err", err)
-				delete(js.uploads, r.start)
-				r.state = rangePending
-				r.worker = ""
-				return nil
-			}
+		if err := js.sess.MergeRange(js.uploads[r.start]); err != nil {
+			// A checksum-valid but semantically wrong payload (foreign
+			// build, wrong geometry, a result out of place). No result of
+			// it was folded: discard it and recompute the range.
+			c.met.zombieRejected.Inc()
+			c.log.Warn("upload failed merge validation; re-leasing range",
+				"job", js.spec.ID, "start", r.start, "err", err)
+			delete(js.uploads, r.start)
+			r.state = rangePending
+			r.worker = ""
+			return nil
 		}
 		delete(js.uploads, r.start)
 		r.state = rangeMerged

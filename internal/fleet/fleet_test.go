@@ -15,6 +15,7 @@ import (
 
 	"hdpower/internal/atomicio"
 	"hdpower/internal/core"
+	"hdpower/internal/power"
 )
 
 // testFleet is a coordinator behind a real HTTP server whose handlers
@@ -166,12 +167,54 @@ func uploadByHand(t *testing.T, url string, payload uploadPayload, seal bool) in
 	if seal {
 		body = atomicio.Seal(body)
 	}
+	return postUpload(t, url, body)
+}
+
+// postUpload POSTs raw bytes as an upload and returns the status code.
+func postUpload(t *testing.T, url string, body []byte) int {
+	t.Helper()
 	resp, err := http.Post(url+PathUpload, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// jobResult is what a RunJob call returned.
+type jobResult struct {
+	model *core.Model
+	err   error
+}
+
+// drainByHand leases every range the coordinator at url grants worker,
+// computes it honestly on meter and uploads it, until RunJob reports on
+// done.
+func drainByHand(t *testing.T, url, worker string, job JobSpec, meter *power.Meter, done <-chan jobResult) jobResult {
+	t.Helper()
+	for {
+		select {
+		case res := <-done:
+			return res
+		default:
+		}
+		lr := leaseByHand(t, url, worker)
+		if lr.Status != statusLease {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		ls := *lr.Lease
+		rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(), ls.Phase, ls.Start, ls.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := uploadByHand(t, url, uploadPayload{
+			Worker: worker, JobID: ls.JobID, Phase: ls.Phase,
+			Start: ls.Start, End: ls.End, Epoch: ls.Epoch, Results: rs,
+		}, true); code != http.StatusOK {
+			t.Fatalf("drain upload got %d, want 200", code)
+		}
+	}
 }
 
 func TestFleetEpochFencingAndTornUploads(t *testing.T) {
@@ -189,14 +232,10 @@ func TestFleetEpochFencingAndTornUploads(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	type result struct {
-		model *core.Model
-		err   error
-	}
-	done := make(chan result, 1)
+	done := make(chan jobResult, 1)
 	go func() {
 		m, err := c.RunJob(ctx, spec, RunOptions{})
-		done <- result{m, err}
+		done <- jobResult{m, err}
 	}()
 
 	// Take the first lease and sit on it past its TTL.
@@ -228,14 +267,8 @@ func TestFleetEpochFencingAndTornUploads(t *testing.T) {
 		Worker: "zombie", JobID: ls.JobID, Phase: ls.Phase,
 		Start: ls.Start, End: ls.End, Epoch: ls.Epoch, Results: results,
 	}))
-	resp, err := http.Post(f.ts.URL+PathUpload, "application/octet-stream",
-		bytes.NewReader(sealed[:len(sealed)/2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("torn upload got %d, want 400", resp.StatusCode)
+	if code := postUpload(t, f.ts.URL, sealed[:len(sealed)/2]); code != http.StatusBadRequest {
+		t.Fatalf("torn upload got %d, want 400", code)
 	}
 	if c.met.tornUploads.Value() == 0 {
 		t.Fatal("torn upload not counted")
@@ -277,34 +310,11 @@ func TestFleetEpochFencingAndTornUploads(t *testing.T) {
 	}, true); code != http.StatusOK {
 		t.Fatalf("fresh upload got %d, want 200", code)
 	}
-	for {
-		select {
-		case res := <-done:
-			if res.err != nil {
-				t.Fatal(res.err)
-			}
-			assertSameModel(t, res.model, want, "fenced fleet model")
-			return
-		default:
-		}
-		lr := leaseByHand(t, f.ts.URL, "fresh")
-		if lr.Status != statusLease {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		ls := *lr.Lease
-		rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(),
-			ls.Phase, ls.Start, ls.End)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code := uploadByHand(t, f.ts.URL, uploadPayload{
-			Worker: "fresh", JobID: ls.JobID, Phase: ls.Phase,
-			Start: ls.Start, End: ls.End, Epoch: ls.Epoch, Results: rs,
-		}, true); code != http.StatusOK {
-			t.Fatalf("drain upload got %d, want 200", code)
-		}
+	res := drainByHand(t, f.ts.URL, "fresh", job, meter, done)
+	if res.err != nil {
+		t.Fatal(res.err)
 	}
+	assertSameModel(t, res.model, want, "fenced fleet model")
 }
 
 func TestFleetLedgerResume(t *testing.T) {
