@@ -295,6 +295,68 @@ func TestEnginesMatchReference(t *testing.T) {
 	}
 }
 
+// TestRunLengthsCountExactly pins the full-adder counting of a run's
+// changes at every length whose four-, two- and one-slot steps combine
+// differently, 1 to 5 slots, and at the 63-slot maximum, plus 64, which
+// splits into runs of 63 and 1. It logs which of them the catalog
+// schedules at widths 8 and 16, where TestEnginesMatchReference covers
+// them; each also gets a netlist of its own: n inverters on inputs of
+// their own, one run of n slots at step 1, matched against the reference
+// over random lanes, a lane in which every input flips, so that the run
+// counts n changes in one lane, and a lane in which none does.
+func TestRunLengthsCountExactly(t *testing.T) {
+	lengths := []int{1, 2, 3, 4, 5, 63}
+	inCatalog := map[int][]string{}
+	for _, name := range dwlib.Names() {
+		for _, width := range []int{8, 16} {
+			nl := buildModule(t, name, width)
+			m, err := bitsim.New(nl, bitsim.UnitDelay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range bitsim.RunLengths(m) {
+				inCatalog[n] = append(inCatalog[n], nl.Name)
+			}
+		}
+	}
+	for _, n := range lengths {
+		t.Logf("runs of %d slots: %d in the catalog", n, len(inCatalog[n]))
+	}
+	for _, n := range append(lengths, 64) {
+		t.Run(fmt.Sprintf("inverters-%d", n), func(t *testing.T) {
+			nl := netlist.New(fmt.Sprintf("inv%d", n))
+			in := nl.AddInputBus("a", n)
+			outs := make([]netlist.NetID, n)
+			for i, a := range in.Nets {
+				outs[i] = nl.Not(a)
+			}
+			nl.MarkOutputBus("y", outs)
+			if err := nl.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := bitsim.New(nl, bitsim.UnitDelay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []int{n}
+			if n > 63 {
+				want = []int{63, n - 63}
+			}
+			if got := bitsim.RunLengths(m); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("runs of %v slots, want %v", got, want)
+			}
+			us, vs := randPairs(rand.New(rand.NewSource(int64(n))), n, bitsim.Lanes)
+			us[0], vs[0] = logic.NewWord(n), logic.NewWord(n)
+			for i := 0; i < n; i++ {
+				vs[0].Set(i, true)
+			}
+			vs[1] = us[1]
+			matchReference(t, nl, bitsim.ZeroDelay, us, vs)
+			matchReference(t, nl, bitsim.UnitDelay, us, vs)
+		})
+	}
+}
+
 // TestUnitDelayTracksEventGlitches samples catalog modules and compares
 // total switching activity between the unit-delay approximation and the
 // event-driven golden engine; the drift must stay within glitchTolerance.
@@ -541,10 +603,11 @@ func randomCircuit(rng *rand.Rand, inputs, gates int, shape uint8) *netlist.Netl
 // FuzzEnginesAgree mirrors internal/sim's engine-agreement fuzz target for
 // the bit-parallel engine: on random DAGs and random batches (a full and
 // a partial one), ZeroDelay lanes must match the scalar simulator
-// net-for-net, and both modes must equal the per-lane full-sweep
-// reference toggle for toggle and charge for charge. The seeds cover
-// constant ties, switching Mux2 selects, and chains deeper than 64 and
-// 128 levels, the last with glitches arriving after step 128.
+// net-for-net, both modes must equal the per-lane full-sweep reference
+// toggle for toggle and charge for charge, and in every batch the per-net
+// meter's charges must equal the production meter's (batchAll). The seeds
+// cover constant ties, switching Mux2 selects, and chains deeper than 64
+// and 128 levels, the last with glitches arriving after step 128.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(40), uint8(0))
 	f.Add(int64(99), uint8(2), uint8(5), uint8(0))

@@ -41,3 +41,15 @@ func (m *NetMeter) CycleBatch(us, vs []logic.Word, q []float64) []int64 {
 	m.flush(q[:len(us)])
 	return m.toggles
 }
+
+// RunLengths returns the slot count of every run of m's schedule, in
+// schedule order.
+func RunLengths(m *Meter) []int {
+	lengths := make([]int, len(m.s.runs))
+	start := int32(0)
+	for r, run := range m.s.runs {
+		lengths[r] = int(run.end - start)
+		start = run.end
+	}
+	return lengths
+}

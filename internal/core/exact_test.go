@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"hdpower/internal/logic"
 )
@@ -83,56 +85,69 @@ func binomial(n, k int) int64 {
 }
 
 // TestExactCoefficients is the oracle of Section 4.1's sampler: for
-// m ≤ 10 every ordered pair fits through the bit-parallel engine, which
+// m ≤ 12 every ordered pair fits through the bit-parallel engine, which
 // gives each class's exact mean charge p_i. The exact class sizes must be
 // C(m,i)·2^m per Hd class and C(m,i)·2^i·C(m−i,z) per enhanced class, and
 // the default-budget model's p_i (5,000 pairs, seed 1) must lie within
 // z·σ_i/√n_i of the exact mean, z Bonferroni-corrected over the m classes
-// at a family-wise 99.9%.
+// at a family-wise 99.9%. The m = 12 modules take seconds each to
+// enumerate and are skipped under -short.
 func TestExactCoefficients(t *testing.T) {
 	for _, c := range []struct {
 		module string
 		width  int
+		slow   bool
 	}{
-		{"ripple-adder", 5},
-		{"kogge-stone-adder", 5},
-		{"csa-multiplier", 5},
-		{"booth-wallace-multiplier", 4},
+		{"ripple-adder", 5, false},
+		{"kogge-stone-adder", 5, false},
+		{"csa-multiplier", 5, false},
+		{"booth-wallace-multiplier", 4, false},
+		{"ripple-adder", 6, true},
+		{"csa-multiplier", 6, true},
 	} {
-		meter := meterFor(t, c.module, c.width)
-		b, err := NewBitParallelBackend(meter.Simulator().Netlist())
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := enumerateClasses(t, b)
-		m := b.NumInputBits()
-		for i := 1; i <= m; i++ {
-			if want := binomial(m, i) << m; exact.count[i-1] != want {
-				t.Errorf("%s:%d class %d holds %d pairs, want %d", c.module, c.width, i, exact.count[i-1], want)
+		t.Run(fmt.Sprintf("%s:%d", c.module, c.width), func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("m = 12 enumeration skipped under -short")
 			}
-			for z, got := range exact.enhanced[i-1] {
-				if want := binomial(m, i) << i * binomial(m-i, z); got != want {
-					t.Errorf("%s:%d class (%d, %d) holds %d pairs, want %d", c.module, c.width, i, z, got, want)
+			meter := meterFor(t, c.module, c.width)
+			b, err := NewBitParallelBackend(meter.Simulator().Netlist())
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			exact := enumerateClasses(t, b)
+			enumerated := time.Since(start)
+			m := b.NumInputBits()
+			for i := 1; i <= m; i++ {
+				if want := binomial(m, i) << m; exact.count[i-1] != want {
+					t.Errorf("class %d holds %d pairs, want %d", i, exact.count[i-1], want)
+				}
+				for z, got := range exact.enhanced[i-1] {
+					if want := binomial(m, i) << i * binomial(m-i, z); got != want {
+						t.Errorf("class (%d, %d) holds %d pairs, want %d", i, z, got, want)
+					}
 				}
 			}
-		}
 
-		model, err := Characterize(meter, c.module, CharacterizeOptions{Seed: 1, Backend: BackendBitParallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := math.Sqrt2 * math.Erfinv(1-0.001/float64(m))
-		worst := 0.0
-		for i := 1; i <= m; i++ {
-			coef := model.Basic[i-1]
-			se := exact.sigma(i) / math.Sqrt(float64(coef.Count))
-			z := (coef.P - exact.mean(i)) / se
-			worst = max(worst, math.Abs(z))
-			if math.Abs(z) > bound {
-				t.Errorf("%s:%d p_%d = %g is %.2f standard errors from the exact %g (bound %.2f)",
-					c.module, c.width, i, coef.P, z, exact.mean(i), bound)
+			model, err := Characterize(meter, c.module, CharacterizeOptions{Seed: 1, Backend: BackendBitParallel})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Logf("%s:%d (m=%d): worst |z| %.2f, bound %.2f", c.module, c.width, m, worst, bound)
+			bound := math.Sqrt2 * math.Erfinv(1-0.001/float64(m))
+			worst := 0.0
+			for i := 1; i <= m; i++ {
+				coef := model.Basic[i-1]
+				se := exact.sigma(i) / math.Sqrt(float64(coef.Count))
+				z := (coef.P - exact.mean(i)) / se
+				worst = max(worst, math.Abs(z))
+				t.Logf("p_%d: exact %.4f, default budget %.4f (n %d), z %+.2f", i, exact.mean(i), coef.P, coef.Count, z)
+				if math.Abs(z) > bound {
+					t.Errorf("p_%d = %g is %.2f standard errors from the exact %g (bound %.2f)",
+						i, coef.P, z, exact.mean(i), bound)
+				}
+			}
+			t.Logf("m=%d: %d pairs enumerated in %v; worst |z| %.2f, bound %.2f",
+				m, int64(1)<<m*(int64(1)<<m-1), enumerated.Round(time.Millisecond), worst, bound)
+		})
 	}
 }
