@@ -216,7 +216,7 @@ func add(planes, r []uint64) {
 	}
 }
 
-// record counts a packed change mask on one net on its class's lane
+// record adds a packed change mask of net id to its class's lane
 // counters.
 func (m *Meter) record(id int32, c uint64) {
 	k := m.s.class[id]

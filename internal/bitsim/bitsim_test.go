@@ -306,21 +306,20 @@ func TestEnginesMatchReference(t *testing.T) {
 // counts n changes in one lane, and a lane in which none does.
 func TestRunLengthsCountExactly(t *testing.T) {
 	lengths := []int{1, 2, 3, 4, 5, 63}
-	inCatalog := map[int][]string{}
+	inCatalog := map[int]int{}
 	for _, name := range dwlib.Names() {
 		for _, width := range []int{8, 16} {
-			nl := buildModule(t, name, width)
-			m, err := bitsim.New(nl, bitsim.UnitDelay)
+			m, err := bitsim.New(buildModule(t, name, width), bitsim.UnitDelay)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, n := range bitsim.RunLengths(m) {
-				inCatalog[n] = append(inCatalog[n], nl.Name)
+				inCatalog[n]++
 			}
 		}
 	}
 	for _, n := range lengths {
-		t.Logf("runs of %d slots: %d in the catalog", n, len(inCatalog[n]))
+		t.Logf("runs of %d slots: %d in the catalog", n, inCatalog[n])
 	}
 	for _, n := range append(lengths, 64) {
 		t.Run(fmt.Sprintf("inverters-%d", n), func(t *testing.T) {

@@ -31,10 +31,8 @@ func sessionModel(t *testing.T, module string, width, rangeShards int, opt Chara
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range results {
-			if err := s.Merge(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := s.MergeRange(results); err != nil {
+			t.Fatal(err)
 		}
 	}
 	model, err := s.Finish()
@@ -231,6 +229,23 @@ func TestMergeSessionRejectsBadResults(t *testing.T) {
 	bad.Enhanced = nil
 	if err := s.Merge(bad); err == nil {
 		t.Fatal("missing enhanced accumulators accepted")
+	}
+
+	// A range merges all or nothing: one result out of place, or one past
+	// the end of the phase, refuses the results before it too.
+	all, err := CharacterizeShardRange(meter, "ripple-adder-4", opt, PhaseBasic, 0, s.PhaseShards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := json.Marshal(s.Snapshot())
+	if err := s.MergeRange([]ShardResult{all[0], all[2]}); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("range with a result out of place accepted: %v", err)
+	}
+	if err := s.MergeRange(append(all[:len(all):len(all)], all[0])); err == nil || !strings.Contains(err.Error(), "past") {
+		t.Fatalf("range crossing the phase end accepted: %v", err)
+	}
+	if after, _ := json.Marshal(s.Snapshot()); string(after) != string(before) {
+		t.Fatal("a refused range changed the session")
 	}
 
 	// Rejections must not have mutated the session: the good stream still
