@@ -2,7 +2,7 @@ package atomicio
 
 // seal.go applies the package's checksum-trailer discipline to payloads
 // that travel over a wire instead of through WriteFile. The distributed
-// characterization fleet seals each partial-accumulator upload so a torn
+// characterization fleet seals each shard-range upload so a torn
 // or bit-flipped HTTP body is detected by the coordinator exactly the way
 // a torn file is detected on load — same trailer, same failure taxonomy —
 // and the shard range is re-leased instead of merging garbage.

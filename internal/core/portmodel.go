@@ -121,23 +121,17 @@ func (pm *PortModel) MarshalJSON() ([]byte, error) {
 	}{Format: "hdpower-portmodel-v1", alias: (*alias)(pm)})
 }
 
-// newPortPartial allocates an empty (Hd_A, Hd_B) accumulator grid.
-func newPortPartial(widthA, widthB int) [][]AccState {
-	acc := make([][]AccState, widthA+1)
-	for ia := range acc {
-		acc[ia] = make([]AccState, widthB+1)
-	}
-	return acc
+// portSamples is one port shard's classified charges: pair k's
+// (Hd_A, Hd_B) class, flattened to Hd_A·(widthB+1) + Hd_B, and its
+// charge.
+type portSamples struct {
+	cls []int
+	q   []float64
 }
 
 // runPortShard simulates one shard of the port-characterization stream on
-// the worker's backend and returns its partial (Hd_A, Hd_B) grid, taken
-// from parts.
-func (w *shardWorker) runPortShard(parts *recycler[[][]AccState], widthA, widthB int, sh shard, seed int64) [][]AccState {
-	acc := parts.get()
-	for _, row := range acc {
-		resetAccs(row)
-	}
+// the worker's backend into part, whose arrays have room for the shard.
+func (w *shardWorker) runPortShard(part *portSamples, widthA, widthB int, sh shard, seed int64) {
 	w.ps = restart(w.ps, widthA, shardSeed(seed, streamPortA, sh.index), false)
 	w.psB = restart(w.psB, widthB, shardSeed(seed, streamPortB, sh.index), false)
 	if len(w.us) == 0 {
@@ -148,37 +142,28 @@ func (w *shardWorker) runPortShard(parts *recycler[[][]AccState], widthA, widthB
 		for k := range w.us {
 			w.us[k], w.vs[k] = logic.NewWord(widthA+widthB), logic.NewWord(widthA+widthB)
 		}
-		w.q = make([]float64, size)
-		w.ias, w.ibs = make([]int, size), make([]int, size)
 	}
-	us, vs, q := w.us[:sh.patterns], w.vs[:sh.patterns], w.q[:sh.patterns]
-	ias, ibs := w.ias[:sh.patterns], w.ibs[:sh.patterns]
+	us, vs := w.us[:sh.patterns], w.vs[:sh.patterns]
+	part.cls, part.q = part.cls[:sh.patterns], part.q[:sh.patterns]
 	for k := range us {
-		uA, vA := w.ps.Next()
-		uB, vB := w.psB.Next()
+		uA, vA, ia := w.ps.next()
+		uB, vB, ib := w.psB.next()
 		// The per-port sources always flip at least one bit; to cover the
-		// (ia, 0) and (0, ib) edges, alternately freeze one port. The
-		// freeze schedule follows the absolute pattern index so shard
-		// boundaries do not disturb it.
+		// (ia, 0) and (0, ib) edges, alternately freeze one port, never
+		// both, so no pair falls in the (0, 0) class. The freeze schedule
+		// follows the absolute pattern index so shard boundaries do not
+		// disturb it.
 		switch (sh.offset + k) % 4 {
 		case 1:
-			vB = uB
+			vB, ib = uB, 0
 		case 3:
-			vA = uA
+			vA, ia = uA, 0
 		}
 		us[k].SetConcat(uA, uB)
 		vs[k].SetConcat(vA, vB)
-		ias[k] = logic.Hd(uA, vA)
-		ibs[k] = logic.Hd(uB, vB)
+		part.cls[k] = ia*(widthB+1) + ib
 	}
-	w.b.Charges(us, vs, q)
-	for k := range us {
-		if ias[k] == 0 && ibs[k] == 0 {
-			continue
-		}
-		acc[ias[k]][ibs[k]].add(q[k])
-	}
-	return acc
+	w.b.Charges(us, vs, part.q)
 }
 
 // CharacterizePorts fits a port-resolved model for a module whose packed
@@ -199,21 +184,27 @@ func CharacterizePorts(meter *power.Meter, moduleName string, widthA, widthB int
 		return nil, fmt.Errorf("core: port widths %d+%d do not match %d input bits",
 			widthA, widthB, m)
 	}
-	acc := newPortPartial(widthA, widthB)
-	parts := newRecycler(len(pool), func() [][]AccState { return newPortPartial(widthA, widthB) })
+	cols := widthB + 1
+	totals := make([]AccState, (widthA+1)*cols)
+	acc := newClassFold(len(totals))
+	parts := newRecycler(len(pool), func() *portSamples {
+		return &portSamples{cls: make([]int, shardPatterns), q: make([]float64, shardPatterns)}
+	})
 	runShardsOrdered(len(plan), len(pool),
-		func(w, idx int) [][]AccState {
-			return pool[w].runPortShard(parts, widthA, widthB, plan[idx], opt.Seed)
+		func(w, idx int) *portSamples {
+			part := parts.get()
+			pool[w].runPortShard(part, widthA, widthB, plan[idx], opt.Seed)
+			return part
 		},
-		func(_ int, part [][]AccState) bool {
-			mergeRows(acc, part)
+		func(_ int, part *portSamples) bool {
+			acc.fold(totals, part.cls, part.q)
 			parts.put(part)
 			return true
 		})
 
 	pm := &PortModel{Module: moduleName, WidthA: widthA, WidthB: widthB, Coeffs: make([][]Coef, widthA+1)}
-	for ia, row := range acc {
-		pm.Coeffs[ia] = coefs(row)
+	for ia := range pm.Coeffs {
+		pm.Coeffs[ia] = coefs(totals[ia*cols : (ia+1)*cols])
 	}
 	return pm, pm.Validate()
 }

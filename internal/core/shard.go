@@ -9,11 +9,12 @@ import (
 // Characterization parallelism works by sharding the pattern stream, not
 // by sharing one stream between workers: the run is split into fixed-size
 // shards, shard i draws its patterns from an independent PairSource seeded
-// by mix(seed, stream, i), and every shard carries its own partial
-// accumulators. Workers claim shards in any order, but partials are merged
-// strictly in shard-index order, so the merged sums, bounded deviation
-// reservoirs and convergence trajectory are byte-identical for every
-// worker count — Workers only changes wall-clock time, never the model.
+// by mix(seed, stream, i), and every shard records its pairs' classes and
+// charges. Workers claim shards in any order, but shards are folded into
+// the class totals strictly in shard-index order, so the merged sums,
+// bounded deviation reservoirs and convergence trajectory are
+// byte-identical for every worker count — Workers only changes wall-clock
+// time, never the model.
 
 // shardPatterns is the fixed shard size in characterization pairs. It is
 // deliberately independent of the worker count (that is what makes results
@@ -152,16 +153,13 @@ func runShardsOrdered[T any](n, workers int, run func(worker, idx int) T, merge 
 }
 
 // shardWorker is one worker's backend plus the scratch it reuses from
-// shard to shard — the pair sources (restarted per shard), the pair and
-// charge buffers, and the per-port class indices of port shards — so a
-// steady-state shard allocates nothing. A worker serves a single run,
-// so all its shards are of one kind.
+// shard to shard — the pair sources (restarted per shard) and the pair
+// buffers — so a steady-state shard allocates nothing. A worker serves a
+// single run, so all its shards are of one kind.
 type shardWorker struct {
-	b        Backend
-	ps, psB  *PairSource // psB: port B of CharacterizePorts
-	us, vs   []logic.Word
-	q        []float64
-	ias, ibs []int
+	b       Backend
+	ps, psB *PairSource // psB: port B of CharacterizePorts
+	us, vs  []logic.Word
 }
 
 // workerPool returns per-worker engines: slot 0 runs the resolved
@@ -185,28 +183,26 @@ func restart(ps *PairSource, m int, seed int64, density bool) *PairSource {
 	return ps
 }
 
-// buffers returns the worker's pair and charge buffers sized for an
-// n-pair shard.
-func (w *shardWorker) buffers(n int) (us, vs []logic.Word, q []float64) {
-	if cap(w.q) < n {
+// buffers returns the worker's pair buffers sized for an n-pair shard.
+func (w *shardWorker) buffers(n int) (us, vs []logic.Word) {
+	if cap(w.us) < n {
 		size := max(n, shardPatterns)
-		w.us, w.vs, w.q = make([]logic.Word, size), make([]logic.Word, size), make([]float64, size)
+		w.us, w.vs = make([]logic.Word, size), make([]logic.Word, size)
 	}
-	return w.us[:n], w.vs[:n], w.q[:n]
+	return w.us[:n], w.vs[:n]
 }
 
-// recycler hands shard partials from the merging goroutine back to the
-// workers once their contents have been merged or encoded, so the pool
-// of partials stops growing after the first few shards. It is safe for
-// concurrent use. A partial returned to a full recycler is left to the
-// garbage collector.
+// recycler hands shard sample buffers from the merging goroutine back to
+// the workers once they have been folded, so the pool of buffers stops
+// growing after the first few shards. It is safe for concurrent use. A
+// buffer returned to a full recycler is left to the garbage collector.
 type recycler[T any] struct {
 	free  chan T
 	alloc func() T
 }
 
-// newRecycler returns a recycler that keeps up to two spare partials per
-// worker (one being merged, one in flight) and allocates with alloc when
+// newRecycler returns a recycler that keeps up to two spare buffers per
+// worker (one being folded, one in flight) and allocates with alloc when
 // none is free.
 func newRecycler[T any](workers int, alloc func() T) *recycler[T] {
 	return &recycler[T]{free: make(chan T, 2*workers+1), alloc: alloc}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -117,16 +118,32 @@ func TestRunShardsOrderedEarlyStopDeterministic(t *testing.T) {
 	}
 }
 
+// foldAll folds the samples into class 0 of totals, chunk samples at a
+// time, as the shards of a run are folded.
+func foldAll(totals []AccState, samples []float64, chunk int) {
+	f := newClassFold(len(totals))
+	cls := make([]int, chunk)
+	for off := 0; off < len(samples); off += chunk {
+		q := samples[off:min(off+chunk, len(samples))]
+		f.fold(totals, cls[:len(q)], q)
+	}
+}
+
 func TestClassAccReservoirBounded(t *testing.T) {
-	var a AccState
 	const n = 7 * 700 // whole periods of 0..6, so the true mean is exactly 3
-	for i := 0; i < n; i++ {
-		a.add(float64(i % 7))
+	samples := make([]float64, n)
+	for i := range samples {
+		samples[i] = float64(i % 7)
 	}
-	if len(a.Dev) != epsilonReservoir {
-		t.Fatalf("reservoir holds %d samples, want %d", len(a.Dev), epsilonReservoir)
+	a := make([]AccState, 1)
+	foldAll(a, samples, shardPatterns)
+	if len(a[0].Dev) != epsilonReservoir {
+		t.Fatalf("reservoir holds %d samples, want %d", len(a[0].Dev), epsilonReservoir)
 	}
-	c := a.coef()
+	if !reflect.DeepEqual(a[0].Dev, samples[:epsilonReservoir]) {
+		t.Fatal("reservoir is not the class's first samples in stream order")
+	}
+	c := a[0].coef()
 	if c.Count != n {
 		t.Fatalf("count %d, want %d", c.Count, n)
 	}
@@ -143,36 +160,70 @@ func TestClassAccMergeMatchesSequential(t *testing.T) {
 	for i := range samples {
 		samples[i] = float64((i*37)%101) / 10
 	}
-	var seq AccState
-	for _, q := range samples {
-		seq.add(q)
-	}
-	// Shard the same stream and merge in order.
-	var merged AccState
-	for off := 0; off < len(samples); off += 300 {
-		end := off + 300
-		if end > len(samples) {
-			end = len(samples)
-		}
-		var part AccState
-		for _, q := range samples[off:end] {
-			part.add(q)
-		}
-		merged.merge(&part)
-	}
+	seq, merged := make([]AccState, 1), make([]AccState, 1)
+	foldAll(seq, samples, len(samples))
+	// Shard the same stream and fold in order.
+	foldAll(merged, samples, 300)
 	// Counts and reservoirs are exact; the sum is merged from per-shard
 	// partial sums, so it matches the single-stream sum only up to float
 	// regrouping error. (Bit-identity across worker counts holds because
 	// every worker count uses the SAME shard partition and merge order —
 	// see TestCharacterizeWorkerCountIndependent.)
-	if seq.Count != merged.Count {
-		t.Fatalf("merged count %d != sequential %d", merged.Count, seq.Count)
+	if seq[0].Count != merged[0].Count {
+		t.Fatalf("merged count %d != sequential %d", merged[0].Count, seq[0].Count)
 	}
-	if math.Abs(seq.Sum-merged.Sum) > 1e-9*math.Abs(seq.Sum) {
-		t.Fatalf("merged sum %v far from sequential %v", merged.Sum, seq.Sum)
+	if math.Abs(seq[0].Sum-merged[0].Sum) > 1e-9*math.Abs(seq[0].Sum) {
+		t.Fatalf("merged sum %v far from sequential %v", merged[0].Sum, seq[0].Sum)
 	}
-	if !reflect.DeepEqual(seq.Dev, merged.Dev) {
+	if !reflect.DeepEqual(seq[0].Dev, merged[0].Dev) {
 		t.Fatal("merged reservoir differs from sequential reservoir")
+	}
+}
+
+// TestClassFoldMatchesPartials holds the fold to the per-class partials
+// it replaced: every shard summed per class from zero in stream order,
+// each partial sum then added to its class total, and the reservoir the
+// first epsilonReservoir samples in merged order. Sums must agree bit for
+// bit, including classes a shard does not touch.
+func TestClassFoldMatchesPartials(t *testing.T) {
+	const classes, n = 7, 5000
+	rng := rand.New(rand.NewSource(1))
+	cls, q := make([]int, n), make([]float64, n)
+	for j := range cls {
+		cls[j] = rng.Intn(classes) * rng.Intn(2) // class 0 dominates
+		q[j] = rng.Float64() * 100
+	}
+	got, want := make([]AccState, classes), make([]AccState, classes)
+	f := newClassFold(classes)
+	for off := 0; off < n; off += shardPatterns {
+		end := min(off+shardPatterns, n)
+		f.fold(got, cls[off:end], q[off:end])
+		part := make([]AccState, classes)
+		for j := off; j < end; j++ {
+			part[cls[j]].Count++
+			part[cls[j]].Sum += q[j]
+		}
+		for c := range want {
+			want[c].Count += part[c].Count
+			want[c].Sum += part[c].Sum
+		}
+	}
+	for j := range cls {
+		if a := &want[cls[j]]; len(a.Dev) < epsilonReservoir {
+			a.Dev = append(a.Dev, q[j])
+		}
+	}
+	for c := range want {
+		if got[c].Count != want[c].Count || math.Float64bits(got[c].Sum) != math.Float64bits(want[c].Sum) ||
+			!reflect.DeepEqual(got[c].Dev, want[c].Dev) {
+			t.Fatalf("class %d: fold gives (%d, %v, %d samples), partials give (%d, %v, %d samples)",
+				c, got[c].Count, got[c].Sum, len(got[c].Dev), want[c].Count, want[c].Sum, len(want[c].Dev))
+		}
+	}
+	for c := range f.sum {
+		if f.sum[c] != 0 || f.count[c] != 0 {
+			t.Fatalf("class %d: fold left scratch (%v, %d)", c, f.sum[c], f.count[c])
+		}
 	}
 }
 

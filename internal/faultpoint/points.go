@@ -20,8 +20,8 @@ var Known = []string{
 	"core.shard",        // straggling shard worker (internal/core runCharShard)
 	"fleet.heartbeat",   // dropped lease heartbeat (internal/fleet coordinator)
 	"fleet.lease",       // failed lease grant (internal/fleet coordinator)
-	"fleet.merge",       // deferred partial-accumulator merge (internal/fleet coordinator)
-	"fleet.upload",      // torn partial-accumulator upload (internal/fleet worker)
+	"fleet.merge",       // deferred shard-range merge (internal/fleet coordinator)
+	"fleet.upload",      // torn shard-range upload (internal/fleet worker)
 	"serve.build",       // transient model-build dispatch failure (internal/serve)
 	"telemetry.capture", // SLO-breach diagnostic capture write failure (internal/serve)
 }

@@ -5,8 +5,8 @@
 // The unit of work is a contiguous shard-range lease: the coordinator
 // (see Coordinator) decomposes a build's deterministic shard plan into
 // ranges, leases each range to exactly one worker at a time (lease =
-// range + fencing epoch + deadline), and merges the returned partial
-// accumulators strictly in shard order through a core.MergeSession —
+// range + fencing epoch + deadline), and folds the returned shard
+// samples strictly in shard order through a core.MergeSession —
 // so the fitted model is bit-identical to core.Characterize with the
 // same options, no matter how many workers computed it, in what order
 // ranges arrived, or how many leases died along the way.

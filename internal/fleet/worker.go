@@ -85,8 +85,8 @@ type jobRuntime struct {
 }
 
 // Worker pulls shard-range leases from a coordinator, computes them with
-// core.CharacterizeShardRange, and uploads checksummed partial
-// accumulators. It is crash-only by design: killing a worker at any
+// core.CharacterizeShardRange, and uploads the shards' checksummed
+// samples. It is crash-only by design: killing a worker at any
 // point loses at most the ranges it held, which the coordinator
 // re-leases after their TTL.
 type Worker struct {
