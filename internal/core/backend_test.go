@@ -172,7 +172,7 @@ func TestCheckpointBackendMismatch(t *testing.T) {
 // before charges were summed in integer tenths must be refused, never
 // merged with exact charges. A checkpoint carrying the topology hash the
 // float-summing engine recorded for this spec fails to resume with a
-// mismatch naming that hash, while the event backend's fingerprint for
+// mismatch naming that hash, while the event backend's topology hash for
 // the same spec keeps the value it had then.
 func TestCheckpointRefusesFloatChargeState(t *testing.T) {
 	const (
@@ -189,8 +189,8 @@ func TestCheckpointRefusesFloatChargeState(t *testing.T) {
 	if err := atomicio.ReadJSON(path, &ck); err != nil {
 		t.Fatal(err)
 	}
-	if ck.TopoHash != Fingerprint("ripple-adder", 8, opt) || ck.TopoHash == floatChargeHash {
-		t.Fatalf("checkpoint topology hash %s, fingerprint %s", ck.TopoHash, Fingerprint("ripple-adder", 8, opt))
+	if want := topoHash("ripple-adder", 8, opt); ck.TopoHash != want || ck.TopoHash == floatChargeHash {
+		t.Fatalf("checkpoint topology hash %s, want %s", ck.TopoHash, want)
 	}
 	ck.TopoHash = floatChargeHash
 	if err := atomicio.WriteJSON(path, &ck); err != nil {
@@ -206,8 +206,8 @@ func TestCheckpointRefusesFloatChargeState(t *testing.T) {
 	}
 
 	opt.Backend = BackendEvent
-	if got := Fingerprint("ripple-adder", 8, opt); got != eventHash {
-		t.Errorf("event fingerprint %s, want %s", got, eventHash)
+	if got := topoHash("ripple-adder", 8, opt); got != eventHash {
+		t.Errorf("event topology hash %s, want %s", got, eventHash)
 	}
 }
 
