@@ -1,6 +1,7 @@
 package dwlib
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -168,5 +169,30 @@ func TestWallaceShallowerThanArray(t *testing.T) {
 	array := CSAMult(16, 16).Depth()
 	if wallace >= array {
 		t.Errorf("wallace depth %d !< array depth %d", wallace, array)
+	}
+}
+
+// BenchmarkBuildFinalize prices the serial start of a char-multipliers
+// build: the catalog generator and Finalize, per spec.
+func BenchmarkBuildFinalize(b *testing.B) {
+	for _, spec := range []struct {
+		module string
+		width  int
+	}{
+		{"csa-multiplier", 8}, {"booth-wallace-multiplier", 8},
+		{"csa-multiplier", 16}, {"booth-wallace-multiplier", 16},
+	} {
+		mod, err := Lookup(spec.module)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s:%d", spec.module, spec.width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := mod.Build(spec.width).Finalize(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

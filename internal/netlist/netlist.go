@@ -12,6 +12,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"hdpower/internal/cells"
 )
@@ -157,7 +158,7 @@ func (n *Netlist) AddGate(kind cells.Kind, in ...NetID) NetID {
 		n.checkNet(id)
 	}
 	g := GateID(len(n.gates))
-	out := n.newNet(fmt.Sprintf("%s_%d", kind, g))
+	out := n.newNet(kind.String() + "_" + strconv.Itoa(int(g)))
 	n.nets[out].drvKind = driverGate
 	n.nets[out].drvGate = g
 	n.gates = append(n.gates, gate{kind: kind, in: append([]NetID(nil), in...), out: out})

@@ -363,3 +363,32 @@ func TestFinalizeRefusesInexactCells(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGateNetNames pins the name of every net of a small netlist byte
+// for byte: an input bit is its bus and index, a constant const0 or
+// const1, and a gate's output its kind's library name and gate index,
+// one and two digits alike.
+func TestGateNetNames(t *testing.T) {
+	n := New("names")
+	a := n.AddInputBus("a", 2)
+	b := n.AddInputBus("b", 1)
+	s, c := n.FullAdder(a.Nets[0], a.Nets[1], b.Nets[0])
+	x := n.AddGate(cells.Xnor2, s, c)
+	y := n.Not(n.Mux(x, n.Const(true), a.Nets[0]))
+	for k := 0; k < 4; k++ {
+		y = n.AddGate(cells.Buf, y)
+	}
+	n.MarkOutputBus("y", []NetID{y})
+	if err := n.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a[0]", "a[1]", "b[0]", "XOR2_0", "XOR2_1", "AND2_2", "AND2_3", "OR2_4",
+		"XNOR2_5", "const1", "MUX2_6", "INV_7", "BUF_8", "BUF_9", "BUF_10", "BUF_11"}
+	got := make([]string, n.NumNets())
+	for id := range got {
+		got[id] = n.NetName(NetID(id))
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("net names\n got %q\nwant %q", got, want)
+	}
+}
