@@ -115,9 +115,12 @@ cover:
 # an encoding/json rendering of core.Model prices on arbitrary request
 # bodies, the parser's eight-byte number scanner
 # against strconv.ParseUint from any offset of arbitrary bytes, the
-# NDJSON line splitter against bytes.Split, and the atomicio checksum
+# NDJSON line splitter against bytes.Split, the atomicio checksum
 # trailer parser (the bytes→payload decision behind ReadFile and Unseal)
-# against the exact bytes Seal writes. Seed corpora live under each
+# against the exact bytes Seal writes, and the memoized hddist closed form
+# behind /v1/estimate/stats (FuzzFromWordStatsPorts) against brute-force
+# convolution of the merged regions over the (μ, σ, ρ, width, ports) that
+# endpoint accepts. Seed corpora live under each
 # package's testdata/fuzz or in the target's f.Add seeds; a crasher lands
 # under testdata/fuzz. Each FuzzLoadLedger input runs a whole build with
 # fsynced ledger writes (several ms), and each FuzzHandleUpload input a
@@ -138,6 +141,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanUint64$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReadLine$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyTrailer$$' -fuzztime $(FUZZTIME) ./internal/atomicio
+	$(GO) test -run '^$$' -fuzz '^FuzzFromWordStatsPorts$$' -fuzztime $(FUZZTIME) ./internal/hddist
 
 # Full benchmark sweep.
 bench:
