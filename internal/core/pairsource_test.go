@@ -50,8 +50,9 @@ func (ps *refPairSource) Next() (u, v logic.Word) {
 }
 
 // checkPairStream compares n pairs of the limb-level source against the
-// frozen reference, then checks that every word handed out is still
-// intact (slab words must not overlap).
+// frozen reference, and the Hd class each pair is filed under (the flip
+// count the source drew) against logic.Hd, then checks that every word
+// handed out is still intact (slab words must not overlap).
 func checkPairStream(t *testing.T, m int, seed int64, biased bool, n int) {
 	t.Helper()
 	ps := newPairSource(m, seed, biased)
@@ -59,11 +60,16 @@ func checkPairStream(t *testing.T, m int, seed int64, biased bool, n int) {
 	us, vs := make([]logic.Word, n), make([]logic.Word, n)
 	wantU, wantV := make([]logic.Word, n), make([]logic.Word, n)
 	for j := 0; j < n; j++ {
-		us[j], vs[j] = ps.Next()
+		var hd int
+		us[j], vs[j], hd = ps.next()
 		wantU[j], wantV[j] = ref.Next()
 		if !us[j].Equal(wantU[j]) || !vs[j].Equal(wantV[j]) {
 			t.Fatalf("m=%d seed=%d biased=%v pair %d: got (%s, %s), want (%s, %s)",
 				m, seed, biased, j, us[j], vs[j], wantU[j], wantV[j])
+		}
+		if want := logic.Hd(us[j], vs[j]); hd != want {
+			t.Fatalf("m=%d seed=%d biased=%v pair %d: filed under Hd %d, logic.Hd %d",
+				m, seed, biased, j, hd, want)
 		}
 	}
 	for j := range us {
@@ -76,16 +82,16 @@ func checkPairStream(t *testing.T, m int, seed int64, biased bool, n int) {
 	ps.reset(seed+1, !biased)
 	ref = newRefPairSource(m, seed+1, !biased)
 	for j := 0; j < 3; j++ {
-		u, v := ps.Next()
+		u, v, hd := ps.next()
 		ru, rv := ref.Next()
-		if !u.Equal(ru) || !v.Equal(rv) {
+		if !u.Equal(ru) || !v.Equal(rv) || hd != logic.Hd(u, v) {
 			t.Fatalf("m=%d seed=%d biased=%v: reset stream diverges at pair %d", m, seed+1, !biased, j)
 		}
 	}
 }
 
-// TestPairSourceMatchesPerBitReference pins the stream across limb
-// boundaries and past one slab of pairs.
+// TestPairSourceMatchesPerBitReference pins the stream and each pair's
+// Hd class across limb boundaries and past one slab of pairs.
 func TestPairSourceMatchesPerBitReference(t *testing.T) {
 	for _, m := range []int{1, 2, 17, 33, 63, 64, 65, 130} {
 		for _, biased := range []bool{false, true} {
@@ -94,8 +100,9 @@ func TestPairSourceMatchesPerBitReference(t *testing.T) {
 	}
 }
 
-// FuzzPairSource fuzzes the identity claim of the limb-level generator
-// over input width, seed and mode.
+// FuzzPairSource fuzzes the identity claim of the limb-level generator,
+// and of the Hd class it files each pair under, over input width, seed
+// and mode.
 func FuzzPairSource(f *testing.F) {
 	f.Add(uint8(32), int64(1), false)
 	f.Add(uint8(64), int64(-3), true)
@@ -207,7 +214,7 @@ func BenchmarkPairSourceShard(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ps.reset(shardSeed(1, 0, i), biased)
 					for j := 0; j < shardPatterns; j++ {
-						ps.Next()
+						ps.next()
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shardPatterns), "ns/pair")
