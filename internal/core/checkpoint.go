@@ -4,7 +4,7 @@ package core
 // the paper's flow is simulating millions of pattern pairs; a crash, OOM
 // kill, or SIGTERM used to throw every merged shard away. A Checkpoint is
 // a MergeSession's Snapshot of the merged state — the per-class
-// accumulators, the convergence tracker, and the shard cursor — which a
+// totals, the convergence tracker, and the shard cursor — which a
 // Characterize run writes, versioned and checksummed, atomically
 // (internal/atomicio) at merged-shard boundaries. Because the
 // pattern stream is sharded deterministically by (Seed, stream, shard

@@ -51,40 +51,51 @@ func handJob(t *testing.T, spec JobSpec, deadline time.Duration) (*testFleet, le
 }
 
 // TestFleetMergesRangeAllOrNothing uploads the range [0,4) with a
-// checksum-valid payload whose second result claims index 7. The
+// checksum-valid payload that is wrong in one place: its second result
+// claims index 7, or its last result carries one negative charge. The
 // coordinator accepts the bytes, and its merge must then refuse the whole
-// range: folding the first result would leave the merge cursor inside the
-// range, where no range starts, and the build would wait for its deadline.
-// Instead the range is re-leased and the build finishes bit-identical to
-// single-node Characterize.
+// range: folding the results before the bad one would leave the merge
+// cursor inside the range, where no range starts, and the build would
+// wait for its deadline. Instead the range is re-leased and the build
+// finishes bit-identical to single-node Characterize.
 func TestFleetMergesRangeAllOrNothing(t *testing.T) {
 	want := singleNode(t, rangeSpec)
-	const deadline = 20 * time.Second
-	start := time.Now()
-	f, first, done := handJob(t, rangeSpec, deadline)
-	job, ls := *first.Job, *first.Lease
-	meter, err := job.buildMeter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(), ls.Phase, ls.Start, ls.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs[1].Index = 7
-	if code := uploadByHand(t, f.ts.URL, uploadPayload{
-		Worker: "hand", JobID: ls.JobID, Phase: ls.Phase,
-		Start: ls.Start, End: ls.End, Epoch: ls.Epoch, Results: rs,
-	}, true); code != http.StatusOK {
-		t.Fatalf("checksum-valid upload got %d, want 200", code)
-	}
-	res := drainByHand(t, f.ts.URL, "hand", job, meter, done)
-	if res.err != nil {
-		t.Fatalf("build failed after %v of its %v deadline: %v", time.Since(start), deadline, res.err)
-	}
-	assertSameModel(t, res.model, want, "fleet model after a refused range")
-	if f.coordinator().met.zombieRejected.Value() == 0 {
-		t.Fatal("the refused range was not counted")
+	for _, c := range []struct {
+		name string
+		edit func(rs []core.ShardResult)
+	}{
+		{"result out of place", func(rs []core.ShardResult) { rs[1].Index = 7 }},
+		{"one bad sample", func(rs []core.ShardResult) { rs[3].Charges[100] = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const deadline = 20 * time.Second
+			start := time.Now()
+			f, first, done := handJob(t, rangeSpec, deadline)
+			job, ls := *first.Job, *first.Lease
+			meter, err := job.buildMeter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(), ls.Phase, ls.Start, ls.End)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.edit(rs)
+			if code := uploadByHand(t, f.ts.URL, uploadPayload{
+				Worker: "hand", JobID: ls.JobID, Phase: ls.Phase,
+				Start: ls.Start, End: ls.End, Epoch: ls.Epoch, Results: rs,
+			}, true); code != http.StatusOK {
+				t.Fatalf("checksum-valid upload got %d, want 200", code)
+			}
+			res := drainByHand(t, f.ts.URL, "hand", job, meter, done)
+			if res.err != nil {
+				t.Fatalf("build failed after %v of its %v deadline: %v", time.Since(start), deadline, res.err)
+			}
+			assertSameModel(t, res.model, want, "fleet model after a refused range")
+			if f.coordinator().met.zombieRejected.Value() == 0 {
+				t.Fatal("the refused range was not counted")
+			}
+		})
 	}
 }
 
@@ -135,6 +146,7 @@ func FuzzHandleUpload(f *testing.F) {
 	f.Add(payload(func(up *uploadPayload) { up.Results = up.Results[:3] }), true)
 	sealed := atomicio.Seal(honest)
 	f.Add(sealed[:len(sealed)-5], false)
+	f.Add(payload(func(up *uploadPayload) { up.Results[2].Hd[0] = 0 }), true)
 
 	f.Fuzz(func(t *testing.T, raw []byte, seal bool) {
 		body := raw

@@ -596,9 +596,9 @@ func (s *Server) wrap(pattern string, h http.HandlerFunc) http.Handler {
 }
 
 // uncappedBody exempts a route from the MaxBodyBytes cap. Fleet uploads
-// carry whole shard-range accumulator sets — legitimately megabytes for
-// wide enhanced builds — and enforce their own (much larger) bound plus a
-// checksum trailer inside the handler.
+// carry a whole shard range's samples, which grow with the lease size,
+// and enforce their own (much larger) bound plus a checksum trailer
+// inside the handler.
 func uncappedBody(pattern string) bool {
 	return pattern == "POST "+fleet.PathUpload
 }
