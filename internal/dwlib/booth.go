@@ -84,56 +84,6 @@ func BoothWallaceMult(m int) *netlist.Netlist {
 		// Two's-complement correction: +neg at the row LSB weight.
 		addBit(2*r, neg)
 	}
-
-	// Wallace reduction: compress every column to at most two bits.
-	for maxHeight(cols) > 2 {
-		next := make([][]netlist.NetID, p)
-		for k, col := range cols {
-			i := 0
-			for len(col)-i >= 3 {
-				s, c := n.FullAdder(col[i], col[i+1], col[i+2])
-				next[k] = append(next[k], s)
-				if k+1 < p {
-					next[k+1] = append(next[k+1], c)
-				}
-				i += 3
-			}
-			if len(col)-i == 2 {
-				s, c := n.HalfAdder(col[i], col[i+1])
-				next[k] = append(next[k], s)
-				if k+1 < p {
-					next[k+1] = append(next[k+1], c)
-				}
-			} else if len(col)-i == 1 {
-				next[k] = append(next[k], col[i])
-			}
-		}
-		cols = next
-	}
-
-	// Final carry-propagate adder over the two remaining rows.
-	prod := make([]netlist.NetID, p)
-	carry := zero
-	for k := 0; k < p; k++ {
-		x, y := zero, zero
-		if len(cols[k]) > 0 {
-			x = cols[k][0]
-		}
-		if len(cols[k]) > 1 {
-			y = cols[k][1]
-		}
-		prod[k], carry = add3(n, x, y, carry)
-	}
-	n.MarkOutputBus("prod", prod)
+	n.MarkOutputBus("prod", reduceAndMerge(n, cols, zero))
 	return n
-}
-
-func maxHeight(cols [][]netlist.NetID) int {
-	h := 0
-	for _, col := range cols {
-		if len(col) > h {
-			h = len(col)
-		}
-	}
-	return h
 }

@@ -61,7 +61,10 @@ func Squarer(m int) *netlist.Netlist {
 
 // reduceAndMerge Wallace-reduces bit columns to two rows and merges them
 // with a ripple carry-propagate adder. Carries out of the top column are
-// dropped (callers size the column array to the full result width).
+// dropped (callers size the column array to the full result width). It
+// is the column reduction of the Booth multiplier, MAC, squarer and
+// leading-zero counter, and the final adder of the Dadda multiplier,
+// whose columns arrive at most two high.
 func reduceAndMerge(n *netlist.Netlist, cols [][]netlist.NetID, zero netlist.NetID) []netlist.NetID {
 	p := len(cols)
 	for maxHeight(cols) > 2 {
@@ -101,6 +104,16 @@ func reduceAndMerge(n *netlist.Netlist, cols [][]netlist.NetID, zero netlist.Net
 		out[k], carry = add3(n, x, y, carry)
 	}
 	return out
+}
+
+func maxHeight(cols [][]netlist.NetID) int {
+	h := 0
+	for _, col := range cols {
+		if len(col) > h {
+			h = len(col)
+		}
+	}
+	return h
 }
 
 // GrayEncoder generates the binary-to-Gray converter g = b ^ (b >> 1).

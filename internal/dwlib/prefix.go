@@ -156,18 +156,7 @@ func DaddaMult(m int) *netlist.Netlist {
 			}
 		}
 	}
-	prod := make([]netlist.NetID, p)
-	carry := zero
-	for k := 0; k < p; k++ {
-		x, y := zero, zero
-		if len(cols[k]) > 0 {
-			x = cols[k][0]
-		}
-		if len(cols[k]) > 1 {
-			y = cols[k][1]
-		}
-		prod[k], carry = add3(n, x, y, carry)
-	}
-	n.MarkOutputBus("prod", prod)
+	// Every column is now at most two high, so this is the final merge.
+	n.MarkOutputBus("prod", reduceAndMerge(n, cols, zero))
 	return n
 }
