@@ -33,7 +33,7 @@ func main() {
 		}
 		protos = append(protos, regress.Prototype{Width: w, Model: model})
 	}
-	pm, err := regress.Fit(module, protos, regress.BasisFor(module), 2)
+	pm, err := regress.Fit(module, protos, regress.BasisFor(module))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestPipelineRegressionToAnalyticPower(t *testing.T) {
 		}
 		protos = append(protos, regress.Prototype{Width: w, Model: m})
 	}
-	pm, err := regress.Fit(module, protos, regress.BasisFor(module), 2)
+	pm, err := regress.Fit(module, protos, regress.BasisFor(module))
 	if err != nil {
 		t.Fatal(err)
 	}

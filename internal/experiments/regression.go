@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hdpower/internal/dwlib"
 	"hdpower/internal/power"
 	"hdpower/internal/regress"
 	"hdpower/internal/stimuli"
@@ -17,10 +16,6 @@ func regressionModules() []string { return []string{"csa-multiplier", "ripple-ad
 // fitSets characterizes the full prototype set 4..16 step 2 for a module
 // family and fits one parameterized model per reduction level.
 func (s *Suite) fitSets(name string) (map[regress.PrototypeSet]*regress.ParamModel, []regress.Prototype, error) {
-	mod, err := dwlib.Lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
 	basis := regress.BasisFor(name)
 	widths := regress.SetAll.Widths()
 	all := make([]regress.Prototype, len(widths))
@@ -44,11 +39,7 @@ func (s *Suite) fitSets(name string) (map[regress.PrototypeSet]*regress.ParamMod
 		for _, w := range set.Widths() {
 			protos = append(protos, byWidth[w])
 		}
-		factor := 1
-		if mod.TwoOperand {
-			factor = 2
-		}
-		pm, err := regress.Fit(name, protos, basis, factor)
+		pm, err := regress.Fit(name, protos, basis)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fit %s/%s: %w", name, set, err)
 		}

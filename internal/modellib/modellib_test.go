@@ -132,7 +132,7 @@ func fitTestParam(t *testing.T) *regress.ParamModel {
 		}
 		protos = append(protos, regress.Prototype{Width: w, Model: model})
 	}
-	pm, err := regress.Fit("ripple-adder", protos, regress.Linear, 2)
+	pm, err := regress.Fit("ripple-adder", protos, regress.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package regress
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"hdpower/internal/core"
-	"hdpower/internal/linalg"
 )
 
 // RectPrototype is a characterized multiplier instance with distinct
@@ -42,7 +40,8 @@ func FitRect(module string, protos []RectPrototype) (*RectParamModel, error) {
 		return sorted[a].W0 < sorted[b].W0
 	})
 	maxBits := 0
-	for _, p := range sorted {
+	points := make([]point, len(sorted))
+	for k, p := range sorted {
 		if p.Model == nil {
 			return nil, fmt.Errorf("regress: prototype %dx%d has nil model", p.W1, p.W0)
 		}
@@ -50,92 +49,14 @@ func FitRect(module string, protos []RectPrototype) (*RectParamModel, error) {
 			return nil, fmt.Errorf("regress: prototype %dx%d has %d input bits, want %d",
 				p.W1, p.W0, p.Model.InputBits, p.W1+p.W0)
 		}
-		if b := p.W1 + p.W0; b > maxBits {
-			maxBits = b
-		}
+		maxBits = max(maxBits, p.W1+p.W0)
+		points[k] = point{terms: TermsRect(p.W1, p.W0), model: p.Model}
 	}
-	pm := &RectParamModel{
-		Module:   module,
-		R:        make([][]float64, maxBits),
-		Residual: make([]float64, maxBits),
-	}
-	for i := 1; i <= maxBits; i++ {
-		var rows [][]float64
-		var rhs []float64
-		var raw [][]float64
-		var rawRhs []float64
-		for _, p := range sorted {
-			if i > p.Model.InputBits || p.Model.Basic[i-1].Count == 0 {
-				continue
-			}
-			terms := TermsRect(p.W1, p.W0)
-			pi := p.Model.Basic[i-1].P
-			raw = append(raw, terms)
-			rawRhs = append(rawRhs, pi)
-			w := 1.0
-			if pi > 0 {
-				w = 1 / pi
-			}
-			scaled := make([]float64, len(terms))
-			for k, tv := range terms {
-				scaled[k] = tv * w
-			}
-			rows = append(rows, scaled)
-			rhs = append(rhs, pi*w)
-		}
-		if len(rows) < degree {
-			continue
-		}
-		x, err := linalg.LeastSquares(linalg.FromRows(rows), rhs)
-		if err != nil {
-			continue
-		}
-		pm.R[i-1] = x
-		fit := linalg.FromRows(raw).MulVec(x)
-		var s float64
-		n := 0
-		for j := range rawRhs {
-			if rawRhs[j] != 0 {
-				d := (fit[j] - rawRhs[j]) / rawRhs[j]
-				s += d * d
-				n++
-			}
-		}
-		if n > 0 {
-			pm.Residual[i-1] = math.Sqrt(s / float64(n))
-		}
-	}
-	return pm, nil
+	r, residual := fit(points, degree, maxBits)
+	return &RectParamModel{Module: module, R: r, Residual: residual}, nil
 }
 
 // Coefficient evaluates p_i for operand widths m1 x m0 (eq. 8).
 func (pm *RectParamModel) Coefficient(i, m1, m0 int) (float64, bool) {
-	if i < 1 || i > len(pm.R) || pm.R[i-1] == nil {
-		return 0, false
-	}
-	terms := TermsRect(m1, m0)
-	var s float64
-	for k, r := range pm.R[i-1] {
-		s += r * terms[k]
-	}
-	if s < 0 {
-		s = 0
-	}
-	return s, true
-}
-
-// Synthesize builds the Hd model of an m1 x m0 instance.
-func (pm *RectParamModel) Synthesize(m1, m0 int) *core.Model {
-	m := m1 + m0
-	model := &core.Model{
-		Module:    fmt.Sprintf("%s-%dx%d(regression-rect)", pm.Module, m1, m0),
-		InputBits: m,
-		Basic:     make([]core.Coef, m),
-	}
-	for i := 1; i <= m; i++ {
-		if p, ok := pm.Coefficient(i, m1, m0); ok {
-			model.Basic[i-1] = core.Coef{P: p, Count: 1}
-		}
-	}
-	return model
+	return evaluate(pm.R, i, TermsRect(m1, m0))
 }

@@ -67,21 +67,6 @@ func TestFitRectValidation(t *testing.T) {
 	}
 }
 
-func TestRectSynthesize(t *testing.T) {
-	protos := syntheticRect([][2]int{{4, 4}, {8, 4}, {4, 8}, {8, 8}})
-	pm, err := FitRect("x", protos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := pm.Synthesize(6, 4)
-	if err := model.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if model.InputBits != 10 {
-		t.Errorf("input bits = %d", model.InputBits)
-	}
-}
-
 // Integration: the paper's Figure 3 scenario — predict the coefficients
 // of a 6x4 csa-multiplier from square and rectangular prototypes that do
 // not include 6x4.

@@ -13,8 +13,6 @@ func BasisByName(name string) (Basis, error) {
 		return Linear, nil
 	case Quadratic.Name:
 		return Quadratic, nil
-	case Rectangular.Name:
-		return Rectangular, nil
 	}
 	return Basis{}, fmt.Errorf("regress: unknown basis %q", name)
 }

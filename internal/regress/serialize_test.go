@@ -8,7 +8,7 @@ import (
 
 func TestParamModelJSONRoundTrip(t *testing.T) {
 	law := func(i, w int) float64 { return float64(i) * (3*float64(w) + 5) }
-	pm, err := Fit("ripple-adder", syntheticProtos(SetAll.Widths(), law), Linear, twoOpBits)
+	pm, err := Fit("ripple-adder", syntheticProtos(SetAll.Widths(), law), Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLoadParamModelRejectsGarbage(t *testing.T) {
 }
 
 func TestBasisByName(t *testing.T) {
-	for _, b := range []Basis{Linear, Quadratic, Rectangular} {
+	for _, b := range []Basis{Linear, Quadratic} {
 		got, err := BasisByName(b.Name)
 		if err != nil {
 			t.Fatal(err)

@@ -162,7 +162,7 @@ func TestDegradedRegressionFallback(t *testing.T) {
 		}
 		protos = append(protos, regress.Prototype{Width: w, Model: model})
 	}
-	pm, err := regress.Fit("ripple-adder", protos, regress.Linear, 2)
+	pm, err := regress.Fit("ripple-adder", protos, regress.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -555,7 +555,7 @@ func newLibraryServer(t *testing.T, f *streamFixture) *Server {
 		}
 		protos = append(protos, regress.Prototype{Width: w, Model: model})
 	}
-	pm, err := regress.Fit("ripple-adder", protos, regress.Linear, 2)
+	pm, err := regress.Fit("ripple-adder", protos, regress.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
