@@ -320,13 +320,12 @@ func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec, opts RunOptions)
 // prepareJob builds the meter and merge session for a run, resuming from
 // the ledger when asked and possible.
 func (c *Coordinator) prepareJob(spec JobSpec, opts RunOptions) (*jobState, error) {
-	meter, err := spec.buildMeter()
+	meter, opt, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
 	spec.InputBits = meter.NumInputBits()
-	opt := spec.options()
-	spec.Fingerprint = core.Fingerprint(spec.moduleName(), spec.InputBits, opt)
+	spec.Fingerprint = core.Fingerprint(spec.Name(), spec.InputBits, opt)
 	if spec.ID == "" {
 		spec.ID = spec.Fingerprint
 	}
@@ -351,7 +350,7 @@ func (c *Coordinator) prepareJob(spec JobSpec, opts RunOptions) (*jobState, erro
 		}
 	}
 	if js.sess == nil {
-		sess, err := core.NewMergeSession(spec.moduleName(), spec.InputBits, opt)
+		sess, err := core.NewMergeSession(spec.Name(), spec.InputBits, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +377,7 @@ func (c *Coordinator) loadLedger(spec JobSpec, opt core.CharacterizeOptions, pat
 			"path", path, "ledger_fp", led.Job.Fingerprint, "job_fp", spec.Fingerprint)
 		return nil, 0, false
 	}
-	sess, err := core.ResumeMergeSession(spec.moduleName(), spec.InputBits, opt, led.Checkpoint)
+	sess, err := core.ResumeMergeSession(spec.Name(), spec.InputBits, opt, led.Checkpoint)
 	if err != nil {
 		c.log.Warn("fleet ledger rejected by merge session; building fresh", "err", err)
 		return nil, 0, false
@@ -503,7 +502,7 @@ func (c *Coordinator) claimLocalLocked(js *jobState, now time.Time) *rangeLease 
 func (c *Coordinator) runLocalRange(ctx context.Context, js *jobState, r *rangeLease) {
 	opt := js.computeOpt
 	opt.Interrupt = ctx.Err
-	results, err := core.CharacterizeShardRange(js.meter, js.spec.moduleName(), opt,
+	results, err := core.CharacterizeShardRange(js.meter, js.spec.Name(), opt,
 		r.phase, r.start, r.end)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -65,18 +65,18 @@ type JobSpec struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// moduleName is the characterization run name shared by coordinator and
-// workers — it feeds the fingerprint, so both sides must derive it the
-// same way (and the same way internal/serve names its builds).
-func (j *JobSpec) moduleName() string {
+// Name is the characterization run name of a job. It feeds the
+// fingerprint, so the coordinator, every worker and internal/serve's
+// local builds all take it from here.
+func (j *JobSpec) Name() string {
 	return fmt.Sprintf("%s-w%d", j.Module, j.Width)
 }
 
-// options derives the characterization options a job implies. Workers
+// Options derives the characterization options a job implies. Workers
 // and Hooks are deliberately absent: parallelism is a per-process choice
 // and hooks are a coordinator concern, and neither shapes the pattern
 // stream (nor, therefore, the fingerprint).
-func (j *JobSpec) options() core.CharacterizeOptions {
+func (j *JobSpec) Options() core.CharacterizeOptions {
 	return core.CharacterizeOptions{
 		Patterns:  j.Patterns,
 		Seed:      j.Seed,
@@ -86,9 +86,9 @@ func (j *JobSpec) options() core.CharacterizeOptions {
 	}
 }
 
-// buildMeter reconstructs the job's netlist and reference meter from the
-// catalog — the same path internal/serve takes for a local build.
-func (j *JobSpec) buildMeter() (*power.Meter, error) {
+// Meter reconstructs the job's netlist and reference meter from the
+// catalog.
+func (j *JobSpec) Meter() (*power.Meter, error) {
 	mod, err := dwlib.Lookup(j.Module)
 	if err != nil {
 		return nil, err
@@ -98,6 +98,21 @@ func (j *JobSpec) buildMeter() (*power.Meter, error) {
 		return nil, err
 	}
 	return power.NewMeter(nl, sim.EventDriven)
+}
+
+// resolve rebuilds the job's meter and options for the coordinator or a
+// worker. It refuses an unknown backend up front, as core.Characterize
+// does: shard ranges computed under one would each fail and be leased
+// again until the build's deadline.
+func (j *JobSpec) resolve() (*power.Meter, core.CharacterizeOptions, error) {
+	if _, err := core.ParseBackendKind(j.Backend); err != nil {
+		return nil, core.CharacterizeOptions{}, err
+	}
+	meter, err := j.Meter()
+	if err != nil {
+		return nil, core.CharacterizeOptions{}, err
+	}
+	return meter, j.Options(), nil
 }
 
 // Lease is one granted work unit: the phase-relative shard range
@@ -169,10 +184,12 @@ const (
 	PathUpload    = "/fleet/v1/upload"
 )
 
-// backoff returns the capped full-jitter delay for the given retry
-// attempt (0-based): uniform over (0, min(base<<attempt, cap)]. The same
-// discipline internal/serve applies to build retries.
-func backoff(base, max time.Duration, attempt int) time.Duration {
+// Backoff returns the capped full-jitter delay for the given retry
+// attempt (0-based): uniform over (0, min(base<<attempt, max)], plus one
+// millisecond. A zero base or max takes 100ms or 3s. Worker RPCs and
+// internal/serve's build retries both wait by it. The limit doubles only
+// while below max, so no attempt count can overflow it.
+func Backoff(base, max time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}

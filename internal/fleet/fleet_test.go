@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,11 +79,11 @@ func startWorkers(t *testing.T, ctx context.Context, url string, n int) []contex
 
 func singleNode(t testing.TB, spec JobSpec) *core.Model {
 	t.Helper()
-	meter, err := spec.buildMeter()
+	meter, err := spec.Meter()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Characterize(meter, spec.moduleName(), spec.options())
+	want, err := core.Characterize(meter, spec.Name(), spec.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func drainByHand(t *testing.T, url, worker string, job JobSpec, meter *power.Met
 			continue
 		}
 		ls := *lr.Lease
-		rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(), ls.Phase, ls.Start, ls.End)
+		rs, err := core.CharacterizeShardRange(meter, job.Name(), job.Options(), ls.Phase, ls.Start, ls.End)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,11 +252,11 @@ func TestFleetEpochFencingAndTornUploads(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	job, ls := *first.Job, *first.Lease
-	meter, err := job.buildMeter()
+	meter, err := job.Meter()
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(),
+	results, err := core.CharacterizeShardRange(meter, job.Name(), job.Options(),
 		ls.Phase, ls.Start, ls.End)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +369,41 @@ func TestFleetLedgerResume(t *testing.T) {
 	assertSameModel(t, got, want, "resumed fleet model")
 }
 
+// TestFleetRefusesUnknownBackend holds the coordinator and the workers to
+// what core.Characterize does with an unknown backend: refuse it at once.
+// Otherwise every shard range fails inside CharacterizeShardRange and is
+// leased again until the build's deadline, and a worker accepts the job
+// because the fingerprint hashes whatever backend string it is given.
+func TestFleetRefusesUnknownBackend(t *testing.T) {
+	spec := JobSpec{Module: "ripple-adder", Width: 4, Seed: 1, Patterns: 512, Backend: "bogus"}
+	c := NewCoordinator(Config{LeaseShards: 4, Tick: time.Millisecond, LocalWorkers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.RunJob(ctx, spec, RunOptions{})
+	if err == nil || ctx.Err() != nil || time.Since(start) > time.Second {
+		t.Fatalf("RunJob = %v after %v, want a refusal well before the 2s deadline",
+			err, time.Since(start))
+	}
+	if !strings.Contains(err.Error(), "unknown backend") {
+		t.Errorf("RunJob error %q does not name the backend", err)
+	}
+
+	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", Name: "w0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := spec
+	job.InputBits = 8
+	job.Fingerprint = core.Fingerprint(job.Name(), job.InputBits, job.Options())
+	if _, err := w.runtime(job); err == nil {
+		t.Fatal("worker accepted a job with an unknown backend")
+	}
+	if len(w.jobs) != 0 {
+		t.Fatal("worker kept a runtime for a refused job")
+	}
+}
+
 func TestFleetRefusesFingerprintSkew(t *testing.T) {
 	spec := JobSpec{Module: "ripple-adder", Width: 4, Seed: 1, Patterns: 2000}
 	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", Name: "w0"})
@@ -376,7 +412,7 @@ func TestFleetRefusesFingerprintSkew(t *testing.T) {
 	}
 	good := spec
 	good.InputBits = 8
-	good.Fingerprint = core.Fingerprint(good.moduleName(), good.InputBits, good.options())
+	good.Fingerprint = core.Fingerprint(good.Name(), good.InputBits, good.Options())
 	if _, err := w.runtime(good); err != nil {
 		t.Fatalf("matching fingerprint refused: %v", err)
 	}
@@ -390,7 +426,7 @@ func TestFleetRefusesFingerprintSkew(t *testing.T) {
 	// rebuilt meter's input width exposes it.
 	short := good
 	short.InputBits = 4
-	short.Fingerprint = core.Fingerprint(short.moduleName(), short.InputBits, short.options())
+	short.Fingerprint = core.Fingerprint(short.Name(), short.InputBits, short.Options())
 	if _, err := w.runtime(short); err == nil {
 		t.Fatal("geometry skew accepted")
 	}

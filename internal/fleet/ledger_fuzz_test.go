@@ -26,19 +26,19 @@ func FuzzLoadLedger(f *testing.F) {
 	// new input it finds, one build per candidate.
 	spec := JobSpec{Module: "ripple-adder", Width: 2, Seed: 3, Patterns: 256, Enhanced: true}
 	want := singleNode(f, spec)
-	meter, err := spec.buildMeter()
+	meter, err := spec.Meter()
 	if err != nil {
 		f.Fatal(err)
 	}
 	// job is the spec as the coordinator completes and persists it.
 	job := spec
 	job.InputBits = meter.NumInputBits()
-	opt := job.options()
-	job.Fingerprint = core.Fingerprint(job.moduleName(), job.InputBits, opt)
+	opt := job.Options()
+	job.Fingerprint = core.Fingerprint(job.Name(), job.InputBits, opt)
 	job.ID = job.Fingerprint
 	shards := map[string][]core.ShardResult{}
 	for _, phase := range []string{core.PhaseBasic, core.PhaseBiased} {
-		rs, err := core.CharacterizeShardRange(meter, job.moduleName(), opt, phase, 0, core.NumShards(spec.Patterns))
+		rs, err := core.CharacterizeShardRange(meter, job.Name(), opt, phase, 0, core.NumShards(spec.Patterns))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func FuzzLoadLedger(f *testing.F) {
 	}
 	// replay is what a build resumed from cp must produce.
 	replay := func(cp *core.Checkpoint) (*core.Model, error) {
-		s, err := core.ResumeMergeSession(job.moduleName(), job.InputBits, opt, cp)
+		s, err := core.ResumeMergeSession(job.Name(), job.InputBits, opt, cp)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func FuzzLoadLedger(f *testing.F) {
 	// coordinator writes it, one of them also unsealed, and ledgers of the
 	// wrong format or job.
 	honest := map[string]bool{}
-	s, err := core.NewMergeSession(job.moduleName(), job.InputBits, opt)
+	s, err := core.NewMergeSession(job.Name(), job.InputBits, opt)
 	if err != nil {
 		f.Fatal(err)
 	}

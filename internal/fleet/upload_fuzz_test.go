@@ -72,11 +72,11 @@ func TestFleetMergesRangeAllOrNothing(t *testing.T) {
 			start := time.Now()
 			f, first, done := handJob(t, rangeSpec, deadline)
 			job, ls := *first.Job, *first.Lease
-			meter, err := job.buildMeter()
+			meter, err := job.Meter()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(), ls.Phase, ls.Start, ls.End)
+			rs, err := core.CharacterizeShardRange(meter, job.Name(), job.Options(), ls.Phase, ls.Start, ls.End)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,17 +108,17 @@ func TestFleetMergesRangeAllOrNothing(t *testing.T) {
 // ones, must leave a model bit-identical to single-node Characterize.
 func FuzzHandleUpload(f *testing.F) {
 	want := singleNode(f, rangeSpec)
-	meter, err := rangeSpec.buildMeter()
+	meter, err := rangeSpec.Meter()
 	if err != nil {
 		f.Fatal(err)
 	}
 	// job is the spec as the coordinator completes it.
 	job := rangeSpec
 	job.InputBits = meter.NumInputBits()
-	job.Fingerprint = core.Fingerprint(job.moduleName(), job.InputBits, job.options())
+	job.Fingerprint = core.Fingerprint(job.Name(), job.InputBits, job.Options())
 	job.ID = job.Fingerprint
 	payload := func(edit func(*uploadPayload)) []byte {
-		rs, err := core.CharacterizeShardRange(meter, job.moduleName(), job.options(), core.PhaseBasic, 0, 4)
+		rs, err := core.CharacterizeShardRange(meter, job.Name(), job.Options(), core.PhaseBasic, 0, 4)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		resp, err := w.lease(ctx)
 		if err != nil {
 			w.log.Debug("lease RPC failed; backing off", "err", err, "attempt", attempt)
-			if !sleepCtx(ctx, backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
+			if !sleepCtx(ctx, Backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
 				return ctx.Err()
 			}
 			attempt++
@@ -238,7 +238,7 @@ func (w *Worker) upload(ctx context.Context, ls Lease, results []core.ShardResul
 		}
 		w.log.Debug("upload failed; retrying", "job", ls.JobID, "start", ls.Start,
 			"code", code, "err", err, "attempt", attempt)
-		if !sleepCtx(ctx, backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
+		if !sleepCtx(ctx, Backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
 			return
 		}
 	}
@@ -254,21 +254,20 @@ func (w *Worker) runtime(job JobSpec) (*jobRuntime, error) {
 	if rt, ok := w.jobs[job.Fingerprint]; ok {
 		return rt, nil
 	}
-	meter, err := job.buildMeter()
+	meter, opt, err := job.resolve()
 	if err != nil {
 		return nil, err
 	}
 	if got := meter.NumInputBits(); got != job.InputBits {
 		return nil, fmt.Errorf("fleet: %s rebuilds to %d input bits, job says %d",
-			job.moduleName(), got, job.InputBits)
+			job.Name(), got, job.InputBits)
 	}
-	opt := job.options()
 	opt.Workers = w.cfg.Workers
-	if fp := core.Fingerprint(job.moduleName(), job.InputBits, opt); fp != job.Fingerprint {
+	if fp := core.Fingerprint(job.Name(), job.InputBits, opt); fp != job.Fingerprint {
 		return nil, fmt.Errorf("fleet: fingerprint mismatch for %s: coordinator %s, local %s (version skew?)",
-			job.moduleName(), job.Fingerprint, fp)
+			job.Name(), job.Fingerprint, fp)
 	}
-	rt := &jobRuntime{name: job.moduleName(), meter: meter, opt: opt}
+	rt := &jobRuntime{name: job.Name(), meter: meter, opt: opt}
 	w.jobs[job.Fingerprint] = rt
 	return rt, nil
 }

@@ -15,8 +15,6 @@ import (
 	"hdpower/internal/dwlib"
 	"hdpower/internal/fleet"
 	"hdpower/internal/lut"
-	"hdpower/internal/power"
-	"hdpower/internal/sim"
 )
 
 // Build bounds. Width is the operand width per port, so the total input
@@ -423,45 +421,48 @@ func (c *modelCache) entrySnapshot(ent *buildEntry) modelSnapshot {
 	return snap
 }
 
+// job is a build's one recipe. The local path below, the run recorder,
+// the fleet coordinator and every worker take the build's netlist, run
+// name and options from this fleet.JobSpec, so fleet builds stay
+// bit-identical to local ones.
+func (s *Server) job(spec BuildSpec) fleet.JobSpec {
+	return fleet.JobSpec{
+		ID:        buildID(spec.Key()),
+		Module:    spec.Module,
+		Width:     spec.Width,
+		Seed:      spec.Seed,
+		Patterns:  spec.Patterns,
+		Enhanced:  spec.Enhanced,
+		ZClusters: spec.ZClusters,
+		Backend:   s.cfg.Backend.Name(),
+	}
+}
+
 // characterize is the real build backend: generate the netlist, wrap it
 // in the reference charge meter, and run the parallel characterization
 // engine with the server's observability hooks and the build context as
 // the interrupt source.
 func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.Hooks) (*core.Model, error) {
+	job := s.job(spec)
 	if s.cfg.Fleet != nil && s.cfg.Fleet.LiveWorkers() > 0 {
-		return s.characterizeFleet(ctx, spec, hooks)
+		return s.characterizeFleet(ctx, job, hooks)
 	}
-	mod, err := dwlib.Lookup(spec.Module)
+	meter, err := job.Meter()
 	if err != nil {
 		return nil, err
 	}
-	nl := mod.Build(spec.Width)
-	if err := nl.Finalize(); err != nil {
-		return nil, err
-	}
-	meter, err := power.NewMeter(nl, sim.EventDriven)
-	if err != nil {
-		return nil, err
-	}
-	opt := core.CharacterizeOptions{
-		Patterns:  spec.Patterns,
-		Seed:      spec.Seed,
-		Enhanced:  spec.Enhanced,
-		ZClusters: spec.ZClusters,
-		Workers:   s.cfg.CharWorkers,
-		Backend:   s.cfg.Backend,
-		Hooks:     hooks,
-		Interrupt: func() error { return ctx.Err() },
-	}
+	opt := job.Options()
+	opt.Workers = s.cfg.CharWorkers
+	opt.Hooks = hooks
+	opt.Interrupt = func() error { return ctx.Err() }
 	if s.cfg.CheckpointDir != "" {
 		opt.Checkpoint = core.CheckpointOptions{
-			Path:        s.checkpointPath(buildID(spec.Key())),
+			Path:        s.checkpointPath(job.ID),
 			EveryShards: s.cfg.CheckpointEvery,
 			Resume:      true,
 		}
 	}
-	name := fmt.Sprintf("%s-w%d", spec.Module, spec.Width)
-	model, err := core.Characterize(meter, name, opt)
+	model, err := core.Characterize(meter, job.Name(), opt)
 	if core.IsCheckpointMismatch(err) {
 		// A stale checkpoint from a run with different options (e.g. the
 		// server was restarted with new defaults). The spec in hand is
@@ -469,7 +470,7 @@ func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.H
 		s.log.Warn("stale checkpoint does not match build; restarting fresh",
 			"key", spec.Key(), "err", err)
 		_ = os.Remove(opt.Checkpoint.Path)
-		model, err = core.Characterize(meter, name, opt)
+		model, err = core.Characterize(meter, job.Name(), opt)
 	}
 	return model, err
 }
@@ -481,23 +482,12 @@ func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.H
 // fleet keeps its own ledger checkpoint (<id>.fleet.json) rather than
 // the local-path <id>.ckpt.json, but both use the same snapshot
 // encoding.
-func (s *Server) characterizeFleet(ctx context.Context, spec BuildSpec, hooks *core.Hooks) (*core.Model, error) {
-	id := buildID(spec.Key())
-	job := fleet.JobSpec{
-		ID:        id,
-		Module:    spec.Module,
-		Width:     spec.Width,
-		Seed:      spec.Seed,
-		Patterns:  spec.Patterns,
-		Enhanced:  spec.Enhanced,
-		ZClusters: spec.ZClusters,
-		Backend:   s.cfg.Backend.Name(),
-	}
+func (s *Server) characterizeFleet(ctx context.Context, job fleet.JobSpec, hooks *core.Hooks) (*core.Model, error) {
 	opts := fleet.RunOptions{Hooks: hooks}
 	if s.cfg.CheckpointDir != "" {
-		opts.LedgerPath = filepath.Join(s.cfg.CheckpointDir, id+".fleet.json")
+		opts.LedgerPath = filepath.Join(s.cfg.CheckpointDir, job.ID+".fleet.json")
 		opts.Resume = true
 	}
-	s.log.Info("build dispatched to fleet", "id", id, "workers", s.cfg.Fleet.LiveWorkers())
+	s.log.Info("build dispatched to fleet", "id", job.ID, "workers", s.cfg.Fleet.LiveWorkers())
 	return s.cfg.Fleet.RunJob(ctx, job, opts)
 }

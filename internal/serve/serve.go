@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"os"
 	"runtime"
@@ -729,16 +728,10 @@ func (s *Server) runBuild(ent *buildEntry) {
 	span.SetAttr("width", strconv.Itoa(ent.spec.Width))
 	span.SetAttr("backend", s.cfg.Backend.Name())
 
-	rec := core.NewRunRecorder(
-		fmt.Sprintf("%s-w%d", ent.spec.Module, ent.spec.Width),
-		core.CharacterizeOptions{
-			Patterns:  ent.spec.Patterns,
-			Seed:      ent.spec.Seed,
-			Enhanced:  ent.spec.Enhanced,
-			ZClusters: ent.spec.ZClusters,
-			Workers:   s.cfg.CharWorkers,
-			Backend:   s.cfg.Backend,
-		})
+	job := s.job(ent.spec)
+	opt := job.Options()
+	opt.Workers = s.cfg.CharWorkers
+	rec := core.NewRunRecorder(job.Name(), opt)
 	hooks := core.JoinHooks(s.hooks, rec.Hooks(), s.spanHooks(ctx), ent.progressHooks())
 
 	s.log.Info("build started", "id", ent.id, "key", ent.key,
@@ -825,16 +818,7 @@ func isTransientBuildErr(err error) bool {
 
 // retryDelay is capped exponential backoff with full jitter: uniform in
 // (0, base·2^attempt], never above 5s. Jitter keeps a fleet of restarted
-// builds from thundering onto the same instant. The limit doubles only
-// while below the cap, so no attempt count can overflow it.
+// builds from thundering onto the same instant.
 func (s *Server) retryDelay(attempt int) time.Duration {
-	const maxDelay = 5 * time.Second
-	limit := s.cfg.BuildRetryBackoff
-	for i := 0; i < attempt && limit < maxDelay; i++ {
-		limit *= 2
-	}
-	if limit > maxDelay {
-		limit = maxDelay
-	}
-	return time.Duration(rand.Int63n(int64(limit))) + time.Millisecond
+	return fleet.Backoff(s.cfg.BuildRetryBackoff, 5*time.Second, attempt)
 }
