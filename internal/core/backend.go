@@ -78,8 +78,6 @@ type Backend interface {
 	Charges(us, vs []logic.Word, q []float64)
 	// Clone returns an independent backend for another goroutine.
 	Clone() Backend
-	// Name returns the stable backend name ("event", "bitparallel").
-	Name() string
 }
 
 // meterBackend adapts the scalar power.Meter (event-driven or any other
@@ -100,8 +98,6 @@ func (b meterBackend) Charges(us, vs []logic.Word, q []float64) {
 }
 
 func (b meterBackend) Clone() Backend { return meterBackend{m: b.m.Clone()} }
-
-func (b meterBackend) Name() string { return string(BackendEvent) }
 
 // bitsimBackend adapts the 64-lane bit-parallel meter: shard-sized pair
 // batches are chunked into full machine words. The shard size (128) is a
@@ -136,8 +132,6 @@ func (b bitsimBackend) Charges(us, vs []logic.Word, q []float64) {
 }
 
 func (b bitsimBackend) Clone() Backend { return bitsimBackend{m: b.m.Clone()} }
-
-func (b bitsimBackend) Name() string { return string(BackendBitParallel) }
 
 // resolveBackend turns the Backend option plus the caller's meter into a
 // concrete engine. BackendAuto and BackendEvent wrap the meter itself —
