@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -162,11 +161,7 @@ func (s *Suite) writeManifest(name string, width int, enhanced bool, man *core.R
 	if enhanced {
 		file = fmt.Sprintf("%s-w%d-enh.manifest.json", name, width)
 	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err == nil {
-		err = atomicio.WriteFile(filepath.Join(s.cfg.ManifestDir, file), append(data, '\n'), 0o644)
-	}
-	if err != nil {
+	if err := atomicio.WriteJSON(filepath.Join(s.cfg.ManifestDir, file), man); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: manifest %s: %v\n", file, err)
 	}
 }

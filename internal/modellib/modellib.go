@@ -17,7 +17,6 @@
 package modellib
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -66,13 +65,8 @@ func (l *Library) PutModel(module string, width int, model *core.Model) error {
 	if err := model.Validate(); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(model, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
 	path := filepath.Join(l.root, "models", modelKey(module, width, model.HasEnhanced()))
-	return atomicio.WriteFile(path, data, 0o644)
+	return atomicio.WriteJSON(path, model)
 }
 
 // verifyModel checks the load-time coefficient-count invariants beyond
@@ -179,14 +173,9 @@ func (l *Library) List() ([]Entry, error) {
 
 // PutParam stores a fitted width-regression model for a module family.
 func (l *Library) PutParam(pm *regress.ParamModel) error {
-	data, err := json.MarshalIndent(pm, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
 	path := filepath.Join(l.root, "params",
 		fmt.Sprintf("%s-%s.json", pm.Module, pm.Basis.Name))
-	return atomicio.WriteFile(path, data, 0o644)
+	return atomicio.WriteJSON(path, pm)
 }
 
 // GetParam loads the fitted regression model of a module family with the

@@ -9,7 +9,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -156,13 +155,8 @@ func (s *Server) persistManifest(id string, man *core.RunManifest) {
 	if s.cfg.ManifestDir == "" || man == nil {
 		return
 	}
-	raw, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		s.log.Error("manifest encode", "id", id, "err", err)
-		return
-	}
 	path := filepath.Join(s.cfg.ManifestDir, id+".manifest.json")
-	if err := atomicio.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+	if err := atomicio.WriteJSON(path, man); err != nil {
 		s.log.Error("manifest write", "id", id, "err", err)
 		return
 	}
