@@ -26,40 +26,9 @@ import (
 	"strings"
 	"time"
 
+	"hdpower/internal/telemetry"
 	"hdpower/internal/textplot"
 )
-
-// snapshot mirrors the GET /v1/telemetry payload
-// (internal/telemetry.Snapshot); only the fields the dashboard renders
-// are decoded.
-type snapshot struct {
-	WindowSeconds float64         `json:"window_seconds"`
-	Windows       int             `json:"windows"`
-	Planes        []planeSnapshot `json:"planes"`
-	Models        []modelSnapshot `json:"models"`
-	DroppedModels uint64          `json:"dropped_models"`
-}
-
-type planeSnapshot struct {
-	Plane    string  `json:"plane"`
-	Requests uint64  `json:"requests"`
-	Bad      uint64  `json:"bad"`
-	QPS      float64 `json:"qps"`
-	P50      float64 `json:"p50_s"`
-	P99      float64 `json:"p99_s"`
-	P999     float64 `json:"p999_s"`
-	BurnFast float64 `json:"burn_fast"`
-	BurnSlow float64 `json:"burn_slow"`
-	Breached bool    `json:"breached"`
-}
-
-type modelSnapshot struct {
-	Key        string   `json:"key"`
-	Requests   uint64   `json:"requests"`
-	Estimates  uint64   `json:"estimates"`
-	AvgLatency float64  `json:"avg_latency_s"`
-	HdHits     []uint64 `json:"hd_hits"`
-}
 
 func main() {
 	var (
@@ -93,7 +62,7 @@ func main() {
 }
 
 // fetch polls one telemetry snapshot.
-func fetch(client *http.Client, url string) (*snapshot, error) {
+func fetch(client *http.Client, url string) (*telemetry.Snapshot, error) {
 	resp, err := client.Get(url + "/v1/telemetry")
 	if err != nil {
 		return nil, err
@@ -106,7 +75,7 @@ func fetch(client *http.Client, url string) (*snapshot, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/v1/telemetry: status %d: %s", resp.StatusCode, data)
 	}
-	var snap snapshot
+	var snap telemetry.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("decode /v1/telemetry: %v", err)
 	}
@@ -125,7 +94,7 @@ func newHistory(cap int) *history {
 	return &history{cap: cap, qps: make(map[string][]float64)}
 }
 
-func (h *history) push(snap *snapshot) {
+func (h *history) push(snap *telemetry.Snapshot) {
 	for _, p := range snap.Planes {
 		if _, ok := h.qps[p.Plane]; !ok {
 			h.order = append(h.order, p.Plane)
@@ -139,7 +108,7 @@ func (h *history) push(snap *snapshot) {
 }
 
 // render formats one full dashboard frame.
-func render(url string, snap *snapshot, hist *history, width int) string {
+func render(url string, snap *telemetry.Snapshot, hist *history, width int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hdtop — %s — window %gs × %d\n\n",
 		url, snap.WindowSeconds, snap.Windows)

@@ -3,19 +3,21 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"hdpower/internal/telemetry"
 )
 
-func testSnapshot() *snapshot {
-	return &snapshot{
+func testSnapshot() *telemetry.Snapshot {
+	return &telemetry.Snapshot{
 		WindowSeconds: 10,
 		Windows:       30,
-		Planes: []planeSnapshot{
+		Planes: []telemetry.PlaneSnapshot{
 			{Plane: "unary", Requests: 1234, QPS: 410.5, P50: 42e-6, P99: 180e-6,
 				P999: 410e-6, BurnFast: 0.1, BurnSlow: 0.05},
 			{Plane: "stream", Requests: 88, QPS: 12.25, P50: 1.2e-3, P99: 3.9e-3,
 				P999: 8.8e-3, BurnFast: 2.5, BurnSlow: 2.1, Breached: true},
 		},
-		Models: []modelSnapshot{
+		Models: []telemetry.ModelSnapshot{
 			{Key: "csa-multiplier/w8/s1", Requests: 1000, Estimates: 16000,
 				AvgLatency: 48e-6, HdHits: []uint64{0, 10, 400, 800, 400, 10, 0, 0, 0}},
 		},
@@ -52,7 +54,7 @@ func TestRenderFrame(t *testing.T) {
 // length-mismatch chart error.
 func TestQPSChartLatePlane(t *testing.T) {
 	hist := newHistory(8)
-	first := &snapshot{Planes: []planeSnapshot{{Plane: "unary", QPS: 100}}}
+	first := &telemetry.Snapshot{Planes: []telemetry.PlaneSnapshot{{Plane: "unary", QPS: 100}}}
 	hist.push(first)
 	hist.push(testSnapshot())
 	hist.push(testSnapshot())
