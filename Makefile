@@ -18,7 +18,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 # leaves the allocation-free path without any error. The fleet floor
 # guards the distributed build: its coordinator merges uploaded bytes
 # from other processes, and a range it merges wrong or never merges is a
-# wrong model or a build that hangs.
+# wrong model or a build that hangs. The dwlib and regress floors guard
+# the paper's Tables 1 and 3: every module they characterize comes from
+# the dwlib generators, and every width law from the Section 5 fitter, so
+# a wrong gate or a wrong regression row silently moves those tables.
 COVER_FLOOR_CORE      ?= 90
 COVER_FLOOR_SIM       ?= 90
 COVER_FLOOR_BITSIM    ?= 90
@@ -28,6 +31,8 @@ COVER_FLOOR_HDDIST    ?= 90
 COVER_FLOOR_TELEMETRY ?= 90
 COVER_FLOOR_SERVE     ?= 85
 COVER_FLOOR_FLEET     ?= 80
+COVER_FLOOR_DWLIB     ?= 95
+COVER_FLOOR_REGRESS   ?= 90
 
 .PHONY: test lint race chaos cover fuzz bench bench-char bench-fresh bench-gate repro \
 	serve-bench serve-fresh serve-load serve-gate
@@ -74,8 +79,8 @@ chaos:
 		./internal/faultpoint/... ./internal/modellib/... ./internal/serve/... ./internal/fleet/...
 
 # Coverage profiles with enforced floors on internal/core, sim, bitsim,
-# netlist, lut, hddist, telemetry, serve and fleet; CI publishes the
-# profiles as artifacts.
+# netlist, lut, hddist, telemetry, serve, fleet, dwlib and regress; CI
+# publishes the profiles as artifacts.
 cover:
 	$(GO) test -coverprofile=coverage_core.out ./internal/core
 	$(GO) test -coverprofile=coverage_sim.out ./internal/sim
@@ -86,9 +91,12 @@ cover:
 	$(GO) test -coverprofile=coverage_telemetry.out ./internal/telemetry
 	$(GO) test -coverprofile=coverage_serve.out ./internal/serve
 	$(GO) test -coverprofile=coverage_fleet.out ./internal/fleet
+	$(GO) test -coverprofile=coverage_dwlib.out ./internal/dwlib
+	$(GO) test -coverprofile=coverage_regress.out ./internal/regress
 	@for spec in core:$(COVER_FLOOR_CORE) sim:$(COVER_FLOOR_SIM) bitsim:$(COVER_FLOOR_BITSIM) \
 			netlist:$(COVER_FLOOR_NETLIST) lut:$(COVER_FLOOR_LUT) hddist:$(COVER_FLOOR_HDDIST) \
-			telemetry:$(COVER_FLOOR_TELEMETRY) serve:$(COVER_FLOOR_SERVE) fleet:$(COVER_FLOOR_FLEET); do \
+			telemetry:$(COVER_FLOOR_TELEMETRY) serve:$(COVER_FLOOR_SERVE) fleet:$(COVER_FLOOR_FLEET) \
+			dwlib:$(COVER_FLOOR_DWLIB) regress:$(COVER_FLOOR_REGRESS); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		total=$$($(GO) tool cover -func=coverage_$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 		echo "internal/$$pkg coverage: $$total% (floor $$floor%)"; \
