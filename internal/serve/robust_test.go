@@ -87,6 +87,23 @@ func TestBuildNoRetryOnCancel(t *testing.T) {
 	}
 }
 
+// TestBuildNoRetryOnUnknownBackend: an unknown backend fails the build at
+// once; no retry can make the name valid.
+func TestBuildNoRetryOnUnknownBackend(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Backend:           "bogus",
+		BuildRetries:      2,
+		BuildRetryBackoff: time.Millisecond,
+	})
+	resp, data := buildWait(t, ts.URL, tinySpec())
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "unknown backend") {
+		t.Fatalf("build with an unknown backend: %d %s", resp.StatusCode, data)
+	}
+	if got := s.met.buildRetries.Value(); got != 0 {
+		t.Errorf("retries = %d, want 0", got)
+	}
+}
+
 // TestDegradedSiblingFallback: with the exact seed not cached, an
 // estimate is answered by the cached same-module/width sibling, marked
 // degraded, and counted in the metric.

@@ -813,6 +813,7 @@ func (s *Server) buildWithRetries(ctx context.Context, ent *buildEntry, hooks *c
 func isTransientBuildErr(err error) bool {
 	return !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) &&
+		!errors.Is(err, core.ErrUnknownBackend) &&
 		!core.IsCheckpointMismatch(err)
 }
 
