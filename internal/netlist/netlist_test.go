@@ -274,19 +274,14 @@ func TestProgram(t *testing.T) {
 	if got := p.Fanout[y]; len(got) != 0 {
 		t.Errorf("fanout of y = %v, want none", got)
 	}
-	for id, c := range p.Cap {
-		if c != n.NetCap(NetID(id)) {
-			t.Errorf("Cap[%d] = %v, NetCap %v", id, c, n.NetCap(NetID(id)))
-		}
-	}
 	// b drives the XOR and MUX data pins from a primary-input driver:
 	// 1.0 + 1.8 + 1.4 = 4.2, which the float sum only approximates.
 	if got := p.CapTenths[b]; got != 42 {
 		t.Errorf("CapTenths[b] = %d, want 42", got)
 	}
 	for id, c := range p.CapTenths {
-		if d := float64(c)/10 - p.Cap[id]; d > 1e-12 || d < -1e-12 {
-			t.Errorf("CapTenths[%d] = %d, Cap %v", id, c, p.Cap[id])
+		if d := float64(c)/10 - n.NetCap(NetID(id)); d > 1e-12 || d < -1e-12 {
+			t.Errorf("CapTenths[%d] = %d, NetCap %v", id, c, n.NetCap(NetID(id)))
 		}
 	}
 	if len(p.Inputs) != 2 || p.Inputs[0] != a || p.Inputs[1] != b {

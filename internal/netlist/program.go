@@ -22,12 +22,10 @@ type Program struct {
 	Fanout [][]int32
 	// Delay is each gate's intrinsic cell delay, by position.
 	Delay []int
-	// Cap is each net's switched capacitance (NetCap), by net id.
-	Cap []float64
-	// CapTenths is each net's switched capacitance in tenths of a charge
-	// unit, by net id, summed in integers from the cell table. It is
-	// exact where Cap carries float rounding, so charges summed from it
-	// come out the same in any order.
+	// CapTenths is each net's switched capacitance (NetCap) in tenths of
+	// a charge unit, by net id, summed in integers from the cell table.
+	// It is exact where NetCap carries float rounding, so charges summed
+	// from it come out the same in any order.
 	CapTenths []int64
 	// Inputs are the primary input nets in InputNets order.
 	Inputs []NetID
@@ -110,7 +108,6 @@ func (n *Netlist) compile() (*Program, error) {
 		Gates:     make([]Gate, len(n.order)),
 		Fanout:    make([][]int32, len(n.nets)),
 		Delay:     make([]int, len(n.order)),
-		Cap:       make([]float64, len(n.nets)),
 		CapTenths: make([]int64, len(n.nets)),
 		Inputs:    n.InputNets(),
 	}
@@ -135,7 +132,6 @@ func (n *Netlist) compile() (*Program, error) {
 			flat = append(flat, pos[pin.gate])
 		}
 		p.Fanout[id] = flat[start:len(flat):len(flat)]
-		p.Cap[id] = n.NetCap(NetID(id))
 		p.CapTenths[id] = n.netCapTenths(NetID(id))
 		if nt.drvKind == driverConst {
 			p.Ties = append(p.Ties, Tie{Net: NetID(id), Val: nt.constVal})

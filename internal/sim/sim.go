@@ -5,10 +5,12 @@
 //     once per applied vector. Fast, glitch-free reference.
 //   - EventDriven: transport-delay event simulation with the per-gate
 //     intrinsic delays from the cell library; hazards propagate, so a net
-//     may toggle several times per cycle. This is the engine the charge
-//     model uses to play the role of the paper's PowerMill reference
-//     simulator, because glitch power is what makes module power a
-//     nonlinear function of the input Hamming-distance.
+//     may toggle several times per cycle. Each time step runs in two
+//     phases (see Semantics), so the result does not depend on the order
+//     in which a step's gates were scheduled. This is the engine the
+//     charge model uses to play the role of the paper's PowerMill
+//     reference simulator, because glitch power is what makes module
+//     power a nonlinear function of the input Hamming-distance.
 //   - Inertial: like EventDriven, but pulses narrower than a gate's delay
 //     are filtered (inertial delay); per-net activity lies between the
 //     other two engines. Used for glitch-filterability ablations.
@@ -37,6 +39,13 @@ import (
 	"hdpower/internal/logic"
 	"hdpower/internal/netlist"
 )
+
+// Semantics names how EventDriven runs one time step: every gate
+// scheduled at t reads the net values from before t, and only then do the
+// outputs that changed commit and schedule their fanout. Identity hashes
+// of state priced by the engine name it, so state priced under another
+// step order is refused.
+const Semantics = "two-phase"
 
 // Engine selects the simulation algorithm.
 type Engine int
@@ -78,6 +87,7 @@ type Simulator struct {
 	// event-driven state
 	buckets   [][]int32 // time wheel of gate positions, index = absolute time
 	scheduled []int     // last time a gate was scheduled, -1 if never
+	flips     []int32   // outputs that flip at the current step, not yet committed
 
 	// inertial-engine state
 	pending []*inertialEvent
@@ -244,18 +254,24 @@ func (s *Simulator) applyEventDriven(v logic.Word) {
 		}
 	}
 	for t := 0; t < len(s.buckets); t++ {
+		// Evaluate the whole step against the values from before it, then
+		// commit. A gate is scheduled at most once per step and drives
+		// one net, so no net flips twice in one step.
+		s.flips = s.flips[:0]
 		for _, gi := range s.buckets[t] {
 			g := &s.p.Gates[gi]
-			nv := s.evalGate(g)
-			if s.value[g.Out] != nv {
-				out := netlist.NetID(g.Out)
-				s.value[out] = nv
-				s.toggles[out]++
-				if s.recording {
-					s.record = append(s.record, event{time: t, net: out, val: nv})
-				}
-				s.scheduleFanout(out, t)
+			if s.evalGate(g) != s.value[g.Out] {
+				s.flips = append(s.flips, g.Out)
 			}
+		}
+		for _, out := range s.flips {
+			nv := !s.value[out]
+			s.value[out] = nv
+			s.toggles[out]++
+			if s.recording {
+				s.record = append(s.record, event{time: t, net: netlist.NetID(out), val: nv})
+			}
+			s.scheduleFanout(netlist.NetID(out), t)
 		}
 	}
 }
