@@ -51,10 +51,10 @@ func shardPlan(patterns int) []shard {
 // stream discriminator (basic, biased, port A/B, …), and the shard index.
 // Chaining the splitmix64 finalizer per component keeps neighboring
 // (seed, stream, index) triples uncorrelated, and the 64-bit seeds of one
-// (seed, stream) never collide. A PairSource keeps only seed mod (2³¹−1),
-// though, so two of a phase's S shards draw the same stream with
-// probability about S²/2³² (DESIGN.md, "Shard streams repeat with small
-// probability").
+// (seed, stream) never collide. A PairSource keys its SplitMix64 counter
+// with the whole seed, so two shards share draws only if their seeds lie
+// within one shard's draws of each other along the counter
+// (TestShardStreamsDisjoint).
 func shardSeed(seed int64, stream, index int) int64 {
 	const golden = 0x9e3779b97f4a7c15
 	x := mix64(uint64(seed) + golden*uint64(stream+1))
