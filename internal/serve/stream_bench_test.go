@@ -140,8 +140,8 @@ func appendFixtureLine(b []byte, rng *rand.Rand, sp fixtureSpec, m, shape int) [
 // Digests of every answer the fixture's requests get, stream batches and
 // unary requests separately.
 const (
-	goldenStreamDigest = "d42a3ca7082a2ec07bc1710ed86f20f68a7ccf9fb3936b51f5eb6609e0e15fba"
-	goldenUnaryDigest  = "154126343af4af81824679493d1f86b1fe66c882ded88794b2b103877e4e0787"
+	goldenStreamDigest = "39bbdb2c815654df04c891170aa75af8235e8e1b48e93c1ac96e8a17ae6bf298"
+	goldenUnaryDigest  = "fd8af1b8365cab358ea623e6f7adc30e954a2b4589d79f396906e3ce93986f6c"
 )
 
 // TestEstimateGoldenDigests pins the exact response bytes of the hot
@@ -283,17 +283,17 @@ func BenchmarkEstimateStream(b *testing.B) {
 // server/set/plane.
 var goldenOffPathDigests = map[string]string{
 	"fixture/accounting":       "70113cf97256e1de283526c843d9112a00353aaf077d8d5f3a1bbc6f5b804133",
-	"fixture/decoded/stream":   "5eda68002d1a968c8522e54731d84c07cba1b9a06d3283ff14142fc105c90321",
-	"fixture/decoded/unary":    "31011b0204d397cd523fea6e2d53ae45d79cc0d144b951a85ae8bf4c06eab3a2",
-	"fixture/errors/stream":    "151a7fbcaac9b88630f2a4fc558d608039d936559924ac7f8881c0debe3ffc36",
-	"fixture/errors/unary":     "6ab6efaf6848dcbc848eece4ed83c31b2f266c3f48531c3a637a6a12418eff00",
-	"fixture/seed/stream":      "5e546973f56b8e4e4fa1a8ce4e48bff187660838944e5629d92b07a97a106095",
-	"fixture/seed/unary":       "2e7884094ca361b1c610c03fd4447c46d3cc0f586640d4ce513a28ed6d88ea8d",
-	"fixture/stats":            "1e391e77f6059204694536bc506aa2aa506ee9dbc8c78c111cb63a15d71a18ed",
+	"fixture/decoded/stream":   "c8879168adbf416a5d02230711d4be96e66f5b13a2690a209f3fd6d36f54c8e1",
+	"fixture/decoded/unary":    "691de9ee16f9c245ec221159554eac571a452a53acac2f4ca8618b5136db2321",
+	"fixture/errors/stream":    "fc78e934b74191eca3357b23311dbf1fc7a6fefcbfe38c0f0d6e8d0002d40d21",
+	"fixture/errors/unary":     "ca5012276d1452e47928881a554e3aa9cffb49f6b5aa2c845307b4391430f022",
+	"fixture/seed/stream":      "2f67e79de4dae3ad299262b2bf4fd07ca8b42009d2e5c4adfc4037e31587168e",
+	"fixture/seed/unary":       "88904faeb66fef746e82d77ff198a4958186d0a41ef2639e1536d836062b7730",
+	"fixture/stats":            "8825f9ae3c00698ed9081079a3cc09ce7dcd7f313fa9a80da432d82077efe46f",
 	"library/accounting":       "394cea07e1fd87e8833a0552cc07d780eb5aacd407d09ad1a0361124f213ea0e",
-	"library/estimates/stream": "d10ad8403d86d39f6b90d24adb8d1912e2217b7d5c5cc5c86eb6be2b9a30ad70",
-	"library/estimates/unary":  "1578a7bdfec269523f6888fa8741d1d51efdee2827ad2ddffc5353eb56870a99",
-	"library/stats":            "6e6c222ba79447f7f23be1eded4d17027dcc8785373176114cc957b0324e1c6a",
+	"library/estimates/stream": "3981f7680d14f97a615b17cf622a96794a06321a314443b260143772df4e2150",
+	"library/estimates/unary":  "b52e7eba4eb0b74273285780b68f1a509bad477e55cf39f8b55ccde7133bc599",
+	"library/stats":            "d53872ecf22c456f2843a61a4cd20d62abb23329f8c9828015d5966d5013e156",
 }
 
 // TestEstimateOffPathDigests pins the exact status and bytes of every
