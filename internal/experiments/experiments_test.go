@@ -201,8 +201,9 @@ func TestFigure6DistributionBeatsAverage(t *testing.T) {
 	// differ measurably from the distribution-weighted power. (The
 	// paper's transistor-level coefficients grow nearly quadratically
 	// and yield a ~30% gap; our gate-level substrate saturates instead,
-	// giving a small but still directional gap — about 1.4% with the
-	// sharded characterization streams — see EXPERIMENTS.md.)
+	// giving a small but still directional gap — 4.8% at this scale
+	// with the counter pair stream and the two-phase reference — see
+	// EXPERIMENTS.md.)
 	if math.Abs(res.AvgHdError()) < 1.0 {
 		t.Errorf("avg-Hd error only %.1f%%, expected a material gap", res.AvgHdError())
 	}
