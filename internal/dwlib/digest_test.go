@@ -108,3 +108,59 @@ func TestStructureDigests(t *testing.T) {
 		}
 	}
 }
+
+// topoDigests pins the evaluation order and logic depth Finalize gives
+// every catalog module at widths 4, 8, 12 and 16: the first 16 hex
+// digits of the SHA-256 over, width by width, every gate id of
+// TopoOrder and then Depth. Every engine compiles its schedule from that
+// order, so a change to how a netlist is ordered or validated must leave
+// it unedited.
+var topoDigests = map[string]string{
+	"absval":                   "1e02856e649c281d",
+	"barrel-shifter":           "958285a504381029",
+	"booth-wallace-multiplier": "bda63a88633bab47",
+	"brent-kung-adder":         "dcb5d313caaf8c8d",
+	"carry-select-adder":       "5a26cb756fbf1d8c",
+	"cla-adder":                "23228826c65bd8ea",
+	"comparator":               "b90ccc2946a836a0",
+	"csa-multiplier":           "e37b1eeb427a0c12",
+	"dadda-multiplier":         "15d0b7c2c4a8f62c",
+	"gray-decoder":             "c13e239c1f3b3b70",
+	"gray-encoder":             "a15753f4505a05f8",
+	"incrementer":              "6bb0103ea694a2a3",
+	"kogge-stone-adder":        "bc5788b2aa9c4180",
+	"leading-zeros":            "e29a48a0eb0da845",
+	"mac":                      "bc807e088a2b1745",
+	"min-max":                  "64598518414d22bb",
+	"parity-tree":              "585a31a5d6b342b5",
+	"ripple-adder":             "ea9de8dd13a86be8",
+	"ripple-subtractor":        "17d18eaf8aa204c0",
+	"saturating-adder":         "d8c8ee531db31bdc",
+	"squarer":                  "57cc4f26fe3f48a5",
+}
+
+func TestTopoDigests(t *testing.T) {
+	if len(topoDigests) != len(Names()) {
+		t.Errorf("%d digests for %d catalog modules", len(topoDigests), len(Names()))
+	}
+	for _, name := range Names() {
+		mod, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, m := range []int{4, 8, 12, 16} {
+			nl := mod.Build(m)
+			order := nl.TopoOrder()
+			hashInt(h, len(order))
+			for _, g := range order {
+				hashInt(h, int(g))
+			}
+			hashInt(h, nl.Depth())
+		}
+		got := hex.EncodeToString(h.Sum(nil))[:16]
+		if want := topoDigests[name]; got != want {
+			t.Errorf("%s: topo digest %s, want %s", name, got, want)
+		}
+	}
+}
