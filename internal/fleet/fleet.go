@@ -93,11 +93,7 @@ func (j *JobSpec) Meter() (*power.Meter, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl := mod.Build(j.Width)
-	if err := nl.Finalize(); err != nil {
-		return nil, err
-	}
-	return power.NewMeter(nl, sim.EventDriven)
+	return power.NewMeter(mod.Build(j.Width), sim.EventDriven)
 }
 
 // resolve rebuilds the job's meter and options for the coordinator or a

@@ -75,9 +75,9 @@ type Netlist struct {
 	outputs []Bus
 
 	finalized bool
-	levels    [][]GateID // gates grouped by logic level, valid after Finalize
-	order     []GateID   // topological order, valid after Finalize
-	prog      *Program   // compiled form, valid after Finalize
+	order     []GateID // topological order, valid after Finalize
+	depth     int      // number of logic levels, valid after Finalize
+	prog      *Program // compiled form, valid after Finalize
 }
 
 // New returns an empty netlist with the given instance name.
@@ -265,76 +265,26 @@ func (n *Netlist) IsConst(id NetID) (val, isConst bool) {
 	return nt.constVal, nt.drvKind == driverConst
 }
 
-// Finalize validates the netlist (single drivers, acyclicity), computes
-// the topological gate ordering and level structure, and compiles the
-// Program the engines simulate. It is idempotent, and implied by
-// TopoOrder, Depth and Program. After Finalize the netlist is immutable.
+// Finalize verifies the netlist with every check of Verify, keeps the
+// gate order and logic depth of Verify's Kahn pass, and compiles the
+// Program the engines simulate. A netlist with an error-severity finding
+// fails with the *VerifyError that VerifyErr returns, so a finalized
+// netlist is a verified one. Finalize is idempotent, and implied by
+// TopoOrder, Depth and Program. After Finalize the builder methods panic;
+// surgery definalizes, and the next Finalize verifies again.
 func (n *Netlist) Finalize() error {
 	if n.finalized {
 		return nil
 	}
-	for id, nt := range n.nets {
-		if nt.drvKind == driverNone {
-			return fmt.Errorf("netlist %s: net %q (id %d) has no driver", n.Name, nt.name, id)
-		}
-	}
-	// Kahn's algorithm over gates: a gate is ready when all its input nets
-	// are primary inputs, constants, or outputs of already-ordered gates.
-	indeg := make([]int, len(n.gates))
-	for gi, g := range n.gates {
-		for _, in := range g.in {
-			if n.nets[in].drvKind == driverGate {
-				indeg[gi]++
-			}
-		}
-	}
-	level := make([]int, len(n.gates))
-	queue := make([]GateID, 0, len(n.gates))
-	for gi := range n.gates {
-		if indeg[gi] == 0 {
-			queue = append(queue, GateID(gi))
-			level[gi] = 0
-		}
-	}
-	order := make([]GateID, 0, len(n.gates))
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		order = append(order, g)
-		out := n.gates[g].out
-		for _, p := range n.nets[out].fanout {
-			indeg[p.gate]--
-			if lvl := level[g] + 1; lvl > level[p.gate] {
-				level[p.gate] = lvl
-			}
-			if indeg[p.gate] == 0 {
-				queue = append(queue, p.gate)
-			}
-		}
-	}
-	if len(order) != len(n.gates) {
-		return fmt.Errorf("netlist %s: combinational cycle detected (%d of %d gates orderable)",
-			n.Name, len(order), len(n.gates))
-	}
-	maxLevel := 0
-	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	levels := make([][]GateID, maxLevel+1)
-	for gi, l := range level {
-		levels[l] = append(levels[l], GateID(gi))
-	}
-	n.order = order
-	n.levels = levels
-	prog, err := n.compile()
-	if err != nil {
-		n.order, n.levels = nil, nil
+	diags, order, depth := n.verify()
+	if err := n.verifyError(diags); err != nil {
 		return err
 	}
-	n.prog = prog
-	n.finalized = true
+	prog, err := n.compile(order)
+	if err != nil {
+		return err
+	}
+	n.order, n.depth, n.prog, n.finalized = order, depth, prog, true
 	return nil
 }
 
@@ -355,7 +305,7 @@ func (n *Netlist) TopoOrder() []GateID {
 // Depth returns the number of logic levels (0 for a gateless netlist).
 func (n *Netlist) Depth() int {
 	n.mustFinalize()
-	return len(n.levels)
+	return n.depth
 }
 
 // piDriverCap is the output capacitance assumed for the (external) driver
@@ -420,7 +370,7 @@ func (n *Netlist) Stats() Stats {
 		Outputs:   outBits,
 		Nets:      len(n.nets),
 		Gates:     len(n.gates),
-		Depth:     len(n.levels),
+		Depth:     n.depth,
 		TotalCap:  n.TotalCap(),
 		GateCount: counts,
 	}

@@ -45,6 +45,13 @@ func TestBuilderBasics(t *testing.T) {
 	if n.Depth() != 2 {
 		t.Errorf("depth = %d, want 2", n.Depth())
 	}
+	// A gateless netlist has no logic levels.
+	w := New("wires")
+	w.MarkOutputBus("y", w.AddInputBus("a", 2).Nets)
+	if w.Depth() != 0 || w.Stats().Depth != 0 || len(w.TopoOrder()) != 0 {
+		t.Errorf("gateless: depth %d, Stats().Depth %d, order %v; want 0, 0, none",
+			w.Depth(), w.Stats().Depth, w.TopoOrder())
+	}
 }
 
 func TestTopoOrderRespectsDependencies(t *testing.T) {

@@ -98,21 +98,21 @@ func tenths(x float64) (int64, error) {
 	return int64(t), nil
 }
 
-// compile builds the Program from the topological order Finalize has
-// just computed.
-func (n *Netlist) compile() (*Program, error) {
+// compile builds the Program from the topological gate order of a
+// netlist that has just verified.
+func (n *Netlist) compile(order []GateID) (*Program, error) {
 	if tenthsErr != nil {
 		return nil, fmt.Errorf("netlist %s: %w", n.Name, tenthsErr)
 	}
 	p := &Program{
-		Gates:     make([]Gate, len(n.order)),
+		Gates:     make([]Gate, len(order)),
 		Fanout:    make([][]int32, len(n.nets)),
-		Delay:     make([]int, len(n.order)),
+		Delay:     make([]int, len(order)),
 		CapTenths: make([]int64, len(n.nets)),
 		Inputs:    n.InputNets(),
 	}
 	pos := make([]int32, len(n.gates))
-	for i, g := range n.order {
+	for i, g := range order {
 		gt := n.gates[g]
 		p.Gates[i] = Gate{Kind: gt.kind, Out: int32(gt.out)}
 		for k, in := range gt.in {
