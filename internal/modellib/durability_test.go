@@ -115,30 +115,25 @@ func TestPartialParamWriteDetected(t *testing.T) {
 	}
 }
 
-// TestVerifyModelCoefficientCount pins the paper's M = (m²+m)/2 invariant
-// for full-resolution enhanced tables.
-func TestVerifyModelCoefficientCount(t *testing.T) {
-	good := testModel("x", 6, true)
-	if err := verifyModel(good); err != nil {
-		t.Fatalf("valid table rejected: %v", err)
+// TestOversizedEnhancedRowQuarantined: a sealed model file whose
+// enhanced row holds one bucket more than the paper's class count allows
+// fails LoadModel's validation, and GetModel quarantines it as corrupt.
+func TestOversizedEnhancedRowQuarantined(t *testing.T) {
+	lib, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := testModel("x", 6, true)
+	bad := testModel("ripple-adder", 6, true)
 	bad.Enhanced[2] = append(bad.Enhanced[2], core.Coef{})
-	err := verifyModel(bad)
-	if err == nil {
-		t.Fatal("oversized enhanced table accepted")
+	path := modelPath(lib, "ripple-adder", 3, true)
+	if err := atomicio.WriteJSON(path, bad); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "(m²+m)/2") {
-		t.Errorf("invariant not named: %v", err)
+	_, err = lib.GetModel("ripple-adder", 3, true)
+	if !atomicio.IsCorrupt(err) || !strings.Contains(err.Error(), "enhanced row 3 has 5 buckets, want 4") {
+		t.Fatalf("oversized enhanced row loaded: %v", err)
 	}
-	// Clustered tables are exempt: their class count is intentionally
-	// smaller than the full-resolution bound.
-	clustered := &core.Model{Module: "x", InputBits: 6, ZClusters: 2,
-		Basic: make([]core.Coef, 6), Enhanced: make([][]core.Coef, 6)}
-	for i := 1; i <= 6; i++ {
-		clustered.Enhanced[i-1] = make([]core.Coef, clustered.NumZBuckets(i))
-	}
-	if err := verifyModel(clustered); err != nil {
-		t.Errorf("clustered table rejected: %v", err)
+	if _, statErr := os.Stat(path + ".corrupt"); statErr != nil {
+		t.Errorf("oversized enhanced row not quarantined: %v", statErr)
 	}
 }

@@ -69,24 +69,6 @@ func (l *Library) PutModel(module string, width int, model *core.Model) error {
 	return atomicio.WriteJSON(path, model)
 }
 
-// verifyModel checks the load-time coefficient-count invariants beyond
-// Model.Validate: a full-resolution enhanced table must carry exactly
-// M = (m²+m)/2 coefficients (the paper's class count).
-func verifyModel(m *core.Model) error {
-	if !m.HasEnhanced() || m.ZClusters > 0 {
-		return nil
-	}
-	got := 0
-	for _, row := range m.Enhanced {
-		got += len(row)
-	}
-	if want := (m.InputBits*m.InputBits + m.InputBits) / 2; got != want {
-		return fmt.Errorf("enhanced table has %d coefficients, want (m²+m)/2 = %d for m=%d",
-			got, want, m.InputBits)
-	}
-	return nil
-}
-
 // loadModelFile reads, checksum-verifies, parses and validates one stored
 // model file. Files that fail any of those stages are quarantined and
 // reported as *atomicio.CorruptError.
@@ -98,9 +80,6 @@ func loadModelFile(path string) (*core.Model, error) {
 	m, perr := core.LoadModel(data)
 	if perr != nil {
 		return nil, atomicio.MarkCorrupt(path, perr.Error())
-	}
-	if verr := verifyModel(m); verr != nil {
-		return nil, atomicio.MarkCorrupt(path, verr.Error())
 	}
 	return m, nil
 }
