@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"hdpower/internal/atomicio"
+	"hdpower/internal/fleet"
 )
 
 // record mirrors cmd/benchjson's output schema so BENCH_serve.json flows
@@ -252,48 +253,36 @@ func transientErr(err error) bool {
 		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// retryDelay is the capped full-jitter backoff before retry attempt n.
-// Jitter only shifts when a retry fires; it never influences which
-// requests are sent, so runs stay reproducible.
-func retryDelay(attempt int) time.Duration {
-	d := retryBase << uint(attempt)
-	if d > retryCap {
-		d = retryCap
+// retry calls send until it returns a response, fails with an error that
+// is not transient, or has made retryAttempts attempts, waiting
+// fleet.Backoff between attempts. Jitter only shifts when a retry fires;
+// it never influences which requests are sent, so runs stay reproducible.
+func retry(send func() (*http.Response, error)) (*http.Response, error) {
+	for attempt := 0; ; attempt++ {
+		resp, err := send()
+		if err == nil {
+			return resp, nil
+		}
+		if attempt >= retryAttempts-1 || !transientErr(err) {
+			return nil, err
+		}
+		delay := fleet.Backoff(retryBase, retryCap, attempt)
+		fmt.Fprintf(os.Stderr, "hdload: transient error (%v); retrying in %s\n", err, delay)
+		time.Sleep(delay)
 	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
 // postRetry is client.Post with transient-error retry. The body is a
 // byte slice (not a Reader) precisely so each attempt can resend it.
 func postRetry(client *http.Client, url, contentType string, body []byte) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(url, contentType, bytes.NewReader(body))
-		if err == nil {
-			return resp, nil
-		}
-		if attempt >= retryAttempts-1 || !transientErr(err) {
-			return nil, err
-		}
-		delay := retryDelay(attempt)
-		fmt.Fprintf(os.Stderr, "hdload: transient error (%v); retrying in %s\n", err, delay)
-		time.Sleep(delay)
-	}
+	return retry(func() (*http.Response, error) {
+		return client.Post(url, contentType, bytes.NewReader(body))
+	})
 }
 
 // getRetry is client.Get with transient-error retry.
 func getRetry(client *http.Client, url string) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Get(url)
-		if err == nil {
-			return resp, nil
-		}
-		if attempt >= retryAttempts-1 || !transientErr(err) {
-			return nil, err
-		}
-		delay := retryDelay(attempt)
-		fmt.Fprintf(os.Stderr, "hdload: transient error (%v); retrying in %s\n", err, delay)
-		time.Sleep(delay)
-	}
+	return retry(func() (*http.Response, error) { return client.Get(url) })
 }
 
 // waitReady polls /readyz until the server answers 200.
