@@ -20,9 +20,10 @@
 //     counts as a toggle. Path-length imbalance therefore produces
 //     glitches just as in the event-driven reference, but all gates share
 //     one unit delay instead of their per-kind intrinsic delays, so
-//     per-net glitch counts agree only statistically — the event-driven
-//     engine in internal/sim remains the golden reference, and
-//     characterization cross-validates the two on sampled patterns.
+//     per-net glitch counts agree only statistically. The event-driven
+//     engine in internal/sim remains the golden reference; no build
+//     compares the two, and core's TestBackendCoefficientDrift bounds how
+//     far their fitted coefficients drift apart.
 //
 // New compiles the wavefront once into a static schedule (schedule.go):
 // which gates can change at which step, found from path lengths alone,

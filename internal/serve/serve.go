@@ -73,11 +73,11 @@ type Config struct {
 	CharWorkers int
 	// Backend selects the simulation engine behind characterization
 	// (core.BackendBitParallel, core.BackendEvent). The zero value
-	// BackendAuto resolves to the event-driven golden reference, which
-	// keeps embedded servers bit-identical to earlier releases; cmd/hdserve
-	// defaults the flag to bitparallel. Changing the backend changes the
-	// build's checkpoint identity, so restarted servers discard checkpoints
-	// from the other engine and rebuild instead of mixing charges.
+	// BackendAuto resolves to the event-driven golden reference;
+	// cmd/hdserve defaults the flag to bitparallel. Changing the backend
+	// changes the build's checkpoint identity, so restarted servers
+	// discard checkpoints from the other engine and rebuild instead of
+	// mixing charges.
 	Backend core.BackendKind
 	// BuildFunc overrides the characterization backend; tests inject
 	// slow or failing builds here. nil selects the real engine.
