@@ -131,7 +131,11 @@ cover:
 # endpoint accepts, and Finalize against Verify's decision on random
 # netlists with up to two surgeries (FuzzFinalize: it fails exactly when
 # VerifyErr does, and otherwise orders every gate after its drivers at the
-# longest-path depth). Seed corpora live under each
+# longest-path depth), and the library's two file parsers on arbitrary
+# bytes (FuzzLibraryFiles: an accepted model flattens into finite,
+# non-negative prices, and an accepted width regression synthesizes at
+# every width serve accepts into a model that either fails to flatten or
+# prices that way). Seed corpora live under each
 # package's testdata/fuzz or in the target's f.Add seeds; a crasher lands
 # under testdata/fuzz. Each FuzzLoadLedger input runs a whole build with
 # fsynced ledger writes (several ms), and each FuzzHandleUpload input a
@@ -154,6 +158,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyTrailer$$' -fuzztime $(FUZZTIME) ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzFromWordStatsPorts$$' -fuzztime $(FUZZTIME) ./internal/hddist
 	$(GO) test -run '^$$' -fuzz '^FuzzFinalize$$' -fuzztime $(FUZZTIME) ./internal/netlist
+	$(GO) test -run '^$$' -fuzz '^FuzzLibraryFiles$$' -fuzztime $(FUZZTIME) ./internal/modellib
 
 # Code size, the one count ROADMAP and CHANGES.md report: non-test .go
 # lines under internal/ and cmd/, testdata excluded, blank and // comment

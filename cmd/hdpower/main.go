@@ -623,6 +623,9 @@ func cmdSynthesize(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *width < 1 {
+		return fmt.Errorf("-width %d: want at least 1", *width)
+	}
 	raw, err := readJSONInput(*paramPath)
 	if err != nil {
 		return err

@@ -78,3 +78,35 @@ func TestCharacterizeKillAndResume(t *testing.T) {
 		}
 	}
 }
+
+// TestSynthesizeRefusesWidthBelowOne: a width of 0 would write a model
+// with no inputs and a negative one would panic, so synthesize refuses
+// both before reading the regression; width 1 still synthesizes.
+func TestSynthesizeRefusesWidthBelowOne(t *testing.T) {
+	dir := t.TempDir()
+	param := filepath.Join(dir, "param.json")
+	if err := os.WriteFile(param, []byte(`{"module":"ripple-adder","basis":"linear",`+
+		`"width_factor":2,"r":[[1,2],[3,4]],"residual":[0,0]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "model.json")
+	for _, w := range []string{"0", "-1"} {
+		if err := cmdSynthesize([]string{"-param", param, "-width", w, "-o", out}); err == nil {
+			t.Errorf("-width %s accepted", w)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused width wrote a model: %v", err)
+	}
+	if err := cmdSynthesize([]string{"-param", param, "-width", "1", "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := atomicio.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.LoadModel(raw)
+	if err != nil || m.InputBits != 2 {
+		t.Fatalf("width-1 synthesis: %v, %+v", err, m)
+	}
+}

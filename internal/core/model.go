@@ -243,7 +243,7 @@ func (m *Model) Validate() error {
 			m.Module, len(m.Basic), m.InputBits)
 	}
 	for i, c := range m.Basic {
-		if c.Count < 0 || c.P < 0 || math.IsNaN(c.P) || math.IsInf(c.P, 0) {
+		if !c.valid() {
 			return fmt.Errorf("core: model %q basic class %d invalid: %+v", m.Module, i+1, c)
 		}
 	}
@@ -257,9 +257,21 @@ func (m *Model) Validate() error {
 				return fmt.Errorf("core: model %q enhanced row %d has %d buckets, want %d",
 					m.Module, i, len(m.Enhanced[i-1]), m.NumZBuckets(i))
 			}
+			for z, c := range m.Enhanced[i-1] {
+				if !c.valid() {
+					return fmt.Errorf("core: model %q enhanced class (%d, bucket %d) invalid: %+v",
+						m.Module, i, z, c)
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// valid reports whether a coefficient can be served: a finite,
+// non-negative charge over a non-negative sample count (NaN fails P >= 0).
+func (c Coef) valid() bool {
+	return c.Count >= 0 && c.P >= 0 && !math.IsInf(c.P, 0)
 }
 
 // MarshalJSON includes a format marker for forward compatibility.

@@ -204,6 +204,21 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero-width model accepted")
 	}
+	// Enhanced coefficients pass the same check as basic ones.
+	for _, p := range []float64{-5, math.NaN(), math.Inf(1)} {
+		bad = handModel()
+		bad.Enhanced = make([][]Coef, 4)
+		for i := 1; i <= 4; i++ {
+			bad.Enhanced[i-1] = make([]Coef, bad.NumZBuckets(i))
+		}
+		if err := bad.Validate(); err != nil {
+			t.Fatalf("valid enhanced table rejected: %v", err)
+		}
+		bad.Enhanced[0][0] = Coef{P: p, Count: 3}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("enhanced coefficient %v accepted", p)
+		}
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {

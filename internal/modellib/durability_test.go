@@ -137,3 +137,49 @@ func TestOversizedEnhancedRowQuarantined(t *testing.T) {
 		t.Errorf("oversized enhanced row not quarantined: %v", statErr)
 	}
 }
+
+// TestNegativeEnhancedCoefficientQuarantined: a sealed model file whose
+// enhanced table holds a negative charge fails LoadModel's validation, so
+// GetModel quarantines it instead of serving the charge.
+func TestNegativeEnhancedCoefficientQuarantined(t *testing.T) {
+	lib, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testModel("ripple-adder", 6, true)
+	bad.Enhanced[0][0] = core.Coef{P: -5, Count: 3}
+	path := modelPath(lib, "ripple-adder", 3, true)
+	if err := atomicio.WriteJSON(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	_, err = lib.GetModel("ripple-adder", 3, true)
+	if !atomicio.IsCorrupt(err) || !strings.Contains(err.Error(), "enhanced class (1, bucket 0) invalid") {
+		t.Fatalf("negative enhanced coefficient loaded: %v", err)
+	}
+	if _, statErr := os.Stat(path + ".corrupt"); statErr != nil {
+		t.Errorf("negative enhanced coefficient not quarantined: %v", statErr)
+	}
+}
+
+// TestForgedWidthFactorQuarantined: a regression file without a checksum
+// trailer whose width factor exceeds its class count would make every
+// synthesis allocate factor × width coefficients; GetParam quarantines it.
+func TestForgedWidthFactorQuarantined(t *testing.T) {
+	lib, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(lib.Root(), "params", "ripple-adder-linear.json")
+	forged := `{"format":"hdpower-parammodel-v1","module":"ripple-adder","basis":"linear",` +
+		`"width_factor":1125899906842624,"r":[[1,2]],"residual":[0]}`
+	if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = lib.GetParam("ripple-adder")
+	if !atomicio.IsCorrupt(err) || !strings.Contains(err.Error(), "exceeds the 1 fitted classes") {
+		t.Fatalf("forged width factor loaded: %v", err)
+	}
+	if _, statErr := os.Stat(path + ".corrupt"); statErr != nil {
+		t.Errorf("forged width factor not quarantined: %v", statErr)
+	}
+}

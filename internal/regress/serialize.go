@@ -66,6 +66,13 @@ func LoadParamModel(data []byte) (*ParamModel, error) {
 				i+1, len(r), basis.Name, basis.Degree)
 		}
 	}
+	// A fit has one class per input bit of its widest prototype, so its
+	// factor is at most its class count. The bound also keeps Synthesize
+	// from allocating factor × width coefficients for a forged factor.
+	if w.WidthFactor > len(w.R) {
+		return nil, fmt.Errorf("regress: width factor %d exceeds the %d fitted classes",
+			w.WidthFactor, len(w.R))
+	}
 	return &ParamModel{
 		Module:      w.Module,
 		Basis:       basis,

@@ -51,6 +51,9 @@ func TestLoadParamModelRejectsGarbage(t *testing.T) {
 		"empty table": `{"module":"x","basis":"linear","width_factor":2,"r":[],"residual":[]}`,
 		"arity":       `{"module":"x","basis":"linear","width_factor":2,"r":[[1,2,3]],"residual":[0]}`,
 		"mismatch":    `{"module":"x","basis":"linear","width_factor":2,"r":[[1,2]],"residual":[0,0]}`,
+		// More input bits per operand bit than the fit has classes.
+		"factor > classes": `{"module":"x","basis":"linear","width_factor":3,"r":[[1,2],[3,4]],"residual":[0,0]}`,
+		"factor 2^50":      `{"module":"x","basis":"linear","width_factor":1125899906842624,"r":[[1,2]],"residual":[0]}`,
 	}
 	for name, src := range cases {
 		if _, err := LoadParamModel([]byte(src)); err == nil {

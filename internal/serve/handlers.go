@@ -195,14 +195,7 @@ func (s *Server) handleModelBuild(w http.ResponseWriter, r *http.Request) {
 	}
 	ent, started := s.cache.begin(req.BuildSpec)
 	if started {
-		s.buildWG.Add(1)
-		select {
-		case s.queue <- ent:
-			s.met.queueDepth.Add(1)
-			s.writeBuildSpec(ent)
-		default:
-			s.buildWG.Done()
-			s.cache.abandon(ent)
+		if !s.enqueue(ent, false) {
 			s.met.queueRejected.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "build queue full; retry later")

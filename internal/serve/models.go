@@ -87,8 +87,8 @@ const (
 	statusFailed   = "failed"
 )
 
-// buildEntry is one singleflight slot: every request for the same key
-// shares it, and done closes exactly once when the build settles.
+// buildEntry is one build of a key: every request for the key while it
+// is in flight shares it, and done closes exactly once when it settles.
 type buildEntry struct {
 	spec BuildSpec
 	key  string
@@ -109,11 +109,6 @@ type buildEntry struct {
 	// still shows what it survived).
 	attempts atomic.Int64
 	retry    atomic.Pointer[buildRetryState]
-
-	// refresh marks a re-characterization build started by the refinement
-	// loop: the entry stays detached from the cache maps while it builds so
-	// the old model keeps serving, and complete swaps it in on success.
-	refresh bool
 
 	// Guarded by the owning cache's mutex.
 	status   string
@@ -153,9 +148,12 @@ type modelSnapshot struct {
 	EnhancedCoefs int       `json:"enhanced_coefficients,omitempty"`
 }
 
-// modelCache is the fitted-model LRU plus the singleflight table for
-// in-flight builds. Only ready models count against the capacity;
-// building entries are bounded by the build queue.
+// modelCache is the fitted-model LRU plus the singleflight table of
+// builds. Each key has at most one ready model and, beside it, at most one
+// unsettled build: in flight, or the last one that failed. A refinement
+// rebuild is an ordinary build of a ready key, and the ready model serves
+// until a successful build replaces it. Only ready models count against
+// the capacity; builds in flight are bounded by the build queue.
 //
 // Alongside the locked structures, the cache maintains an RCU snapshot of
 // every ready model's flattened lut.Table (luts): the snapshot is rebuilt
@@ -167,26 +165,20 @@ type modelCache struct {
 	mu       sync.Mutex
 	capacity int
 	met      *metrics
-	entries  map[string]*buildEntry
-	byID     map[string]*buildEntry // same entries, keyed by buildID
-	order    *list.List             // ready keys, MRU at front
-	elems    map[string]*list.Element
-	// refreshing marks keys with an in-flight refinement rebuild, so the
-	// refine loop never stacks a second rebuild on the same model.
-	refreshing map[string]bool
+	order    *list.List               // ready entries, MRU at front
+	ready    map[string]*list.Element // key -> its ready entry in order
+	builds   map[string]*buildEntry   // key -> its unsettled build
 
 	luts atomic.Pointer[lutSet]
 }
 
 func newModelCache(capacity int, met *metrics) *modelCache {
 	c := &modelCache{
-		capacity:   capacity,
-		met:        met,
-		entries:    make(map[string]*buildEntry),
-		byID:       make(map[string]*buildEntry),
-		order:      list.New(),
-		elems:      make(map[string]*list.Element),
-		refreshing: make(map[string]bool),
+		capacity: capacity,
+		met:      met,
+		order:    list.New(),
+		ready:    make(map[string]*list.Element),
+		builds:   make(map[string]*buildEntry),
 	}
 	c.luts.Store(emptyLutSet)
 	return c
@@ -202,34 +194,44 @@ func (c *modelCache) table(module string, width int, seed int64) *lut.Table {
 // it in. Callers must hold c.mu; the new snapshot is immutable from birth,
 // so readers that loaded the old one keep a consistent view.
 func (c *modelCache) publishLUTs() {
-	set := &lutSet{tables: make(map[lutKey]*lut.Table, len(c.entries))}
-	for _, ent := range c.entries {
-		if ent.status == statusReady {
-			set.tables[lutKey{module: ent.spec.Module, width: ent.spec.Width, seed: ent.spec.Seed}] = ent.table
-		}
+	set := &lutSet{tables: make(map[lutKey]*lut.Table, c.order.Len())}
+	for e := c.order.Front(); e != nil; e = e.Next() {
+		ent := e.Value.(*buildEntry)
+		set.tables[lutKey{module: ent.spec.Module, width: ent.spec.Width, seed: ent.spec.Seed}] = ent.table
 	}
 	c.luts.Store(set)
 	c.met.lutSwaps.Add(1)
 }
 
-// lookupID returns the entry for a build ID, if present.
+// lookupID returns the entry for a build ID, if present: the key's ready
+// entry before its unsettled build. A scan is cheap at the cache's size.
 func (c *modelCache) lookupID(id string) (*buildEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent, ok := c.byID[id]
-	return ent, ok
+	for e := c.order.Front(); e != nil; e = e.Next() {
+		if ent := e.Value.(*buildEntry); ent.id == id {
+			return ent, true
+		}
+	}
+	for _, ent := range c.builds {
+		if ent.id == id {
+			return ent, true
+		}
+	}
+	return nil, false
 }
 
 // readySibling returns the table of a ready model for the same module and
 // width under any seed — the first degradation rung when the exact key is
-// not cached — or nil. Candidates are scanned in ascending seed order so
-// the fallback is deterministic across requests.
+// not cached — or nil. The lowest seed wins, so the fallback is
+// deterministic across requests.
 func (c *modelCache) readySibling(module string, width int) *lut.Table {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *buildEntry
-	for _, ent := range c.entries {
-		if ent.status != statusReady || ent.spec.Module != module || ent.spec.Width != width {
+	for e := c.order.Front(); e != nil; e = e.Next() {
+		ent := e.Value.(*buildEntry)
+		if ent.spec.Module != module || ent.spec.Width != width {
 			continue
 		}
 		if best == nil || ent.spec.Seed < best.spec.Seed {
@@ -242,54 +244,44 @@ func (c *modelCache) readySibling(module string, width int) *lut.Table {
 	return best.table
 }
 
-// begin implements the singleflight: it returns the entry for spec's key
-// and whether the caller owns a brand-new build (and must enqueue it).
-// A failed entry is replaced so clients can retry.
+// begin implements the singleflight: it returns the key's ready model,
+// else its build in flight, else a new build that the caller owns and
+// must enqueue (started). A failed build is replaced so clients can retry.
 func (c *modelCache) begin(spec BuildSpec) (ent *buildEntry, started bool) {
-	key := spec.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ent, ok := c.entries[key]; ok && ent.status != statusFailed {
-		if ent.status == statusReady {
-			c.order.MoveToFront(c.elems[key])
-		}
+	if e, ok := c.ready[spec.Key()]; ok {
+		c.order.MoveToFront(e)
+		return e.Value.(*buildEntry), false
+	}
+	return c.startLocked(spec)
+}
+
+// rebuild starts a build of a ready key, which the caller owns and must
+// enqueue; the ready model serves until the build settles. It refuses a
+// key with no ready model or with a build in flight.
+func (c *modelCache) rebuild(spec BuildSpec) (*buildEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.ready[spec.Key()]; !ok {
+		return nil, false
+	}
+	return c.startLocked(spec)
+}
+
+// startLocked returns the key's build in flight, or starts one in place of
+// a failed or absent build. Callers must hold c.mu.
+func (c *modelCache) startLocked(spec BuildSpec) (ent *buildEntry, started bool) {
+	key := spec.Key()
+	if ent, ok := c.builds[key]; ok && ent.status == statusBuilding {
 		return ent, false
 	}
 	ent = &buildEntry{
 		spec: spec, key: key, id: buildID(key),
 		status: statusBuilding, done: make(chan struct{}),
 	}
-	c.entries[key] = ent
-	c.byID[ent.id] = ent
+	c.builds[key] = ent
 	return ent, true
-}
-
-// beginRefresh starts a refinement rebuild for spec's key: a detached
-// build entry that never displaces the ready model while it builds. It
-// refuses unless the key is currently ready (there is a model worth
-// refreshing) and no refresh for it is already in flight.
-func (c *modelCache) beginRefresh(spec BuildSpec) (*buildEntry, bool) {
-	key := spec.Key()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur, ok := c.entries[key]
-	if !ok || cur.status != statusReady || c.refreshing[key] {
-		return nil, false
-	}
-	ent := &buildEntry{
-		spec: spec, key: key, id: buildID(key),
-		status: statusBuilding, done: make(chan struct{}), refresh: true,
-	}
-	c.refreshing[key] = true
-	return ent, true
-}
-
-// abandonRefresh releases the refresh slot of an entry that could not be
-// enqueued.
-func (c *modelCache) abandonRefresh(ent *buildEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.refreshing, ent.key)
 }
 
 // readyEntrySpec returns the ready model and its build spec for key
@@ -298,38 +290,35 @@ func (c *modelCache) abandonRefresh(ent *buildEntry) {
 func (c *modelCache) readyEntrySpec(key string) (*core.Model, BuildSpec, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent, ok := c.entries[key]
-	if !ok || ent.status != statusReady {
+	e, ok := c.ready[key]
+	if !ok {
 		return nil, BuildSpec{}, false
 	}
+	ent := e.Value.(*buildEntry)
 	return ent.model, ent.spec, true
 }
 
-// abandon removes a just-begun entry that could not be enqueued (queue
-// full), so later requests retry instead of waiting forever.
+// abandon settles a just-begun build that could not be enqueued (queue
+// full) and forgets it, so later requests start afresh and requests that
+// joined it stop waiting.
 func (c *modelCache) abandon(ent *buildEntry) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[ent.key] == ent {
-		delete(c.entries, ent.key)
-		delete(c.byID, ent.id)
-	}
+	delete(c.builds, ent.key)
+	ent.status = statusFailed
+	ent.err = errQueueFull
+	c.mu.Unlock()
+	close(ent.done)
 }
 
-// complete settles a build, publishes the result — a successful build's
-// model with its flattened table — and its flight-recorder manifest, and
-// evicts beyond the LRU capacity. The RCU snapshot is republished so
-// estimate readers see the new (or evicted) model without ever blocking
-// on c.mu.
+// complete settles a build and publishes its flight-recorder manifest. A
+// failed build stays as the key's unsettled build; a successful one
+// becomes the key's ready model, taking the LRU place of the model it
+// replaces (or the front, evicting beyond the capacity). The RCU snapshot
+// is republished so estimate readers see the new (or evicted) model
+// without ever blocking on c.mu.
 func (c *modelCache) complete(ent *buildEntry, model *core.Model, table *lut.Table, err error, man *core.RunManifest) {
 	c.mu.Lock()
 	ent.manifest = man
-	if ent.refresh {
-		c.completeRefreshLocked(ent, model, table, err)
-		c.mu.Unlock()
-		close(ent.done)
-		return
-	}
 	if err != nil {
 		ent.status = statusFailed
 		ent.err = err
@@ -337,74 +326,40 @@ func (c *modelCache) complete(ent *buildEntry, model *core.Model, table *lut.Tab
 		ent.status = statusReady
 		ent.model = model
 		ent.table = table
-		c.elems[ent.key] = c.order.PushFront(ent.key)
-		c.evictOverCapacity()
+		delete(c.builds, ent.key)
+		if e, ok := c.ready[ent.key]; ok {
+			e.Value = ent
+		} else {
+			c.ready[ent.key] = c.order.PushFront(ent)
+			c.evictOverCapacity()
+		}
 		c.publishLUTs()
 	}
 	c.mu.Unlock()
 	close(ent.done)
 }
 
-// completeRefreshLocked settles a refinement rebuild. On success the
-// refreshed entry replaces the one it re-characterized, keeping (or
-// regaining) its LRU position; the old model serves uninterrupted until
-// the swap publishes. If a concurrent non-refresh build owns the key slot
-// (the ready entry was evicted and re-requested mid-refresh), the
-// refreshed model is dropped — the in-flight build is authoritative.
-func (c *modelCache) completeRefreshLocked(ent *buildEntry, model *core.Model, table *lut.Table, err error) {
-	delete(c.refreshing, ent.key)
-	if err != nil {
-		ent.status = statusFailed
-		ent.err = err
-		return
-	}
-	ent.status = statusReady
-	ent.model = model
-	ent.table = table
-	cur, ok := c.entries[ent.key]
-	switch {
-	case ok && cur.status == statusReady:
-		c.entries[ent.key] = ent
-		c.byID[ent.id] = ent
-		c.order.MoveToFront(c.elems[ent.key])
-	case !ok:
-		c.entries[ent.key] = ent
-		c.byID[ent.id] = ent
-		c.elems[ent.key] = c.order.PushFront(ent.key)
-		c.evictOverCapacity()
-	default:
-		return // a live non-refresh build owns the slot
-	}
-	c.publishLUTs()
-}
-
 // evictOverCapacity drops LRU-tail ready models beyond the capacity.
 // Callers must hold c.mu.
 func (c *modelCache) evictOverCapacity() {
 	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		key := oldest.Value.(string)
-		c.order.Remove(oldest)
-		delete(c.elems, key)
-		delete(c.byID, c.entries[key].id)
-		delete(c.entries, key)
+		ent := c.order.Remove(c.order.Back()).(*buildEntry)
+		delete(c.ready, ent.key)
 		c.met.cacheEvicted.Inc()
 	}
 }
 
-// snapshot lists every entry, ready models in MRU order first, then
-// building/failed ones.
+// snapshot lists every entry: ready models in MRU order first, then the
+// unsettled builds (building or failed), which may share a ready key.
 func (c *modelCache) snapshot() []modelSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]modelSnapshot, 0, len(c.entries))
+	out := make([]modelSnapshot, 0, c.order.Len()+len(c.builds))
 	for e := c.order.Front(); e != nil; e = e.Next() {
-		out = append(out, c.entrySnapshot(c.entries[e.Value.(string)]))
+		out = append(out, c.entrySnapshot(e.Value.(*buildEntry)))
 	}
-	for _, ent := range c.entries {
-		if ent.status != statusReady {
-			out = append(out, c.entrySnapshot(ent))
-		}
+	for _, ent := range c.builds {
+		out = append(out, c.entrySnapshot(ent))
 	}
 	return out
 }

@@ -81,15 +81,10 @@ func (s *Server) recoverBuilds() {
 		if !started {
 			continue
 		}
-		s.buildWG.Add(1)
-		select {
-		case s.queue <- ent:
-			s.met.queueDepth.Add(1)
+		if s.enqueue(ent, true) {
 			s.met.buildsRecovered.Inc()
 			s.log.Info("recovered interrupted build", "id", ent.id, "key", ent.key)
-		default:
-			s.buildWG.Done()
-			s.cache.abandon(ent)
+		} else {
 			s.log.Warn("build queue full; interrupted build left for next restart",
 				"id", ent.id)
 		}

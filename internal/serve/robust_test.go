@@ -270,6 +270,28 @@ func TestRecoverBuilds(t *testing.T) {
 	}
 }
 
+// TestSettledBuildsLeaveNoSidecar: a build's spec sidecar is written
+// before a worker can take the build, so the worker that settles it
+// always removes it, however fast the build. A sidecar left behind would
+// rebuild a settled model on the next start.
+func TestSettledBuildsLeaveNoSidecar(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{BuildFunc: instantBuilds(4), CheckpointDir: dir})
+	for seed := 1; seed <= 20; seed++ {
+		spec := BuildSpec{Module: "ripple-adder", Width: 2, Seed: int64(seed)}
+		if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode != http.StatusOK {
+			t.Fatalf("build seed %d: %d %s", seed, resp.StatusCode, data)
+		}
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("%d of 20 settled builds left their sidecar: %v", len(left), left)
+	}
+}
+
 // TestResumeAcrossRestart is the end-to-end crash story: a real build dies
 // mid-characterization (injected fault), the process "dies" before
 // clearing its sidecar, and a new server over the same checkpoint

@@ -675,8 +675,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// errServerClosed fails builds still queued when the pool stops.
-var errServerClosed = errors.New("serve: server closed")
+// errServerClosed fails builds still queued when the pool stops, and
+// errQueueFull the builds that found the queue full.
+var (
+	errServerClosed = errors.New("serve: server closed")
+	errQueueFull    = errors.New("serve: build queue full")
+)
 
 // Close stops the worker pool and fails any builds still in the queue so
 // their waiters unblock. Call Drain first for a graceful stop. With a
@@ -695,6 +699,32 @@ func (s *Server) Close() {
 			s.dumpTraces()
 			return
 		}
+	}
+}
+
+// enqueue hands a build the cache started to the worker pool without
+// blocking, and reports whether it was queued. The build's restart record
+// (its spec sidecar) is written before a worker can take the build, so
+// the worker that settles it always finds the record to remove. A build
+// that finds the queue full is abandoned and leaves no record, except a
+// recovered one: its record is already on disk, and stays there for the
+// next restart.
+func (s *Server) enqueue(ent *buildEntry, recovered bool) bool {
+	if !recovered {
+		s.writeBuildSpec(ent)
+	}
+	s.buildWG.Add(1)
+	select {
+	case s.queue <- ent:
+		s.met.queueDepth.Add(1)
+		return true
+	default:
+		s.buildWG.Done()
+		s.cache.abandon(ent)
+		if !recovered {
+			s.clearBuildSpec(ent.id)
+		}
+		return false
 	}
 }
 

@@ -361,7 +361,7 @@ func TestBackpressure429(t *testing.T) {
 	}
 	// The rejected spec can retry once capacity frees up; abandon() must
 	// not have left a phantom in-flight entry behind.
-	if _, ok := s.cache.entries[(BuildSpec{Module: "ripple-adder", Width: 2, Seed: 3}).Key()]; ok {
+	if _, ok := s.cache.builds[(BuildSpec{Module: "ripple-adder", Width: 2, Seed: 3}).Key()]; ok {
 		t.Error("rejected build left a cache entry")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"hdpower/internal/atomicio"
-	"hdpower/internal/experiments"
 	"hdpower/internal/faultpoint"
 	"hdpower/internal/telemetry"
 )
@@ -72,7 +71,7 @@ func (s *Server) handleTelemetryHotset(w http.ResponseWriter, r *http.Request) {
 // computeHotset joins the profiler's observed Hd mix against the cached
 // models' per-class deviation reservoirs (core.Coef.Epsilon) and
 // apportions each model's current pattern budget by traffic x epsilon
-// (experiments.RecommendBudgets). The result is deterministic for a fixed
+// (telemetry.RecommendBudgets). The result is deterministic for a fixed
 // recorded traffic state: models arrive key-sorted from the profiler and
 // the apportionment breaks ties by class index.
 func (s *Server) computeHotset() hotsetResponse {
@@ -96,8 +95,8 @@ func (s *Server) computeHotset() hotsetResponse {
 			}
 			eps[i-1] = model.Basic[i-1].Epsilon
 		}
-		rec := experiments.RecommendBudgets(spec.Patterns, traffic, eps)
-		uniform := experiments.RecommendBudgets(spec.Patterns, make([]uint64, m), make([]float64, m))
+		rec := telemetry.RecommendBudgets(spec.Patterns, traffic, eps)
+		uniform := telemetry.RecommendBudgets(spec.Patterns, make([]uint64, m), make([]float64, m))
 		hm := hotsetModel{
 			Key:                 ms.Key,
 			Patterns:            spec.Patterns,
@@ -144,9 +143,9 @@ func (s *Server) refineLoop() {
 
 // refineOnce enqueues one refinement rebuild per hot, under-budgeted
 // model: enough traffic to trust the mix (RefineMinEstimates), at least
-// one hot class, and a recommended budget above the current one. Rebuilds
-// ride the ordinary build queue (never blocking, dropped when it is full)
-// and the old model serves until the refreshed one swaps in.
+// one hot class, and a recommended budget above the current one. A
+// rebuild is an ordinary build of the ready key (never blocking, dropped
+// when the queue is full), and the old model serves until it succeeds.
 func (s *Server) refineOnce() {
 	if s.draining.Load() {
 		return
@@ -158,22 +157,13 @@ func (s *Server) refineOnce() {
 		}
 		spec := hm.spec
 		spec.Patterns = hm.RecommendedPatterns
-		ent, ok := s.cache.beginRefresh(spec)
-		if !ok {
-			continue // evicted, rebuilding, or already refreshing
+		ent, ok := s.cache.rebuild(spec)
+		if !ok || !s.enqueue(ent, false) {
+			continue // evicted, already rebuilding, or the queue is full
 		}
-		s.buildWG.Add(1)
-		select {
-		case s.queue <- ent:
-			s.met.queueDepth.Add(1)
-			s.met.refineBuilds.Inc()
-			s.writeBuildSpec(ent)
-			s.log.Info("refinement rebuild enqueued", "key", ent.key,
-				"patterns", spec.Patterns, "hot_classes", hm.HotClasses)
-		default:
-			s.buildWG.Done()
-			s.cache.abandonRefresh(ent)
-		}
+		s.met.refineBuilds.Inc()
+		s.log.Info("refinement rebuild enqueued", "key", ent.key,
+			"patterns", spec.Patterns, "hot_classes", hm.HotClasses)
 	}
 }
 
