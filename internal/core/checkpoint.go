@@ -96,6 +96,14 @@ type Checkpoint struct {
 	ConvNext      int       `json:"conv_next"`
 	ConvPrev      []float64 `json:"conv_prev"`
 	ConvPrevCount []int64   `json:"conv_prev_count"`
+
+	// LeaseEpoch is a fleet coordinator's lease-fencing floor: no lease
+	// it granted for this build carried a higher epoch, so a coordinator
+	// resuming the checkpoint grants above it and fences off every upload
+	// of an earlier lease. A session resumed from the checkpoint carries
+	// it into each Snapshot, so a local run in between never lowers it.
+	// Local runs that never met a coordinator leave it 0 (omitted).
+	LeaseEpoch int64 `json:"lease_epoch,omitempty"`
 }
 
 // CheckpointMismatchError reports a checkpoint that cannot resume the
@@ -212,6 +220,9 @@ func (c *Checkpoint) sanity(model *Model, shards int) error {
 		return fmt.Errorf("convergence state sized %d/%d, want %d",
 			len(c.ConvPrev), len(c.ConvPrevCount), model.InputBits)
 	}
+	if c.LeaseEpoch < 0 {
+		return fmt.Errorf("lease epoch %d is negative", c.LeaseEpoch)
+	}
 	return nil
 }
 
@@ -235,7 +246,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // baseCheckpoint fills the identity fields shared by every snapshot of a
-// run — file checkpoints and fleet ledger snapshots alike.
+// run, whether Characterize or a fleet coordinator writes it.
 func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Checkpoint {
 	return Checkpoint{
 		Format:    checkpointFormat,

@@ -10,9 +10,9 @@ package core
 // single-node run of the same options (pinned by TestFleetBitIdentical in
 // internal/fleet).
 //
-// A session snapshots to and resumes from a Checkpoint: Characterize
-// writes its snapshots to the checkpoint file, and a fleet coordinator
-// embeds them in its lease ledger, so both inherit the checkpoint's
+// A session snapshots to and resumes from a Checkpoint. Characterize and
+// a fleet coordinator write their snapshots to the same checkpoint file,
+// so either resumes what the other saved, with the checkpoint's
 // bit-exact float64 round trip.
 
 import (
@@ -171,6 +171,9 @@ type MergeSession struct {
 	// file is the checkpoint file Characterize snapshots into; nil for
 	// sessions a caller drives through Merge.
 	file *checkpointFile
+	// leaseEpoch is the lease-fencing floor of the checkpoint the session
+	// resumed, carried into every Snapshot.
+	leaseEpoch int64
 }
 
 // newSession builds the session skeleton without opening a phase.
@@ -265,6 +268,7 @@ func (s *MergeSession) start(cp *Checkpoint) {
 	copy(s.conv.prev, cp.ConvPrev)
 	copy(s.conv.prevCount, cp.ConvPrevCount)
 	s.patternsBasic, s.patternsBiased = cp.PatternsBasic, cp.PatternsBiased
+	s.leaseEpoch = cp.LeaseEpoch
 	shards := cp.ShardsMerged
 	if cp.Phase == PhaseBiased {
 		shards += len(s.plan)
@@ -450,10 +454,10 @@ func (s *MergeSession) fold(r *ShardResult) {
 	}
 }
 
-// Snapshot captures the session as a Checkpoint, for a lease ledger, a
-// checkpoint file and ResumeMergeSession alike. The snapshot owns its
-// slices except the deviation reservoirs, which later merges only append
-// to, so later Merges do not change it.
+// Snapshot captures the session as a Checkpoint, for a checkpoint file
+// and ResumeMergeSession alike. The snapshot owns its slices except the
+// deviation reservoirs, which later merges only append to, so later
+// Merges do not change it.
 func (s *MergeSession) Snapshot() *Checkpoint {
 	cp := baseCheckpoint(s.module, s.model.InputBits, &s.opt)
 	cp.Phase = s.phase
@@ -471,6 +475,7 @@ func (s *MergeSession) Snapshot() *Checkpoint {
 	cp.ConvNext = s.conv.nextCheck
 	cp.ConvPrev = slices.Clone(s.conv.prev)
 	cp.ConvPrevCount = slices.Clone(s.conv.prevCount)
+	cp.LeaseEpoch = s.leaseEpoch
 	return &cp
 }
 

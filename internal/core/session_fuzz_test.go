@@ -66,7 +66,8 @@ func snapshotJSON(t *testing.T, s *MergeSession) []byte {
 // FuzzResumeMergeSession decodes arbitrary bytes into a Checkpoint and
 // resumes a session from it. A checkpoint the session accepts must then
 // take every remaining planned shard at its cursor, never move the cursor
-// past the plan, and finish without panicking.
+// past the plan, carry the checkpoint's lease epoch into every Snapshot,
+// and finish without panicking.
 func FuzzResumeMergeSession(f *testing.F) {
 	bits, shards := plannedShards(f)
 	opt := fuzzSessionOpts()
@@ -76,8 +77,15 @@ func FuzzResumeMergeSession(f *testing.F) {
 	}
 	for k := 0; !s.Done(); k++ {
 		if k%3 == 0 || s.MergedShards() == 0 {
-			raw, err := json.Marshal(s.Snapshot())
+			cp := s.Snapshot()
+			raw, err := json.Marshal(cp)
 			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(raw)
+			// The same snapshot as a fleet coordinator saves it.
+			cp.LeaseEpoch = int64(k + 1)
+			if raw, err = json.Marshal(cp); err != nil {
 				f.Fatal(err)
 			}
 			f.Add(raw)
@@ -96,8 +104,14 @@ func FuzzResumeMergeSession(f *testing.F) {
 			return
 		}
 		defer s.Close()
+		if got := s.Snapshot().LeaseEpoch; got != cp.LeaseEpoch {
+			t.Fatalf("resumed snapshot has lease epoch %d, checkpoint %d", got, cp.LeaseEpoch)
+		}
 		for !s.Done() {
 			mergeNext(t, s, shards)
+		}
+		if got := s.Snapshot().LeaseEpoch; got != cp.LeaseEpoch {
+			t.Fatalf("finished snapshot has lease epoch %d, checkpoint %d", got, cp.LeaseEpoch)
 		}
 		_, _ = s.Finish() // garbage accumulators may fail Validate, never panic
 	})

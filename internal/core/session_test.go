@@ -413,3 +413,38 @@ func TestNumShardsMatchesPlan(t *testing.T) {
 		t.Fatalf("NumShards(0) = %d, want default-plan %d", got, want)
 	}
 }
+
+// TestResumeCarriesLeaseEpoch: a session resumed from a checkpoint
+// carries the checkpoint's lease-epoch floor into its snapshots, before
+// and after merging, and a negative floor fails the sanity check, so a
+// fleet coordinator never grants below an epoch it granted before.
+func TestResumeCarriesLeaseEpoch(t *testing.T) {
+	opt := CharacterizeOptions{Patterns: 512, Seed: 1}
+	meter := meterFor(t, "ripple-adder", 4)
+	s, err := NewMergeSession("ripple-adder-4", meter.NumInputBits(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := s.Snapshot()
+	s.Close()
+	cp.LeaseEpoch = -1
+	if _, err := ResumeMergeSession("ripple-adder-4", meter.NumInputBits(), opt, cp); err == nil {
+		t.Fatal("negative lease epoch accepted")
+	}
+	cp.LeaseEpoch = 3
+	r, err := ResumeMergeSession("ripple-adder-4", meter.NumInputBits(), opt, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rs, err := CharacterizeShardRange(meter, "ripple-adder-4", opt, PhaseBasic, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.MergeRange(rs); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Snapshot().LeaseEpoch; got != 3 {
+		t.Fatalf("snapshot after merging carries lease epoch %d, want 3", got)
+	}
+}

@@ -63,7 +63,7 @@ func TestFleetChaos(t *testing.T) {
 	defer crash()
 	done := make(chan error, 1)
 	go func() {
-		_, err := f.coordinator().RunJob(runCtx, spec, RunOptions{Hooks: hooks, LedgerPath: ledgerPath})
+		_, err := f.coordinator().RunJob(runCtx, spec, RunOptions{Hooks: hooks, CheckpointPath: ledgerPath})
 		done <- err
 	}()
 
@@ -103,8 +103,7 @@ func TestFleetChaos(t *testing.T) {
 		Hooks: &core.Hooks{
 			Resumed: func(phase string, shards, pb, pbias int) { resumedFrom.Store(int64(shards)) },
 		},
-		LedgerPath: ledgerPath,
-		Resume:     true,
+		CheckpointPath: ledgerPath,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,9 +23,10 @@
 //     a torn or bit-flipped body is rejected (HTTP 400) and the range
 //     stays leased for the worker to retry, or expires and is re-leased.
 //   - Worker RPCs retry transient failures with capped-jitter backoff.
-//   - The coordinator checkpoints its lease ledger (a core.Checkpoint
-//     snapshot of the merge session plus the fencing epoch) through
-//     atomicio, so a restarted coordinator resumes the build mid-plan.
+//   - The coordinator saves the merge session's core.Checkpoint, with the
+//     lease-fencing epoch floor in its LeaseEpoch, through atomicio to
+//     the file a core.Characterize of the same job checkpoints to, so a
+//     restarted coordinator or a local build resumes the build mid-plan.
 //   - With no live workers the coordinator degrades to computing ranges
 //     locally, so a fleet-configured server with no fleet still builds.
 //
@@ -130,7 +131,7 @@ const (
 	statusIdle     = "idle"     // no job active
 	statusOK       = "ok"       // heartbeat extended the lease
 	statusRevoked  = "revoked"  // lease no longer held; stop computing
-	statusAccepted = "accepted" // upload merged into the ledger
+	statusAccepted = "accepted" // upload staged for merging
 	statusStale    = "stale"    // upload fenced off by epoch or re-lease
 	statusGone     = "gone"     // job no longer active
 )

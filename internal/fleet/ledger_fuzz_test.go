@@ -14,28 +14,26 @@ import (
 )
 
 // FuzzLoadLedger places arbitrary bytes, sealed with atomicio.Seal or
-// not, at a coordinator's ledger path and resumes the job from them. No
-// bytes may panic the coordinator or keep the build from finishing:
-//   - a ledger the coordinator refuses degrades to a fresh build, which
-//     must equal singleNode bit for bit;
-//   - a ledger it resumes must finish exactly as a core.MergeSession
+// not, at a coordinator's checkpoint path and resumes the job from them.
+// No bytes may panic the coordinator or keep the build from finishing:
+//   - a checkpoint the coordinator refuses degrades to a fresh build,
+//     which must equal singleNode bit for bit;
+//   - a checkpoint it resumes must finish exactly as a core.MergeSession
 //     resumed from the same checkpoint and fed the rest of the plan does,
 //     and a snapshot the build itself took must finish as singleNode.
 func FuzzLoadLedger(f *testing.F) {
-	// Two shards per phase keep ledgers small: the fuzzer minimizes every
-	// new input it finds, one build per candidate.
+	// Two shards per phase keep checkpoints small: the fuzzer minimizes
+	// every new input it finds, one build per candidate.
 	spec := JobSpec{Module: "ripple-adder", Width: 2, Seed: 3, Patterns: 256, Enhanced: true}
 	want := singleNode(f, spec)
 	meter, err := spec.Meter()
 	if err != nil {
 		f.Fatal(err)
 	}
-	// job is the spec as the coordinator completes and persists it.
+	// job is the spec as the coordinator completes it.
 	job := spec
 	job.InputBits = meter.NumInputBits()
 	opt := job.Options()
-	job.Fingerprint = core.Fingerprint(job.Name(), job.InputBits, opt)
-	job.ID = job.Fingerprint
 	shards := map[string][]core.ShardResult{}
 	for _, phase := range []string{core.PhaseBasic, core.PhaseBiased} {
 		rs, err := core.CharacterizeShardRange(meter, job.Name(), opt, phase, 0, core.NumShards(spec.Patterns))
@@ -59,34 +57,47 @@ func FuzzLoadLedger(f *testing.F) {
 		return s.Finish()
 	}
 
-	// Seeds: the ledger of every merge point of both phases, sealed as the
-	// coordinator writes it, one of them also unsealed, and ledgers of the
-	// wrong format or job.
+	// honestKey names a snapshot the build itself could have taken,
+	// whatever lease-epoch floor it carries.
+	honestKey := func(cp core.Checkpoint) string {
+		cp.LeaseEpoch = 0
+		raw, _ := json.Marshal(cp)
+		return string(raw)
+	}
+
+	// Seeds: the checkpoint of every merge point of both phases, sealed as
+	// the coordinator writes it, one of them also unsealed, one of the
+	// wrong format and one of another seed.
 	honest := map[string]bool{}
 	s, err := core.NewMergeSession(job.Name(), job.InputBits, opt)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for k := 0; ; k++ {
-		led := ledger{Format: ledgerFormat, Job: job, NextEpoch: int64(k), Checkpoint: s.Snapshot()}
-		raw, err := json.Marshal(led)
+		cp := s.Snapshot()
+		cp.LeaseEpoch = int64(k)
+		raw, err := json.Marshal(cp)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(raw, true)
 		if k == 2 {
 			f.Add(raw, false)
-			other := led
-			other.Format = "hdpower-fleet-ledger-v0"
+			other := *cp
+			other.Format = "hdpower-checkpoint-v0"
 			alien, _ := json.Marshal(other)
 			f.Add(alien, true)
-			other = led
-			other.Job.Fingerprint = "000000000000000000000000"
-			alien, _ = json.Marshal(other)
+			otherOpt := opt
+			otherOpt.Seed++
+			foreign, err := core.NewMergeSession(job.Name(), job.InputBits, otherOpt)
+			if err != nil {
+				f.Fatal(err)
+			}
+			alien, _ = json.Marshal(foreign.Snapshot())
+			foreign.Close()
 			f.Add(alien, true)
 		}
-		cp, _ := json.Marshal(led.Checkpoint)
-		honest[string(cp)] = true
+		honest[honestKey(*cp)] = true
 		if s.Done() {
 			break
 		}
@@ -94,53 +105,51 @@ func FuzzLoadLedger(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add([]byte(`{"format":"hdpower-fleet-ledger-v1","checkpoint":null}`), true)
+	f.Add([]byte(`{"format":"hdpower-checkpoint-v1"}`), true)
 
 	f.Fuzz(func(t *testing.T, raw []byte, seal bool) {
 		if seal {
 			raw = atomicio.Seal(raw)
 		}
 		dir := t.TempDir()
-		path := filepath.Join(dir, "job.fleet.json")
+		path := filepath.Join(dir, "job.ckpt.json")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		// Decode the bytes as the coordinator does, from a copy: the build
-		// overwrites and finally removes its ledger.
+		// overwrites and finally removes its checkpoint.
 		decoded := filepath.Join(dir, "decoded.json")
 		if err := os.WriteFile(decoded, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var led ledger
-		readErr := atomicio.ReadJSON(decoded, &led)
+		cp, readErr := core.LoadCheckpoint(decoded)
 
 		resumed := false
 		c := NewCoordinator(Config{LeaseShards: 2, Tick: time.Millisecond, LocalWorkers: 1})
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		got, err := c.RunJob(ctx, spec, RunOptions{
-			Hooks:      &core.Hooks{Resumed: func(string, int, int, int) { resumed = true }},
-			LedgerPath: path,
-			Resume:     true,
+			Hooks:          &core.Hooks{Resumed: func(string, int, int, int) { resumed = true }},
+			CheckpointPath: path,
 		})
 		if !resumed {
 			if err != nil {
-				t.Fatalf("fresh build after a refused ledger failed: %v", err)
+				t.Fatalf("fresh build after a refused checkpoint failed: %v", err)
 			}
-			assertSameModel(t, got, want, "fresh build after a refused ledger")
+			assertSameModel(t, got, want, "fresh build after a refused checkpoint")
 			return
 		}
-		if readErr != nil || led.Checkpoint == nil {
-			t.Fatalf("build resumed from a ledger that does not decode: %v", readErr)
+		if readErr != nil {
+			t.Fatalf("build resumed from a checkpoint that does not decode: %v", readErr)
 		}
-		wantModel, wantErr := replay(led.Checkpoint)
+		wantModel, wantErr := replay(cp)
 		// Garbage accumulators can fit NaN coefficients, which DeepEqual
 		// never equates; %v prints every float exactly.
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%v", got) != fmt.Sprintf("%v", wantModel) {
 			t.Fatalf("resumed build diverges from a session resumed from its checkpoint:\n got %v, %v\nwant %v, %v",
 				got, err, wantModel, wantErr)
 		}
-		if cp, _ := json.Marshal(led.Checkpoint); honest[string(cp)] {
+		if honest[honestKey(*cp)] {
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,6 +99,95 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFleetServerResumesCoordinatorCheckpoint: a -fleet server restarted
+// with no live worker recovers a build whose coordinator checkpoint holds
+// 10 merged shards and resumes it on the local path, since both paths
+// checkpoint to the build's one file. The model is bit-identical to an
+// uninterrupted build, and the settled build leaves no file behind.
+func TestFleetServerResumesCoordinatorCheckpoint(t *testing.T) {
+	spec := BuildSpec{Module: "ripple-adder", Width: 4, Seed: 7, Patterns: 2560}
+
+	clean, tsClean := newTestServer(t, Config{CharWorkers: 2})
+	if resp, data := buildWait(t, tsClean.URL, spec); resp.StatusCode != http.StatusOK {
+		t.Fatalf("baseline build: %d %s", resp.StatusCode, data)
+	}
+	baseModel, _, ok := clean.cache.readyEntrySpec(spec.Key())
+	if !ok {
+		t.Fatal("baseline model not cached")
+	}
+	want, err := json.Marshal(baseModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The coordinator of the earlier process: it computes ranges locally
+	// (no workers) and is stopped once 10 shards are merged, saving its
+	// checkpoint; the process then dies before the build settles, leaving
+	// the spec sidecar.
+	dir := t.TempDir()
+	coord := fleet.NewCoordinator(fleet.Config{LeaseShards: 5, Tick: time.Millisecond, LocalWorkers: 2})
+	cfg := Config{CharWorkers: 2, Fleet: coord, CheckpointDir: dir}
+	job := (&Server{cfg: cfg}).job(spec)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	merged := 0
+	_, err = coord.RunJob(ctx, job, fleet.RunOptions{
+		Hooks: &core.Hooks{ShardMerged: func() {
+			if merged++; merged == 10 {
+				stop()
+			}
+		}},
+		CheckpointPath: filepath.Join(dir, job.ID+".ckpt.json"),
+	})
+	if err == nil {
+		t.Fatal("stopped coordinator returned a nil error")
+	}
+	cp, err := core.LoadCheckpoint(filepath.Join(dir, job.ID+".ckpt.json"))
+	if err != nil || cp.ShardsMerged != 10 || cp.LeaseEpoch == 0 {
+		t.Fatalf("coordinator checkpoint: %+v, %v; want 10 merged shards and a lease epoch", cp, err)
+	}
+	if err := atomicio.WriteJSON(filepath.Join(dir, job.ID+".spec.json"), spec); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Fleet = fleet.NewCoordinator(fleet.Config{LeaseShards: 5, Tick: time.Millisecond, LocalWorkers: 2})
+	s, ts := newTestServer(t, cfg)
+	ent, ok := s.cache.lookupID(job.ID)
+	if !ok {
+		t.Fatal("interrupted build not recovered")
+	}
+	select {
+	case <-ent.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("recovered build did not settle")
+	}
+	if status, err := s.entryResult(ent); status != statusReady {
+		t.Fatalf("recovered build %q: %v", status, err)
+	}
+	if got := s.met.buildsResumed.Value(); got != 1 {
+		t.Errorf("resumed = %d, want 1", got)
+	}
+	resp, data := postGet(t, ts.URL+"/v1/models/"+job.ID+"/manifest")
+	if man := decode[core.RunManifest](t, data); resp.StatusCode != http.StatusOK || !man.Resumed {
+		t.Errorf("manifest: %d %s, want resumed", resp.StatusCode, data)
+	}
+	gotModel, _, _ := s.cache.readyEntrySpec(spec.Key())
+	got, err := json.Marshal(gotModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("resumed model differs from an uninterrupted build:\n got %s\nwant %s", got, want)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range left {
+		t.Errorf("settled build left %s behind", f.Name())
+	}
+}
+
 func metricHasPositiveValue(text, name string) bool {
 	for _, line := range splitLines(text) {
 		var v float64

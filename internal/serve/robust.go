@@ -17,8 +17,13 @@ import (
 	"hdpower/internal/lut"
 )
 
-// checkpointPath is where a build checkpoints its characterization state.
+// checkpointPath is the one file a build checkpoints its characterization
+// state to, whether the local path or the fleet runs it; empty, which
+// turns checkpointing off, without a CheckpointDir.
 func (s *Server) checkpointPath(id string) string {
+	if s.cfg.CheckpointDir == "" {
+		return ""
+	}
 	return filepath.Join(s.cfg.CheckpointDir, id+".ckpt.json")
 }
 
