@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -482,6 +483,66 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if er := decode[estimateResponse](t, data); er.Degraded {
 		t.Fatalf("cached estimate marked degraded: %+v", er)
+	}
+}
+
+// TestFailedBuildsBounded: the cache keeps at most ModelCache failed
+// builds, forgetting the one that settled first, so builds of distinct
+// keys that keep failing do not grow GET /v1/models; a forgotten build's
+// progress endpoint answers 404 like any unknown id.
+func TestFailedBuildsBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		ModelCache:   2,
+		BuildWorkers: 4,
+		BuildRetries: -1,
+		BuildFunc: func(context.Context, BuildSpec, *core.Hooks) (*core.Model, error) {
+			return nil, fmt.Errorf("synthetic failure")
+		},
+	})
+	const builds = 20
+	for seed := 1; seed <= builds; seed++ {
+		spec := BuildSpec{Module: "ripple-adder", Width: 2, Seed: int64(seed)}
+		if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode == http.StatusOK {
+			t.Fatalf("build seed %d succeeded: %s", seed, data)
+		}
+	}
+	_, data := httpGet(t, ts.URL+"/v1/models")
+	var keys []string
+	for _, m := range decode[modelsResponse](t, data).Models {
+		if m.Status != statusFailed {
+			t.Errorf("model %s listed %q, want failed", m.Key, m.Status)
+		}
+		keys = append(keys, m.Key)
+	}
+	last := BuildSpec{Module: "ripple-adder", Width: 2, Seed: builds}.Key()
+	if len(keys) > 2 || !slices.Contains(keys, last) {
+		t.Fatalf("GET /v1/models lists %q, want at most 2 failed builds, %s among them", keys, last)
+	}
+	first := BuildSpec{Module: "ripple-adder", Width: 2, Seed: 1}.Key()
+	if resp, data := httpGet(t, ts.URL+"/v1/models/build/"+buildID(first)); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("progress of a forgotten build: %d %s, want 404", resp.StatusCode, data)
+	}
+
+	// Failures that settle on several build workers at once are bounded
+	// the same way.
+	var wg sync.WaitGroup
+	for seed := builds + 1; seed <= 2*builds; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"module":"ripple-adder","width":2,"seed":%d,"wait":true}`, seed)
+			resp, err := http.Post(ts.URL+"/v1/models/build", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}()
+	}
+	wg.Wait()
+	_, data = httpGet(t, ts.URL+"/v1/models")
+	if n := len(decode[modelsResponse](t, data).Models); n > 2 {
+		t.Fatalf("GET /v1/models lists %d failed builds after concurrent failures, want at most 2", n)
 	}
 }
 
