@@ -183,3 +183,36 @@ func TestForgedWidthFactorQuarantined(t *testing.T) {
 		t.Errorf("forged width factor not quarantined: %v", statErr)
 	}
 }
+
+// TestModelRefusesOverflowingRegression: a regression file whose vectors
+// overflow at the requested width loads (every entry is finite), but its
+// synthesized model would price at +Inf; Model refuses it with an error
+// naming the regression, and a valid regression stored over it
+// synthesizes again.
+func TestModelRefusesOverflowingRegression(t *testing.T) {
+	lib, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(lib.Root(), "params", "ripple-adder-linear.json")
+	params := `{"format":"hdpower-parammodel-v1","module":"ripple-adder","basis":"linear",` +
+		`"width_factor":2,"r":[[1e308,1e308],[1,2]],"residual":[0,0]}`
+	if err := os.WriteFile(path, []byte(params), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := lib.Model("ripple-adder", 16, false)
+	if err == nil || !strings.Contains(err.Error(), "linear regression for ripple-adder") {
+		t.Fatalf("Model = %v, %v; want an error naming the regression", model, err)
+	}
+
+	if err := lib.PutParam(fitTestParam(t)); err != nil {
+		t.Fatal(err)
+	}
+	model, synthesized, err := lib.Model("ripple-adder", 16, false)
+	if err != nil || !synthesized {
+		t.Fatalf("valid regression: synthesized %v, err %v", synthesized, err)
+	}
+	if err := model.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

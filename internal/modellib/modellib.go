@@ -179,7 +179,9 @@ func (l *Library) GetParam(module string) (*regress.ParamModel, error) {
 
 // Model returns the model for (module, width), preferring a stored
 // instance model and falling back to synthesis from the family's stored
-// regression. The returned bool reports whether synthesis was used.
+// regression. The returned bool reports whether synthesis was used. A
+// synthesized model that fails core.Model.Validate (a regression whose
+// coefficients overflow at this width) is an error naming the regression.
 func (l *Library) Model(module string, width int, enhanced bool) (*core.Model, bool, error) {
 	if m, err := l.GetModel(module, width, enhanced); err == nil {
 		return m, false, nil
@@ -191,5 +193,9 @@ func (l *Library) Model(module string, width int, enhanced bool) (*core.Model, b
 	if err != nil {
 		return nil, false, fmt.Errorf("modellib: no model for %s width %d and no regression to synthesize from", module, width)
 	}
-	return pm.Synthesize(width), true, nil
+	model := pm.Synthesize(width)
+	if err := model.Validate(); err != nil {
+		return nil, false, fmt.Errorf("modellib: %s regression for %s is invalid at width %d: %w", pm.Basis.Name, module, width, err)
+	}
+	return model, true, nil
 }
