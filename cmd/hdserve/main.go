@@ -26,8 +26,12 @@
 // -fleet turns the server into a characterization-fleet coordinator: it
 // mounts the /fleet/v1/* lease protocol and dispatches model builds to
 // registered workers as leased shard ranges, merging results
-// bit-identically to a single-node build. -worker <url> runs the binary
-// as a headless fleet worker of that coordinator instead of serving.
+// bit-identically to a single-node build. The coordinator never computes
+// shards itself: a build with no live worker, at its start or after its
+// last worker falls silent, runs on the local engine, resuming the
+// fleet's checkpoint when -checkpoint-dir is set. -worker <url> runs the
+// binary as a headless fleet worker of that coordinator instead of
+// serving.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener stops, readiness
 // flips to 503, and in-flight model builds drain before exit.
@@ -116,10 +120,9 @@ func main() {
 	var coord *fleet.Coordinator
 	if *fleetOn {
 		coord = fleet.NewCoordinator(fleet.Config{
-			LeaseShards:  *fleetLeaseShards,
-			LeaseTTL:     *fleetLeaseTTL,
-			LocalWorkers: *charWorkers,
-			Logger:       logger,
+			LeaseShards: *fleetLeaseShards,
+			LeaseTTL:    *fleetLeaseTTL,
+			Logger:      logger,
 		})
 	}
 

@@ -16,7 +16,7 @@ import (
 // characterization fleet: a 3-worker build survives armed fleet.* fault
 // points (failed lease grants, torn uploads, dropped heartbeats, merge
 // stalls), two worker kills mid-lease, AND a coordinator crash with
-// restart from the lease ledger — and the converged model is still
+// restart from its checkpoint — and the converged model is still
 // bit-identical to a single-node core.Characterize of the same spec.
 //
 // The CI chaos job re-runs this test with the fleet.* points armed in
@@ -27,7 +27,7 @@ func TestFleetChaos(t *testing.T) {
 	spec := JobSpec{Module: "ripple-adder", Width: 4, Seed: 13, Patterns: 6000,
 		Enhanced: true, ZClusters: 3}
 	want := singleNode(t, spec)
-	ledgerPath := filepath.Join(t.TempDir(), "chaos.fleet.json")
+	ckptPath := filepath.Join(t.TempDir(), "chaos.ckpt.json")
 
 	// Error-mode chaos on every fleet point. Seeded so the schedule of
 	// injected failures is reproducible; the lease/retry machinery must
@@ -43,9 +43,13 @@ func TestFleetChaos(t *testing.T) {
 	}
 	t.Cleanup(faultpoint.Disarm)
 
+	// Leases are short, so the ranges of killed workers re-lease fast, and
+	// liveness is long: dropped RPCs cannot make the survivor look dead
+	// and the job hand back.
 	cfg := Config{
 		LeaseShards: 4,
-		LeaseTTL:    250 * time.Millisecond, // short: dead workers re-lease fast
+		LeaseTTL:    250 * time.Millisecond,
+		WorkerTTL:   time.Minute,
 		Tick:        5 * time.Millisecond,
 	}
 	f := newTestFleet(t, cfg)
@@ -57,13 +61,14 @@ func TestFleetChaos(t *testing.T) {
 	hooks := &core.Hooks{ShardMerged: func() { merged.Add(1) }}
 
 	// Round 1: three workers, a coordinator that will be "crashed"
-	// (context-cancelled after the ledger has real progress).
+	// (context-cancelled after the checkpoint has real progress).
 	kills := startWorkers(t, ctx, f.ts.URL, 3)
+	waitWorkers(t, f.coordinator(), 3)
 	runCtx, crash := context.WithCancel(ctx)
 	defer crash()
 	done := make(chan error, 1)
 	go func() {
-		_, err := f.coordinator().RunJob(runCtx, spec, RunOptions{Hooks: hooks, CheckpointPath: ledgerPath})
+		_, err := f.coordinator().RunJob(runCtx, spec, RunOptions{Hooks: hooks, CheckpointPath: ckptPath})
 		done <- err
 	}()
 
@@ -84,7 +89,7 @@ func TestFleetChaos(t *testing.T) {
 	waitMerged(8)
 	kills[1]()
 
-	// Crash the coordinator once there is meaningful ledger state.
+	// Crash the coordinator once there is meaningful checkpoint state.
 	waitMerged(12)
 	crash()
 	if err := <-done; err == nil {
@@ -92,24 +97,25 @@ func TestFleetChaos(t *testing.T) {
 	}
 
 	// Round 2: a brand-new coordinator process-equivalent resumes from
-	// the ledger at the same URL; the surviving worker plus one
+	// the checkpoint at the same URL; the surviving worker plus one
 	// replacement finish the build under the same chaos.
 	c2 := NewCoordinator(cfg)
 	f.cur.Store(c2)
 	startWorkers(t, ctx, f.ts.URL, 1)
+	waitWorkers(t, c2, 2)
 
 	var resumedFrom atomic.Int64
 	got, err := c2.RunJob(ctx, spec, RunOptions{
 		Hooks: &core.Hooks{
 			Resumed: func(phase string, shards, pb, pbias int) { resumedFrom.Store(int64(shards)) },
 		},
-		CheckpointPath: ledgerPath,
+		CheckpointPath: ckptPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumedFrom.Load() == 0 {
-		t.Fatal("restarted coordinator built from scratch instead of resuming the ledger")
+		t.Fatal("restarted coordinator built from scratch instead of resuming the checkpoint")
 	}
 	assertSameModel(t, got, want, "post-chaos fleet model")
 
@@ -142,9 +148,12 @@ func TestFleetChaosWorkerChurn(t *testing.T) {
 	}
 	t.Cleanup(faultpoint.Disarm)
 
+	// Liveness outlasts the build: between one worker's kill and its
+	// replacement's first RPC the job must not hand back.
 	f := newTestFleet(t, Config{
 		LeaseShards: 2,
 		LeaseTTL:    150 * time.Millisecond,
+		WorkerTTL:   time.Minute,
 		Tick:        5 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -175,6 +184,7 @@ func TestFleetChaosWorkerChurn(t *testing.T) {
 		}
 	}()
 
+	waitWorkers(t, f.coordinator(), 1)
 	got, err := f.coordinator().RunJob(ctx, spec, RunOptions{})
 	cancel()
 	<-done

@@ -27,8 +27,11 @@
 //     lease-fencing epoch floor in its LeaseEpoch, through atomicio to
 //     the file a core.Characterize of the same job checkpoints to, so a
 //     restarted coordinator or a local build resumes the build mid-plan.
-//   - With no live workers the coordinator degrades to computing ranges
-//     locally, so a fleet-configured server with no fleet still builds.
+//   - The coordinator never computes shards. A job that finds no live
+//     worker at its start, or outlives its last one, returns ErrNoWorkers
+//     (mid-build after saving that checkpoint), and the caller builds it
+//     locally; internal/serve resumes the checkpoint on its one local
+//     path.
 //
 // Chaos coverage arms the fleet.lease / fleet.upload / fleet.heartbeat /
 // fleet.merge fault points (see internal/faultpoint) and asserts the

@@ -19,9 +19,9 @@ var rangeSpec = JobSpec{Module: "ripple-adder", Width: 4, Seed: 17, Patterns: 10
 
 // handJob runs spec on a fresh coordinator behind a test server, four
 // shards to a lease, under deadline. The hand-driven worker "hand"
-// registers before the job starts, so the coordinator never computes a
-// range itself and grants "hand" the first range, [0,4) at epoch 1; that
-// lease is returned with the channel RunJob reports on.
+// registers before the job starts, so the job does not hand back at once,
+// and is granted the first range, [0,4) at epoch 1; that lease is
+// returned with the channel RunJob reports on.
 func handJob(t *testing.T, spec JobSpec, deadline time.Duration) (*testFleet, leaseResponse, <-chan jobResult) {
 	t.Helper()
 	f := newTestFleet(t, Config{LeaseShards: 4, LeaseTTL: time.Minute, WorkerTTL: time.Hour, Tick: time.Millisecond})

@@ -150,9 +150,11 @@ type Config struct {
 
 	// Fleet, when set, runs this server as a distributed-characterization
 	// coordinator: the fleet endpoints (/fleet/v1/*) are mounted, the
-	// coordinator's hdfleet_* metrics join the server registry, and model
-	// builds dispatch to the worker fleet whenever at least one worker is
-	// alive — degrading to the local engine otherwise. Build results are
+	// coordinator's hdfleet_* metrics join the server registry, and every
+	// model build goes to the worker fleet first. A build that finds no
+	// live worker, or whose workers all fall silent mid-build, runs on the
+	// local engine instead, resuming what the fleet merged when a
+	// CheckpointDir is set and from shard 0 otherwise. Build results are
 	// bit-identical either way.
 	Fleet *fleet.Coordinator
 }
