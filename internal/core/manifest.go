@@ -11,6 +11,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -60,9 +61,11 @@ type RunManifest struct {
 	ShardsPlanned int `json:"shards_planned"`
 	ShardsMerged  int `json:"shards_merged"`
 	// Resumed records that the run restored state from a checkpoint of an
-	// earlier process; ResumedFromPhase is the phase it continued in. The
-	// pattern and shard totals include the restored portion, but
-	// WallSeconds/CPUSeconds cover only the resumed segment.
+	// earlier process, or of an earlier session of the same recording (a
+	// retry, or a local run taking over a fleet job); ResumedFromPhase is
+	// the phase it continued in. The pattern and shard totals include the
+	// restored portion, but WallSeconds/CPUSeconds cover only this
+	// recording.
 	Resumed          bool   `json:"resumed,omitempty"`
 	ResumedFromPhase string `json:"resumed_from_phase,omitempty"`
 	// Convergence is the basic phase's checkpoint trajectory, one point
@@ -88,13 +91,20 @@ type RunManifest struct {
 }
 
 // RunRecorder assembles a RunManifest from the hook stream of one
-// Characterize call. Create one per run, join Hooks() into the run's hook
-// set, and call Finish once the run settles:
+// Characterize call, or of the sessions of one build. Create one per run,
+// join Hooks() into the run's hook set, and call Finish once the run
+// settles:
 //
 //	rec := core.NewRunRecorder(module, opt)
 //	opt.Hooks = core.JoinHooks(opt.Hooks, rec.Hooks())
 //	model, err := core.Characterize(meter, module, opt)
 //	manifest := rec.Finish(model, err)
+//
+// A build that runs again after a failure, or moves from a fleet to a
+// local run, is a new session of the same recording. Every session opens
+// with PhaseStart of the basic phase, preceded by Resumed when it restores
+// a checkpoint, and the counts restart there from what the session
+// restored, so the manifest describes the session that settled the build.
 //
 // The recorder is safe for use with the concurrent engine: hooks arrive
 // on the merging goroutine, Finish may be called from any goroutine.
@@ -133,12 +143,24 @@ func NewRunRecorder(module string, opt CharacterizeOptions) *RunRecorder {
 // Hooks returns the recorder's hook set; join it with any other observers
 // via JoinHooks.
 func (r *RunRecorder) Hooks() *Hooks {
+	// restored holds what the session's Resumed restored until its basic
+	// PhaseStart starts the counts from it; a fresh session starts them
+	// from zero. Convergence points past the restored basic patterns go,
+	// since the session records them again.
+	var restored RunManifest
 	return &Hooks{
 		PhaseStart: func(phase string, shards, patterns int) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
 			r.phase = phase
 			if phase == PhaseBasic {
+				r.man.Resumed, r.man.ResumedFromPhase = restored.Resumed, restored.ResumedFromPhase
+				r.man.ShardsMerged = restored.ShardsMerged
+				r.man.PatternsBasic, r.man.PatternsBiased = restored.PatternsBasic, restored.PatternsBiased
+				r.man.Convergence = slices.DeleteFunc(r.man.Convergence, func(p ConvergencePoint) bool {
+					return p.Patterns > restored.PatternsBasic
+				})
+				restored = RunManifest{}
 				r.man.ShardsPlanned = shards
 			}
 		},
@@ -173,13 +195,10 @@ func (r *RunRecorder) Hooks() *Hooks {
 		Resumed: func(phase string, shards, patternsBasic, patternsBiased int) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			r.man.Resumed = true
-			r.man.ResumedFromPhase = phase
-			// Fold the restored progress in, so the manifest totals describe
+			// The restored progress counts, so the manifest totals describe
 			// the whole run, not just the resumed segment.
-			r.man.ShardsMerged += shards
-			r.man.PatternsBasic += patternsBasic
-			r.man.PatternsBiased += patternsBiased
+			restored = RunManifest{Resumed: true, ResumedFromPhase: phase, ShardsMerged: shards,
+				PatternsBasic: patternsBasic, PatternsBiased: patternsBiased}
 		},
 	}
 }

@@ -61,8 +61,9 @@ func (s *Server) handleModelSub(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildProgressResponse is the GET /v1/models/build/{id} payload. The
-// counters are monotonic across a build's lifetime, so pollers can watch
-// shards_merged approach shards_total.
+// counters are monotonic within a session of the build, so pollers can
+// watch shards_merged approach shards_total; a retry or a fleet hand-back
+// restarts them from what its session restored.
 type buildProgressResponse struct {
 	ID                string `json:"id"`
 	Key               string `json:"key"`

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -370,6 +371,54 @@ func TestResumeAcrossRestart(t *testing.T) {
 	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not removed after successful resume: %v", err)
+	}
+}
+
+// TestRetriedBuildCountsOnce: a build whose first attempt fails at its
+// sixth merged shard, past its first convergence check, and is retried
+// reads, once ready, the progress and
+// manifest counts and the convergence trajectory of an uninterrupted
+// build, whether the retry resumes the first attempt's checkpoint or
+// starts over.
+func TestRetriedBuildCountsOnce(t *testing.T) {
+	spec := BuildSpec{Module: "ripple-adder", Width: 2, Seed: 7, Patterns: 1280}
+	_, cleanURL := baseline(t, spec)
+	want, wantMan := settledCounts(t, cleanURL, spec)
+	for _, c := range []struct {
+		name    string
+		dir     string
+		resumed bool
+	}{
+		{"checkpoint", t.TempDir(), true},
+		{"no checkpoint", "", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			faultpoint.Disarm()
+			if err := faultpoint.Arm("core.merge=error:after=6"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(faultpoint.Disarm)
+			s, ts := newTestServer(t, Config{
+				CharWorkers: 2, BuildRetries: 1, BuildRetryBackoff: time.Millisecond, CheckpointDir: c.dir,
+			})
+			if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode != http.StatusOK {
+				t.Fatalf("retried build: %d %s", resp.StatusCode, data)
+			}
+			if got := s.met.buildRetries.Value(); got != 1 {
+				t.Fatalf("retries = %d, want 1", got)
+			}
+			got, man := settledCounts(t, ts.URL, spec)
+			if got != want {
+				t.Errorf("retried build counts %+v, want an uninterrupted build's %+v", got, want)
+			}
+			if man.Resumed != c.resumed {
+				t.Errorf("manifest resumed = %v, want %v", man.Resumed, c.resumed)
+			}
+			if !reflect.DeepEqual(man.Convergence, wantMan.Convergence) {
+				t.Errorf("retried build's convergence %v, want an uninterrupted build's %v",
+					man.Convergence, wantMan.Convergence)
+			}
+		})
 	}
 }
 
