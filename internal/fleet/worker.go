@@ -76,12 +76,13 @@ func (c *WorkerConfig) setDefaults() error {
 	return nil
 }
 
-// jobRuntime caches the rebuilt simulation engine for one job
-// fingerprint, so every lease of the same build reuses the netlist.
+// jobRuntime is the rebuilt simulation engine of one job, kept so every
+// lease of the same build reuses the netlist.
 type jobRuntime struct {
-	name  string
-	meter *power.Meter
-	opt   core.CharacterizeOptions
+	fingerprint string
+	name        string
+	meter       *power.Meter
+	opt         core.CharacterizeOptions
 }
 
 // Worker pulls shard-range leases from a coordinator, computes them with
@@ -90,9 +91,12 @@ type jobRuntime struct {
 // point loses at most the ranges it held, which the coordinator
 // re-leases after their TTL.
 type Worker struct {
-	cfg  WorkerConfig
-	log  *slog.Logger
-	jobs map[string]*jobRuntime // fingerprint -> cached engine
+	cfg WorkerConfig
+	log *slog.Logger
+	// job is the runtime of the job last leased; a lease of another job
+	// replaces it, so a long-lived worker holds one netlist, not one per
+	// build it ever served.
+	job *jobRuntime
 }
 
 // NewWorker validates the config and returns a worker ready to Run.
@@ -100,7 +104,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &Worker{cfg: cfg, log: cfg.Logger, jobs: make(map[string]*jobRuntime)}, nil
+	return &Worker{cfg: cfg, log: cfg.Logger}, nil
 }
 
 // Run is the worker's main loop: lease, compute, upload, repeat, until
@@ -251,8 +255,8 @@ func (w *Worker) upload(ctx context.Context, ls Lease, results []core.ShardResul
 // first principles and refuses to contribute shards to a build it would
 // not reproduce bit-exactly.
 func (w *Worker) runtime(job JobSpec) (*jobRuntime, error) {
-	if rt, ok := w.jobs[job.Fingerprint]; ok {
-		return rt, nil
+	if w.job != nil && w.job.fingerprint == job.Fingerprint {
+		return w.job, nil
 	}
 	meter, opt, err := job.resolve()
 	if err != nil {
@@ -267,9 +271,8 @@ func (w *Worker) runtime(job JobSpec) (*jobRuntime, error) {
 		return nil, fmt.Errorf("fleet: fingerprint mismatch for %s: coordinator %s, local %s (version skew?)",
 			job.Name(), job.Fingerprint, fp)
 	}
-	rt := &jobRuntime{name: job.Name(), meter: meter, opt: opt}
-	w.jobs[job.Fingerprint] = rt
-	return rt, nil
+	w.job = &jobRuntime{fingerprint: job.Fingerprint, name: job.Name(), meter: meter, opt: opt}
+	return w.job, nil
 }
 
 // --- RPC plumbing --------------------------------------------------
