@@ -118,8 +118,9 @@ cover:
 # MergeSession from a decoded checkpoint, and merging a decoded
 # ShardResult, which must leave the session untouched when it rejects it
 # — a fleet coordinator resuming a build from an arbitrary checkpoint
-# file, sealed or not, which must fall back to a fresh build or finish
-# exactly as a merge session resumed from the same checkpoint, a fleet
+# file, sealed or not (FuzzCoordinatorResume), which must fall back to a
+# fresh build or finish exactly as a merge session resumed from the same
+# checkpoint, a fleet
 # coordinator receiving arbitrary bytes, sealed or not, as the upload of a
 # leased range, which it must refuse with a 4xx or accept and still finish the
 # build, bit-identical to single-node unless it accepted dishonest
@@ -142,11 +143,11 @@ cover:
 # every width serve accepts into a model that either fails to flatten or
 # prices that way). Seed corpora live under each
 # package's testdata/fuzz or in the target's f.Add seeds; a crasher lands
-# under testdata/fuzz. Each FuzzLoadLedger input runs a whole build with
-# fsynced checkpoint writes (several ms), and each FuzzHandleUpload input a
-# whole build over loopback HTTP, so their minimizers are capped at 20
-# candidates per new input: at the 60 s default they spend the whole
-# budget minimizing the first one.
+# under testdata/fuzz. Each FuzzCoordinatorResume input runs a whole build
+# over loopback HTTP with fsynced checkpoint writes (several ms), and each
+# FuzzHandleUpload input a whole build over loopback HTTP, so their
+# minimizers are capped at 20 candidates per new input: at the 60 s
+# default they spend the whole budget minimizing the first one.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -155,7 +156,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime $(FUZZTIME) ./internal/bitsim
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeMergeSession$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShardResult$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadLedger$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorResume$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleUpload$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimateDecoders$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanUint64$$' -fuzztime $(FUZZTIME) ./internal/serve
