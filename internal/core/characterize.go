@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"slices"
 
@@ -431,17 +430,15 @@ func prepare(meter *power.Meter, moduleName string, opt *CharacterizeOptions, sh
 // Characterize is a fleet with one in-process worker: it simulates the
 // shards of each phase itself and feeds every result, in shard order,
 // through the same MergeSession state machine a fleet coordinator drives,
-// so folding, the convergence trajectory, phase hooks and the coefficient
-// fit exist once. What Characterize adds is the work at each
-// merged-shard boundary: polling Interrupt, the core.merge fault point,
-// and the file checkpoint, which is the session's Snapshot and which a
-// resumed run restores through the session's resume path.
+// so folding, the convergence trajectory, phase hooks, the coefficient
+// fit and the checkpoint file exist once. What Characterize adds is the
+// work at each merged-shard boundary: polling Interrupt and the
+// core.merge fault point.
 func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions) (*Model, error) {
-	s, err := newSession(moduleName, meter.NumInputBits(), opt)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := prepare(meter, moduleName, &s.opt, len(s.plan))
+	opt.setDefaults()
+	// The run is checked before its session opens the checkpoint file, so
+	// a run refused here leaves the file as it found it.
+	pool, err := prepare(meter, moduleName, &opt, len(shardPlan(opt.Patterns)))
 	if err != nil {
 		return nil, err
 	}
@@ -449,17 +446,10 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 	// are a pure function of the shard prefix, a resumed run that replays
 	// the remaining shards lands on exactly the accumulators — and
 	// therefore the model — of an uninterrupted run.
-	resume, err := loadResume(&s.opt, moduleName, s.model, len(s.plan))
+	s, err := NewMergeSession(moduleName, meter.NumInputBits(), opt)
 	if err != nil {
 		return nil, err
 	}
-	// The file goes in before start: a resume at the basic phase's last
-	// shard crosses into the biased phase inside start, and must take the
-	// phase-boundary snapshot there.
-	if co := s.opt.Checkpoint; co.Path != "" {
-		s.file = &checkpointFile{path: co.Path, every: co.every()}
-	}
-	s.start(resume)
 
 	// Phase 1 fills the basic classes with unbiased stratified pairs (and,
 	// for the enhanced table, its unbiased share of the E_{i,z} classes);
@@ -488,33 +478,21 @@ func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions
 		}
 	}
 	if interrupted != nil {
+		// Close snapshots the merged state, so a resume continues where
+		// the interrupt landed.
 		s.Close()
 		return nil, fmt.Errorf("core: characterization of %s interrupted: %w", moduleName, interrupted)
-	}
-	// The run is complete; a leftover checkpoint would make the next run
-	// of this spec resume into an already-finished state.
-	if s.file != nil {
-		_ = os.Remove(s.file.path)
 	}
 	return s.Finish()
 }
 
-// boundary does a local run's work at a merged-shard boundary while the
-// phase is still open: poll Interrupt and the core.merge fault point, and
-// snapshot — before an abort, so a resume continues where it landed, and
-// otherwise at the periodic interval.
+// boundary polls Interrupt and the core.merge fault point at a local
+// run's merged-shard boundary, while the phase is still open.
 func (s *MergeSession) boundary() error {
-	var err error
 	if s.opt.Interrupt != nil {
-		err = s.opt.Interrupt()
+		if err := s.opt.Interrupt(); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		err = faultpoint.Hit("core.merge")
-	}
-	if err != nil {
-		s.save()
-		return err
-	}
-	s.tick()
-	return nil
+	return faultpoint.Hit("core.merge")
 }

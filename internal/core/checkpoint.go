@@ -4,9 +4,9 @@ package core
 // the paper's flow is simulating millions of pattern pairs; a crash, OOM
 // kill, or SIGTERM used to throw every merged shard away. A Checkpoint is
 // a MergeSession's Snapshot of the merged state — the per-class
-// totals, the convergence tracker, and the shard cursor — which a
-// Characterize run writes, versioned and checksummed, atomically
-// (internal/atomicio) at merged-shard boundaries. Because the
+// totals, the convergence tracker, and the shard cursor — which the
+// session writes to the file it owns, versioned and checksummed,
+// atomically (internal/atomicio) at merged-shard boundaries. Because the
 // pattern stream is sharded deterministically by (Seed, stream, shard
 // index), no RNG state needs saving: the shard cursor alone pins the
 // stream, and a resumed run replays the remaining shards into the
@@ -35,7 +35,8 @@ const checkpointFormat = "hdpower-checkpoint-v1"
 const defaultCheckpointEvery = 16
 
 // CheckpointOptions configures crash-safe snapshots of a characterization
-// run; the zero value disables them.
+// run; the zero value disables them. The run's MergeSession owns the file
+// (see NewMergeSession).
 type CheckpointOptions struct {
 	// Path is the checkpoint file; empty disables checkpointing.
 	Path string
@@ -46,8 +47,9 @@ type CheckpointOptions struct {
 	// Resume loads an existing checkpoint at Path and continues from its
 	// shard cursor. A checkpoint whose identity (module, seed, budget,
 	// topology hash) does not match returns a *CheckpointMismatchError; a
-	// corrupted checkpoint is quarantined and the run starts fresh. The
-	// resumed run's model is bit-identical to an uninterrupted run.
+	// corrupted or structurally impossible checkpoint is quarantined to
+	// <path>.corrupt and the run starts fresh. The resumed run's model is
+	// bit-identical to an uninterrupted run.
 	Resume bool
 }
 
@@ -261,12 +263,12 @@ func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Chec
 	}
 }
 
-// checkpointFile is the file a Characterize run writes its session's
-// snapshots to.
+// checkpointFile is the checkpoint file a MergeSession owns.
 type checkpointFile struct {
 	path  string
 	every int
-	since int // shards merged since the last snapshot
+	since int  // shards merged since the last snapshot
+	stale bool // merged shards or lease epochs the file does not hold yet
 }
 
 // save writes the session's Snapshot to its checkpoint file, if it has
@@ -278,7 +280,7 @@ func (s *MergeSession) save() {
 		return
 	}
 	err := atomicio.WriteJSON(s.file.path, s.Snapshot())
-	s.file.since = 0
+	s.file.since, s.file.stale = 0, false
 	s.opt.Hooks.checkpointSaved(err)
 }
 
@@ -288,22 +290,35 @@ func (s *MergeSession) tick() {
 		return
 	}
 	s.file.since++
+	s.file.stale = true
 	if s.file.since >= s.file.every {
 		s.save()
 	}
 }
 
+// remove deletes the checkpoint file of a finished session and lets go of
+// it, so nothing writes it again. A file left by a failed removal is
+// harmless: a run that resumes it completes at once.
+func (s *MergeSession) remove() {
+	if s.file == nil {
+		return
+	}
+	_ = os.Remove(s.file.path)
+	s.file = nil
+}
+
 // loadResume resolves the Resume option: it returns the checkpoint to
-// continue from, nil for a fresh start (no file, or a quarantined corrupt
-// file), or an error for an identity mismatch or unreadable file.
-func loadResume(opt *CharacterizeOptions, module string, model *Model, shards int) (*Checkpoint, error) {
-	co := opt.Checkpoint
+// continue from, nil for a fresh start (checkpointing or Resume off, no
+// file, or a quarantined corrupt file), or an error for an unreadable
+// file.
+func loadResume(co CheckpointOptions) (*Checkpoint, error) {
 	if co.Path == "" || !co.Resume {
 		return nil, nil
 	}
 	cp, err := LoadCheckpoint(co.Path)
 	switch {
 	case err == nil:
+		return cp, nil
 	case os.IsNotExist(err):
 		return nil, nil
 	case atomicio.IsCorrupt(err):
@@ -313,14 +328,4 @@ func loadResume(opt *CharacterizeOptions, module string, model *Model, shards in
 	default:
 		return nil, fmt.Errorf("core: checkpoint %s: %w", co.Path, err)
 	}
-	if err := cp.matches(co.Path, module, model.InputBits, opt); err != nil {
-		return nil, err
-	}
-	if err := cp.sanity(model, shards); err != nil {
-		// Checksum and identity passed but the structure is impossible:
-		// quarantine and start fresh rather than resuming into garbage.
-		_ = atomicio.MarkCorrupt(co.Path, err.Error())
-		return nil, nil
-	}
-	return cp, nil
 }

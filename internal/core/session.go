@@ -10,18 +10,22 @@ package core
 // single-node run of the same options (pinned by TestFleetBitIdentical in
 // internal/fleet).
 //
-// A session snapshots to and resumes from a Checkpoint. Characterize and
-// a fleet coordinator write their snapshots to the same checkpoint file,
-// so either resumes what the other saved, with the checkpoint's
-// bit-exact float64 round trip.
+// A session snapshots to and resumes from a Checkpoint, and it owns its
+// run's checkpoint file: it loads, checks, writes and removes the file
+// itself. Characterize and a fleet coordinator open their sessions over
+// the same file, so either resumes what the other saved, with the
+// checkpoint's bit-exact float64 round trip, under one quarantine rule.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
+	"hdpower/internal/atomicio"
 	"hdpower/internal/power"
 )
 
@@ -168,11 +172,12 @@ type MergeSession struct {
 	phaseOpen      bool
 	done           bool
 
-	// file is the checkpoint file Characterize snapshots into; nil for
-	// sessions a caller drives through Merge.
+	// file is the checkpoint file the session owns (opt.Checkpoint.Path);
+	// nil when checkpointing is off or the file is gone with the run.
 	file *checkpointFile
-	// leaseEpoch is the lease-fencing floor of the checkpoint the session
-	// resumed, carried into every Snapshot.
+	// leaseEpoch is the lease-fencing floor: the checkpoint's the session
+	// resumed, raised by every NextLeaseEpoch and carried into every
+	// Snapshot.
 	leaseEpoch int64
 }
 
@@ -193,6 +198,9 @@ func newSession(module string, inputBits int, opt CharacterizeOptions) (*MergeSe
 		conv:   newConvTracker(inputBits),
 		phase:  PhaseBasic,
 	}
+	if co := opt.Checkpoint; co.Path != "" {
+		s.file = &checkpointFile{path: co.Path, every: co.every()}
+	}
 	classes := inputBits
 	if opt.Enhanced {
 		s.rows = make([]int, inputBits+1)
@@ -211,11 +219,35 @@ func (s *MergeSession) row(i int) []AccState {
 	return s.enhanced[s.rows[i-1]:s.rows[i]]
 }
 
-// NewMergeSession starts a fresh merge session for a run of the given
-// module geometry and options, firing the PhaseStart hook for the basic
-// phase. The caller must either drive the session to completion (Merge
-// until Done, then Finish) or Close it, so phase hooks stay balanced.
+// NewMergeSession starts a merge session for a run of the given module
+// geometry and options, firing the phase hooks of the point it starts
+// from. With opt.Checkpoint.Path set, the session owns that checkpoint
+// file. With Resume it first continues from the checkpoint there through
+// ResumeMergeSession: a missing or corrupt file starts fresh, one that
+// fails the sanity check is quarantined to <path>.corrupt and starts
+// fresh, and one of another run returns a *CheckpointMismatchError and is
+// left in place. The session then snapshots to the file every EveryShards
+// merged shards, at the handover from the basic to the biased phase and
+// when Close abandons it unfinished, and removes the file once its last
+// phase completes. The caller must either drive the session to
+// completion (Merge until Done, then Finish) or Close it, so phase hooks
+// stay balanced.
 func NewMergeSession(module string, inputBits int, opt CharacterizeOptions) (*MergeSession, error) {
+	cp, err := loadResume(opt.Checkpoint)
+	if err != nil {
+		return nil, err
+	}
+	if cp != nil {
+		s, err := ResumeMergeSession(module, inputBits, opt, cp)
+		if !errors.Is(err, errCheckpointInsane) {
+			return s, err
+		}
+		// Checksum and identity passed but the structure is impossible:
+		// quarantine and start fresh rather than resuming into garbage. A
+		// file the rename leaves behind is overwritten by the first
+		// snapshot.
+		_ = atomicio.MarkCorrupt(opt.Checkpoint.Path, err.Error())
+	}
 	s, err := newSession(module, inputBits, opt)
 	if err != nil {
 		return nil, err
@@ -224,13 +256,18 @@ func NewMergeSession(module string, inputBits int, opt CharacterizeOptions) (*Me
 	return s, nil
 }
 
-// ResumeMergeSession restores a session from a Checkpoint snapshot (its
-// own Snapshot, or a file checkpoint of the same run). The checkpoint's
-// identity must match the requested run — a mismatch returns a
-// *CheckpointMismatchError, exactly like a file resume — and its
-// structure is sanity-checked before anything is trusted. Resumed fires
-// first, then the phase hooks of any already-finished phases, so
-// observers see balanced pairs.
+// errCheckpointInsane marks a checkpoint that passed the identity check
+// but whose structure the run cannot hold.
+var errCheckpointInsane = errors.New("fails sanity")
+
+// ResumeMergeSession restores a session from a Checkpoint snapshot: its
+// own Snapshot, or the checkpoint file NewMergeSession loaded. The
+// checkpoint's identity must match the requested run — a mismatch returns
+// a *CheckpointMismatchError naming opt.Checkpoint.Path, or "(snapshot)"
+// without one — and its structure is sanity-checked before anything is
+// trusted. Resumed fires first, then the phase hooks of any
+// already-finished phases, so observers see balanced pairs. The session
+// owns opt.Checkpoint.Path as NewMergeSession's does.
 func ResumeMergeSession(module string, inputBits int, opt CharacterizeOptions, cp *Checkpoint) (*MergeSession, error) {
 	s, err := newSession(module, inputBits, opt)
 	if err != nil {
@@ -239,11 +276,11 @@ func ResumeMergeSession(module string, inputBits int, opt CharacterizeOptions, c
 	if cp == nil {
 		return nil, fmt.Errorf("core: resume of %s without a checkpoint snapshot", module)
 	}
-	if err := cp.matches("(snapshot)", module, inputBits, &s.opt); err != nil {
+	if err := cp.matches(cmp.Or(opt.Checkpoint.Path, "(snapshot)"), module, inputBits, &s.opt); err != nil {
 		return nil, err
 	}
 	if err := cp.sanity(s.model, len(s.plan)); err != nil {
-		return nil, fmt.Errorf("core: snapshot of %s fails sanity: %w", module, err)
+		return nil, fmt.Errorf("core: snapshot of %s %w: %v", module, errCheckpointInsane, err)
 	}
 	s.start(cp)
 	return s, nil
@@ -308,11 +345,13 @@ func (s *MergeSession) closePhase() {
 // The basic phase of an enhanced run hands over to the biased phase; a
 // file-checkpointed run snapshots in between, so a crash early in the
 // biased phase never replays basic shards. Any other completed phase ends
-// the session.
+// the session and removes its checkpoint file: a leftover checkpoint
+// would make the next run of this spec resume into a finished state.
 func (s *MergeSession) complete() {
 	s.closePhase()
 	if s.phase == PhaseBiased || !s.opt.Enhanced {
 		s.done = true
+		s.remove()
 		return
 	}
 	s.phase, s.merged = PhaseBiased, 0
@@ -422,11 +461,11 @@ func (s *MergeSession) MergeRange(rs []ShardResult) error {
 // fold is the merge step Merge and Characterize share: it folds a valid
 // shard's charges into the totals of each class space — the basic classes
 // in the basic phase, the enhanced buckets in both phases of an enhanced
-// run — fires the per-shard hooks and, in the basic phase, records the
+// run — fires the per-shard hooks, in the basic phase records the
 // convergence trajectory whether or not a hook listens, so a checkpoint
-// carries the same tracker state for every observer. The phase stays
-// open, so Characterize can do its boundary work before complete closes
-// it.
+// carries the same tracker state for every observer, and counts the shard
+// toward the periodic snapshot. The phase stays open, so Characterize can
+// do its boundary work before complete closes it.
 func (s *MergeSession) fold(r *ShardResult) {
 	cls := s.cls[:len(r.Hd)]
 	if s.phase == PhaseBasic {
@@ -446,12 +485,13 @@ func (s *MergeSession) fold(r *ShardResult) {
 	s.opt.Hooks.shardMerged()
 	if s.phase == PhaseBiased {
 		s.patternsBiased += r.Patterns
-		return
+	} else {
+		s.patternsBasic += r.Patterns
+		if worst, checked := s.conv.check(s.basic, s.patternsBasic); checked {
+			s.opt.Hooks.convergence(s.patternsBasic, worst)
+		}
 	}
-	s.patternsBasic += r.Patterns
-	if worst, checked := s.conv.check(s.basic, s.patternsBasic); checked {
-		s.opt.Hooks.convergence(s.patternsBasic, worst)
-	}
+	s.tick()
 }
 
 // Snapshot captures the session as a Checkpoint, for a checkpoint file
@@ -495,9 +535,29 @@ func (s *MergeSession) Finish() (*Model, error) {
 	return s.model, s.model.Validate()
 }
 
-// Close fires the balancing PhaseEnd for a phase the session still holds
-// open, so abandoning an unfinished session (an interrupted run,
-// coordinator shutdown, job cancellation) does not leak a span in
-// observers. Closing a finished session is a no-op; a closed session must
-// not be merged into again.
-func (s *MergeSession) Close() { s.closePhase() }
+// NextLeaseEpoch raises the session's lease-fencing floor by one and
+// returns it, the epoch of a lease a fleet coordinator grants. The floor
+// rides in every Snapshot, and Close saves one raised since the last, so
+// a coordinator that resumes the checkpoint grants above every epoch
+// granted before it and fences off the uploads of those leases.
+func (s *MergeSession) NextLeaseEpoch() int64 {
+	s.leaseEpoch++
+	if s.file != nil {
+		s.file.stale = true
+	}
+	return s.leaseEpoch
+}
+
+// Close abandons an unfinished session (an interrupted run, coordinator
+// shutdown, job cancellation): it snapshots to the checkpoint file what
+// the session merged or granted since its last snapshot, so a later run
+// resumes where this one stopped, and fires the balancing PhaseEnd for a
+// phase it still holds open, so observers do not leak a span. Closing a
+// finished session is a no-op; a closed session must not be merged into
+// again.
+func (s *MergeSession) Close() {
+	if s.file != nil && s.file.stale {
+		s.save()
+	}
+	s.closePhase()
+}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -446,5 +449,78 @@ func TestResumeCarriesLeaseEpoch(t *testing.T) {
 	}
 	if got := r.Snapshot().LeaseEpoch; got != 3 {
 		t.Fatalf("snapshot after merging carries lease epoch %d, want 3", got)
+	}
+}
+
+// TestCloseSavesWhatTheFileLacks: Close snapshots a session that merged
+// shards or granted lease epochs since its last snapshot, and writes
+// nothing for one whose file already holds its state, so a lease-epoch
+// floor raised after the last merged range survives a coordinator stop.
+func TestCloseSavesWhatTheFileLacks(t *testing.T) {
+	opt := CharacterizeOptions{Patterns: 512, Seed: 1}
+	meter := meterFor(t, "ripple-adder", 4)
+	path := filepath.Join(t.TempDir(), "ck.json")
+	saves := 0
+	opt.Hooks = &Hooks{CheckpointSaved: func(err error) {
+		if err != nil {
+			t.Errorf("checkpoint save failed: %v", err)
+		}
+		saves++
+	}}
+	opt.Checkpoint = CheckpointOptions{Path: path, EveryShards: 2, Resume: true}
+	rs, err := CharacterizeShardRange(meter, "ripple-adder-4", opt, PhaseBasic, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() *MergeSession {
+		t.Helper()
+		s, err := NewMergeSession("ripple-adder-4", meter.NumInputBits(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	saved := func() *Checkpoint {
+		t.Helper()
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+
+	s := open()
+	if err := s.MergeRange(rs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if s.NextLeaseEpoch() != 1 || s.NextLeaseEpoch() != 2 {
+		t.Fatal("a fresh session does not grant epochs 1, 2")
+	}
+	s.Close()
+	if cp := saved(); saves != 2 || cp.ShardsMerged != 2 || cp.LeaseEpoch != 2 {
+		t.Fatalf("after %d saves the file holds %d shards at epoch %d, want 2 saves, 2 shards at epoch 2",
+			saves, cp.ShardsMerged, cp.LeaseEpoch)
+	}
+
+	s = open()
+	if got := s.NextLeaseEpoch(); got != 3 {
+		t.Fatalf("resumed session grants epoch %d, want 3", got)
+	}
+	if err := s.Merge(rs[2]); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if cp := saved(); saves != 3 || cp.ShardsMerged != 3 || cp.LeaseEpoch != 3 {
+		t.Fatalf("after %d saves the file holds %d shards at epoch %d, want 3 saves, 3 shards at epoch 3",
+			saves, cp.ShardsMerged, cp.LeaseEpoch)
+	}
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open().Close()
+	if after, err := os.ReadFile(path); saves != 3 || err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("closing an unchanged session wrote its file (%d saves, %v)", saves, err)
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hdpower/internal/atomicio"
 	"hdpower/internal/core"
 	"hdpower/internal/faultpoint"
 )
@@ -53,6 +55,63 @@ func TestFleetResumesLocalCheckpoint(t *testing.T) {
 		t.Fatalf("fleet job resumed at shard %d, want the local run's 7", resumedAt)
 	}
 	assertSameModel(t, res.model, want, "fleet model resumed from a local checkpoint")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("checkpoint left behind by a finished build: %v", err)
+	}
+}
+
+// TestFleetQuarantinesImpossibleCheckpoint: a checkpoint at the job's
+// path with the job's own identity and a valid checksum, but one basic
+// accumulator short, is quarantined to <path>.corrupt by the coordinator
+// as by a local run, and the build starts from scratch and finishes
+// bit-identical to single-node, leaving no checkpoint behind.
+func TestFleetQuarantinesImpossibleCheckpoint(t *testing.T) {
+	spec := JobSpec{Module: "ripple-adder", Width: 4, Seed: 9, Patterns: 2000, Enhanced: true}
+	want := singleNode(t, spec)
+	path := filepath.Join(t.TempDir(), "job.ckpt.json")
+	meter, err := spec.Meter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := spec.Options()
+	s, err := core.NewMergeSession(spec.Name(), meter.NumInputBits(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := core.CharacterizeShardRange(meter, spec.Name(), opt, core.PhaseBasic, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MergeRange(rs); err != nil {
+		t.Fatal(err)
+	}
+	cp := s.Snapshot()
+	s.Close()
+	cp.Basic = cp.Basic[:len(cp.Basic)-1]
+	if err := atomicio.WriteJSON(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	impossible, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := false
+	res := runByHand(t, Config{LeaseShards: 4, LeaseTTL: time.Minute, WorkerTTL: time.Hour, Tick: time.Millisecond},
+		spec, RunOptions{
+			Hooks:          &core.Hooks{Resumed: func(string, int, int, int) { resumed = true }},
+			CheckpointPath: path,
+		})
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if resumed {
+		t.Error("coordinator resumed an impossible checkpoint")
+	}
+	assertSameModel(t, res.model, want, "fleet model after an impossible checkpoint")
+	if raw, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(raw, impossible) {
+		t.Errorf("impossible checkpoint not quarantined as it was: %v", err)
+	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("checkpoint left behind by a finished build: %v", err)
 	}

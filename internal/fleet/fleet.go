@@ -23,10 +23,13 @@
 //     a torn or bit-flipped body is rejected (HTTP 400) and the range
 //     stays leased for the worker to retry, or expires and is re-leased.
 //   - Worker RPCs retry transient failures with capped-jitter backoff.
-//   - The coordinator saves the merge session's core.Checkpoint, with the
-//     lease-fencing epoch floor in its LeaseEpoch, through atomicio to
-//     the file a core.Characterize of the same job checkpoints to, so a
-//     restarted coordinator or a local build resumes the build mid-plan.
+//   - The coordinator opens its core.MergeSession over the file a
+//     core.Characterize of the same job checkpoints to, and the session
+//     owns that file as it does for Characterize: it resumes a checkpoint
+//     there, snapshots after every merged range with the lease-fencing
+//     epoch floor it grants from in LeaseEpoch, and removes the file when
+//     the build finishes, so a restarted coordinator or a local build
+//     resumes the build mid-plan.
 //   - The coordinator never computes shards. A job that finds no live
 //     worker at its start, or outlives its last one, returns ErrNoWorkers
 //     (mid-build after saving that checkpoint), and the caller builds it
