@@ -107,14 +107,37 @@ type RunManifest struct {
 // restored, so the manifest describes the session that settled the build.
 //
 // The recorder is safe for use with the concurrent engine: hooks arrive
-// on the merging goroutine, Finish may be called from any goroutine.
+// on the merging goroutine, Progress and Finish may be called from any
+// goroutine.
 type RunRecorder struct {
-	mu    sync.Mutex
-	man   RunManifest
-	phase string
-	start time.Time
-	cpu0  float64
-	done  bool
+	mu          sync.Mutex
+	man         RunManifest
+	phase       string
+	shardsTotal int // shard plan of every phase the session has started
+	start       time.Time
+	cpu0        float64
+	done        bool
+}
+
+// RunProgress is the live progress of a recording: the session in flight
+// counts, with what it restored, the shards it merged and the pairs it
+// simulated, toward the shard plan of every phase it has started.
+type RunProgress struct {
+	ShardsTotal  int
+	ShardsMerged int
+	Patterns     int
+}
+
+// Progress reads the recording's live progress, as the manifest would
+// count it now.
+func (r *RunRecorder) Progress() RunProgress {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return RunProgress{
+		ShardsTotal:  r.shardsTotal,
+		ShardsMerged: r.man.ShardsMerged,
+		Patterns:     r.man.PatternsBasic + r.man.PatternsBiased,
+	}
 }
 
 // NewRunRecorder starts recording a run configured by opt (defaults are
@@ -162,7 +185,9 @@ func (r *RunRecorder) Hooks() *Hooks {
 				})
 				restored = RunManifest{}
 				r.man.ShardsPlanned = shards
+				r.shardsTotal = 0
 			}
+			r.shardsTotal += shards
 		},
 		PhaseEnd: func(phase string) {
 			r.mu.Lock()

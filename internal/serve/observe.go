@@ -89,13 +89,17 @@ func (s *Server) handleBuildProgress(w http.ResponseWriter, r *http.Request, id 
 		return
 	}
 	status, err := s.entryResult(ent)
+	var p core.RunProgress
+	if rec := ent.rec.Load(); rec != nil {
+		p = rec.Progress()
+	}
 	resp := buildProgressResponse{
 		ID:                ent.id,
 		Key:               ent.key,
 		Status:            status,
-		ShardsTotal:       ent.shardsTotal.Load(),
-		ShardsMerged:      ent.shardsMerged.Load(),
-		PatternsSimulated: ent.patterns.Load(),
+		ShardsTotal:       int64(p.ShardsTotal),
+		ShardsMerged:      int64(p.ShardsMerged),
+		PatternsSimulated: int64(p.Patterns),
 		Attempts:          ent.attempts.Load(),
 	}
 	if rs := ent.retry.Load(); rs != nil {

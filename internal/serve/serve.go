@@ -746,8 +746,8 @@ func (s *Server) buildWorker() {
 }
 
 // runBuild executes one deduplicated model build under a root span, with
-// the flight recorder, span hooks and the entry's progress counters joined
-// onto the server's metric hooks.
+// the flight recorder, which the entry's progress reads, and span hooks
+// joined onto the server's metric hooks.
 func (s *Server) runBuild(ent *buildEntry) {
 	s.met.buildsRun.Inc()
 	s.met.buildsByBackend(s.cfg.Backend.Name()).Inc()
@@ -764,7 +764,8 @@ func (s *Server) runBuild(ent *buildEntry) {
 	opt := job.Options()
 	opt.Workers = s.cfg.CharWorkers
 	rec := core.NewRunRecorder(job.Name(), opt)
-	hooks := core.JoinHooks(s.hooks, rec.Hooks(), s.spanHooks(ctx), ent.progressHooks())
+	ent.rec.Store(rec)
+	hooks := core.JoinHooks(s.hooks, rec.Hooks(), s.spanHooks(ctx))
 
 	s.log.Info("build started", "id", ent.id, "key", ent.key,
 		"trace_id", span.TraceID())
