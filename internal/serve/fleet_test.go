@@ -36,6 +36,9 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("baseline model not cached")
 	}
+	if len(baseModel.Enhanced) == 0 {
+		t.Fatal("baseline model of an enhanced spec has no enhanced table")
+	}
 	want, err := json.Marshal(baseModel)
 	if err != nil {
 		t.Fatal(err)

@@ -20,13 +20,11 @@ import (
 	"hdpower/internal/regress"
 )
 
-// buildWait POSTs a synchronous build for spec and returns the response.
+// buildWait POSTs a synchronous build of the whole spec and returns the
+// response.
 func buildWait(t *testing.T, url string, spec BuildSpec) (*http.Response, []byte) {
 	t.Helper()
-	return postJSON(t, url+"/v1/models/build", map[string]any{
-		"module": spec.Module, "width": spec.Width, "seed": spec.Seed,
-		"patterns": spec.Patterns, "wait": true,
-	})
+	return postJSON(t, url+"/v1/models/build", buildRequest{BuildSpec: spec, Wait: true})
 }
 
 // TestBuildRetryTransient: a backend that fails twice transiently still
