@@ -69,32 +69,20 @@ func main() {
 		shutdownGrace  = flag.Duration("shutdown-grace", 30*time.Second, "drain deadline on SIGTERM")
 		logFormat      = flag.String("log-format", "text", "log output format: text or json")
 		logLevel       = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		traceCapacity  = flag.Int("trace-capacity", 0, "recent-span ring capacity (0 = default 512)")
 		manifestDir    = flag.String("manifest-dir", "", "persist per-build flight-recorder manifests here (off when empty)")
 		checkpointDir  = flag.String("checkpoint-dir", "", "crash-safe builds: checkpoint and recover interrupted builds here (off when empty)")
-		checkpointEach = flag.Int("checkpoint-every", 0, "checkpoint interval in merged shards (0 = default 16)")
-		buildRetries   = flag.Int("build-retries", 0, "retries per transiently failed build (0 = default 2, negative = none)")
 		libraryDir     = flag.String("library", "", "durable model library for persisted builds and degraded estimates (off when empty)")
 		backendName    = flag.String("backend", "bitparallel", "characterization backend: bitparallel (64 pairs per pass) or event (golden event-driven reference)")
 
-		telemetryWindow  = flag.Duration("telemetry-window", 0, "telemetry aggregation window width (0 = default 10s)")
-		telemetryWindows = flag.Int("telemetry-windows", 0, "telemetry window ring length (0 = default 30)")
-		sloUnary         = flag.Duration("slo-latency-unary", 0, "unary estimate latency budget (0 = default 25ms)")
-		sloStream        = flag.Duration("slo-latency-stream", 0, "stream estimate latency budget (0 = default 80ms)")
-		sloObjective     = flag.Float64("slo-objective", 0, "SLO success-rate objective (0 = default 0.999)")
-		sloBurn          = flag.Float64("slo-burn-breach", 0, "burn-rate multiple declaring an SLO breach (0 = default 2)")
-		captureDir       = flag.String("capture-dir", "", "write telemetry+pprof captures here on SLO breach (off when empty)")
-		captureInterval  = flag.Duration("capture-min-interval", 0, "minimum spacing between SLO captures (0 = default 1m)")
-		captureMax       = flag.Int("capture-max", 0, "max SLO captures per process (0 = default 8)")
-		refine           = flag.Duration("refine", 0, "refinement loop interval: re-characterize hot under-budgeted models from the observed Hd mix (0 = off)")
-		refineThreshold  = flag.Float64("refine-threshold", 0, "hot-class threshold as a multiple of the uniform per-class budget (0 = default 2)")
-		refineMinEst     = flag.Uint64("refine-min-estimates", 0, "minimum observed estimates before a model is refined (0 = default 1024)")
+		sloUnary     = flag.Duration("slo-latency-unary", 0, "unary estimate latency budget (0 = default 25ms)")
+		sloStream    = flag.Duration("slo-latency-stream", 0, "stream estimate latency budget (0 = default 80ms)")
+		sloObjective = flag.Float64("slo-objective", 0, "SLO success-rate objective (0 = default 0.999)")
+		captureDir   = flag.String("capture-dir", "", "write telemetry+pprof captures here on SLO breach (off when empty)")
+		refine       = flag.Duration("refine", 0, "refinement loop interval: re-characterize hot under-budgeted models from the observed Hd mix (0 = off)")
 
-		fleetOn          = flag.Bool("fleet", false, "coordinator mode: mount /fleet/v1/* and dispatch builds to registered workers")
-		fleetLeaseShards = flag.Int("fleet-lease-shards", 0, "plan shards per worker lease (0 = default 8)")
-		fleetLeaseTTL    = flag.Duration("fleet-lease-ttl", 0, "lease deadline without a heartbeat before re-leasing (0 = default 10s)")
-		workerOf         = flag.String("worker", "", "worker mode: pull shard-range leases from this coordinator URL instead of serving")
-		workerName       = flag.String("worker-name", "", "worker name in leases and logs (default: hostname-pid)")
+		fleetOn    = flag.Bool("fleet", false, "coordinator mode: mount /fleet/v1/* and dispatch builds to registered workers")
+		workerOf   = flag.String("worker", "", "worker mode: pull shard-range leases from this coordinator URL instead of serving")
+		workerName = flag.String("worker-name", "", "worker name in leases and logs (default: hostname-pid)")
 	)
 	flag.Parse()
 	backend, err := core.ParseBackendKind(*backendName)
@@ -119,43 +107,29 @@ func main() {
 
 	var coord *fleet.Coordinator
 	if *fleetOn {
-		coord = fleet.NewCoordinator(fleet.Config{
-			LeaseShards: *fleetLeaseShards,
-			LeaseTTL:    *fleetLeaseTTL,
-			Logger:      logger,
-		})
+		coord = fleet.NewCoordinator(fleet.Config{Logger: logger})
 	}
 
 	srv := serve.New(serve.Config{
-		MaxBodyBytes:    *maxBody,
-		RequestTimeout:  *requestTimeout,
-		BuildTimeout:    *buildTimeout,
-		BuildWorkers:    *buildWorkers,
-		BuildQueue:      *buildQueue,
-		ModelCache:      *modelCache,
-		CharWorkers:     *charWorkers,
-		Backend:         backend,
-		Logger:          logger,
-		TraceCapacity:   *traceCapacity,
-		ManifestDir:     *manifestDir,
-		CheckpointDir:   *checkpointDir,
-		CheckpointEvery: *checkpointEach,
-		BuildRetries:    *buildRetries,
-		LibraryDir:      *libraryDir,
-		Fleet:           coord,
+		MaxBodyBytes:   *maxBody,
+		RequestTimeout: *requestTimeout,
+		BuildTimeout:   *buildTimeout,
+		BuildWorkers:   *buildWorkers,
+		BuildQueue:     *buildQueue,
+		ModelCache:     *modelCache,
+		CharWorkers:    *charWorkers,
+		Backend:        backend,
+		Logger:         logger,
+		ManifestDir:    *manifestDir,
+		CheckpointDir:  *checkpointDir,
+		LibraryDir:     *libraryDir,
+		Fleet:          coord,
 
-		TelemetryWindow:    *telemetryWindow,
-		TelemetryWindows:   *telemetryWindows,
-		SLOLatencyUnary:    *sloUnary,
-		SLOLatencyStream:   *sloStream,
-		SLOObjective:       *sloObjective,
-		SLOBurnBreach:      *sloBurn,
-		CaptureDir:         *captureDir,
-		CaptureMinInterval: *captureInterval,
-		CaptureMax:         *captureMax,
-		RefineInterval:     *refine,
-		RefineThreshold:    *refineThreshold,
-		RefineMinEstimates: *refineMinEst,
+		SLOLatencyUnary:  *sloUnary,
+		SLOLatencyStream: *sloStream,
+		SLOObjective:     *sloObjective,
+		CaptureDir:       *captureDir,
+		RefineInterval:   *refine,
 	})
 	hs := &http.Server{
 		Addr:              *addr,

@@ -34,9 +34,6 @@ type Config struct {
 	Widths []int
 	// Seed anchors all pseudo-random streams.
 	Seed int64
-	// Engine is the reference simulation engine (EventDriven unless an
-	// ablation says otherwise).
-	Engine sim.Engine
 	// Workers bounds the goroutines used at both parallelism levels: the
 	// suite characterizes distinct module instances concurrently, and each
 	// characterization fans its sharded pattern stream out over the same
@@ -57,7 +54,6 @@ func Default() Config {
 		EvalPatterns: 5000,
 		Widths:       []int{8, 12, 16},
 		Seed:         1999, // DATE 1999
-		Engine:       sim.EventDriven,
 	}
 }
 
@@ -68,7 +64,6 @@ func Quick() Config {
 		EvalPatterns: 800,
 		Widths:       []int{8},
 		Seed:         1999,
-		Engine:       sim.EventDriven,
 	}
 }
 
@@ -108,7 +103,7 @@ func (s *Suite) meter(name string, width int) (*power.Meter, dwlib.Module, error
 	if err != nil {
 		return nil, dwlib.Module{}, err
 	}
-	meter, err := power.NewMeter(mod.Build(width), s.cfg.Engine)
+	meter, err := power.NewMeter(mod.Build(width), sim.EventDriven)
 	if err != nil {
 		return nil, dwlib.Module{}, err
 	}

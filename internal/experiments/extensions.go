@@ -280,7 +280,7 @@ func (s *Suite) ZClusterAblation() (*ZClusterAblationResult, error) {
 	}
 	res := &ZClusterAblationResult{Module: name, Width: width}
 	for _, zc := range []int{0, 8, 4, 2} {
-		meter, err := power.NewMeter(mod.Build(width), s.cfg.Engine)
+		meter, err := power.NewMeter(mod.Build(width), sim.EventDriven)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"hdpower/internal/dwlib"
 	"hdpower/internal/power"
 	"hdpower/internal/regress"
+	"hdpower/internal/sim"
 )
 
 // RectStudyResult reproduces the eq. (8) claim: coefficients of a
@@ -36,7 +37,7 @@ func (s *Suite) RectStudy() (*RectStudyResult, error) {
 	target := [2]int{6, 4}
 
 	characterize := func(w1, w0 int) (*core.Model, error) {
-		meter, err := power.NewMeter(dwlib.CSAMult(w1, w0), s.cfg.Engine)
+		meter, err := power.NewMeter(dwlib.CSAMult(w1, w0), sim.EventDriven)
 		if err != nil {
 			return nil, err
 		}

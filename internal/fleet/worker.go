@@ -44,9 +44,6 @@ type WorkerConfig struct {
 	// PollInterval is the idle re-poll cadence when the coordinator has
 	// nothing to lease (default 250ms).
 	PollInterval time.Duration
-	// Client is the HTTP client for coordinator RPCs (default: a client
-	// with a 30s timeout).
-	Client *http.Client
 	// Logger receives lease lifecycle events (default: discard).
 	Logger *slog.Logger
 }
@@ -66,9 +63,6 @@ func (c *WorkerConfig) setDefaults() error {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = defaultPollInterval
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -93,6 +87,8 @@ type jobRuntime struct {
 type Worker struct {
 	cfg WorkerConfig
 	log *slog.Logger
+	// client carries the coordinator RPCs, each bounded at 30s.
+	client *http.Client
 	// job is the runtime of the job last leased; a lease of another job
 	// replaces it, so a long-lived worker holds one netlist, not one per
 	// build it ever served.
@@ -104,7 +100,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &Worker{cfg: cfg, log: cfg.Logger}, nil
+	return &Worker{cfg: cfg, log: cfg.Logger, client: &http.Client{Timeout: 30 * time.Second}}, nil
 }
 
 // Run is the worker's main loop: lease, compute, upload, repeat, until
@@ -293,7 +289,7 @@ func (w *Worker) post(ctx context.Context, path string, body []byte, out any) er
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.Client.Do(req)
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -313,7 +309,7 @@ func (w *Worker) postRaw(ctx context.Context, path string, body []byte) (int, er
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.cfg.Client.Do(req)
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, err
 	}

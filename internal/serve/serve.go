@@ -85,8 +85,6 @@ type Config struct {
 	// Logger receives access-log and build-lifecycle records; nil discards
 	// them.
 	Logger *slog.Logger
-	// TraceCapacity bounds the recent-span ring (default 512).
-	TraceCapacity int
 	// ManifestDir, when set, persists one flight-recorder manifest per
 	// build as <dir>/<build id>.manifest.json, and Close dumps the span
 	// ring to <dir>/traces.json.
@@ -98,8 +96,8 @@ type Config struct {
 	// recorded builds and resumes them from their checkpoints, producing
 	// bit-identical models to an uninterrupted build.
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint interval in merged shards
-	// (default 16).
+	// CheckpointEvery is the checkpoint interval in merged shards (0 =
+	// core's default).
 	CheckpointEvery int
 	// BuildRetries is how many times a transiently failed build attempt is
 	// retried with capped exponential backoff before the build settles as
@@ -115,21 +113,14 @@ type Config struct {
 	// model is not cached — answers marked "degraded" instead of 404.
 	LibraryDir string
 
-	// TelemetryWindow is the width of one telemetry aggregation window
-	// (default 10s); TelemetryWindows is how many the ring keeps
-	// (default 30). Together they bound how far back /v1/telemetry looks.
-	TelemetryWindow  time.Duration
-	TelemetryWindows int
 	// SLOLatencyUnary / SLOLatencyStream are the per-request latency
 	// budgets of the two estimate planes (defaults 25ms and 80ms); a
 	// request over budget or answered ≥500 counts against the SLO.
 	SLOLatencyUnary  time.Duration
 	SLOLatencyStream time.Duration
-	// SLOObjective is the success-rate objective (default 0.999);
-	// SLOBurnBreach is the burn-rate multiple on both the fast and slow
-	// spans that declares a breach (default 2).
-	SLOObjective  float64
-	SLOBurnBreach float64
+	// SLOObjective is the success-rate objective; telemetry.SLO applies
+	// its default to a value outside (0, 1).
+	SLOObjective float64
 	// CaptureDir, when set, enables automatic pprof capture on SLO breach:
 	// each breach writes a telemetry snapshot plus goroutine and heap
 	// profiles there, rate-limited by CaptureMinInterval (default 1m) and
@@ -140,12 +131,9 @@ type Config struct {
 	// RefineInterval, when positive, starts the refinement loop: every
 	// interval the server converts the observed Hd mix into budget
 	// recommendations and re-characterizes hot under-budgeted models at a
-	// doubled pattern budget. RefineThreshold is the multiple of the
-	// uniform per-class budget a class's recommendation must reach to be
-	// hot (default 2); RefineMinEstimates is the traffic floor below which
-	// a model is never refined (default 1024).
+	// doubled pattern budget. RefineMinEstimates is the traffic floor
+	// below which a model is never refined (default 1024).
 	RefineInterval     time.Duration
-	RefineThreshold    float64
 	RefineMinEstimates uint64
 
 	// Fleet, when set, runs this server as a distributed-characterization
@@ -187,35 +175,17 @@ func (c *Config) setDefaults() {
 	if c.BuildRetryBackoff <= 0 {
 		c.BuildRetryBackoff = 250 * time.Millisecond
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 16
-	}
-	if c.TelemetryWindow <= 0 {
-		c.TelemetryWindow = 10 * time.Second
-	}
-	if c.TelemetryWindows <= 0 {
-		c.TelemetryWindows = 30
-	}
 	if c.SLOLatencyUnary <= 0 {
 		c.SLOLatencyUnary = 25 * time.Millisecond
 	}
 	if c.SLOLatencyStream <= 0 {
 		c.SLOLatencyStream = 80 * time.Millisecond
 	}
-	if c.SLOObjective <= 0 || c.SLOObjective >= 1 {
-		c.SLOObjective = 0.999
-	}
-	if c.SLOBurnBreach <= 0 {
-		c.SLOBurnBreach = 2
-	}
 	if c.CaptureMinInterval <= 0 {
 		c.CaptureMinInterval = time.Minute
 	}
 	if c.CaptureMax <= 0 {
 		c.CaptureMax = 8
-	}
-	if c.RefineThreshold <= 0 {
-		c.RefineThreshold = 2
 	}
 	if c.RefineMinEstimates == 0 {
 		c.RefineMinEstimates = 1024
@@ -375,7 +345,7 @@ func New(cfg Config) *Server {
 		cache:    newModelCache(cfg.ModelCache, met),
 		queue:    make(chan *buildEntry, cfg.BuildQueue),
 		quit:     make(chan struct{}),
-		tracer:   obs.NewTracer(cfg.TraceCapacity),
+		tracer:   obs.NewTracer(0),
 		log:      cfg.Logger,
 		distMemo: hddist.NewMemo(0),
 	}
@@ -430,11 +400,7 @@ func New(cfg Config) *Server {
 
 	// The telemetry plane must exist before route registration: wrap
 	// resolves each route's SLO plane once, at registration time.
-	tel, err := telemetry.New(telemetry.Config{
-		Now:     time.Now,
-		Window:  s.cfg.TelemetryWindow,
-		Windows: s.cfg.TelemetryWindows,
-	})
+	tel, err := telemetry.New(telemetry.Config{Now: time.Now})
 	if err != nil {
 		panic("serve: telemetry init: " + err.Error()) // unreachable: Now is set
 	}
@@ -442,12 +408,10 @@ func New(cfg Config) *Server {
 	s.planeUnary = tel.Plane("unary", telemetry.SLO{
 		LatencyBudget: s.cfg.SLOLatencyUnary.Seconds(),
 		Objective:     s.cfg.SLOObjective,
-		BreachBurn:    s.cfg.SLOBurnBreach,
 	})
 	s.planeStream = tel.Plane("stream", telemetry.SLO{
 		LatencyBudget: s.cfg.SLOLatencyStream.Seconds(),
 		Objective:     s.cfg.SLOObjective,
-		BreachBurn:    s.cfg.SLOBurnBreach,
 	})
 	if s.cfg.CaptureDir != "" {
 		if err := os.MkdirAll(s.cfg.CaptureDir, 0o755); err != nil {

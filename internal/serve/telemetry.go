@@ -44,8 +44,8 @@ type hotsetModel struct {
 	Patterns  int           `json:"patterns"` // current characterization budget
 	Estimates uint64        `json:"estimates"`
 	Classes   []hotsetClass `json:"classes"`
-	// HotClasses lists Hd classes whose recommended share reaches the
-	// configured multiple of their uniform share: live traffic
+	// HotClasses lists Hd classes whose recommended share reaches
+	// refineThreshold times their uniform share: live traffic
 	// concentrates there while the coefficient still shows deviation.
 	HotClasses []int `json:"hot_classes,omitempty"`
 	// RecommendedPatterns is the budget the refinement loop would rebuild
@@ -55,6 +55,10 @@ type hotsetModel struct {
 
 	spec BuildSpec // resolved cache spec; backs the refinement rebuild
 }
+
+// refineThreshold is the multiple of its uniform share of the pattern
+// budget that a class's recommended share must reach to be hot.
+const refineThreshold = 2
 
 // hotsetResponse is the GET /v1/telemetry/hotset payload.
 type hotsetResponse struct {
@@ -75,7 +79,7 @@ func (s *Server) handleTelemetryHotset(w http.ResponseWriter, r *http.Request) {
 // recorded traffic state: models arrive key-sorted from the profiler and
 // the apportionment breaks ties by class index.
 func (s *Server) computeHotset() hotsetResponse {
-	resp := hotsetResponse{Threshold: s.cfg.RefineThreshold, Models: []hotsetModel{}}
+	resp := hotsetResponse{Threshold: refineThreshold, Models: []hotsetModel{}}
 	for _, ms := range s.tel.Profiler().SnapshotModels() {
 		model, spec, ok := s.cache.readyEntrySpec(ms.Key)
 		if !ok {
@@ -110,7 +114,7 @@ func (s *Server) computeHotset() hotsetResponse {
 				Hd: i + 1, Traffic: traffic[i], Epsilon: eps[i],
 				Uniform: uniform[i], Recommended: rec[i],
 			}
-			if traffic[i] > 0 && float64(rec[i]) >= s.cfg.RefineThreshold*float64(uniform[i]) {
+			if traffic[i] > 0 && float64(rec[i]) >= refineThreshold*float64(uniform[i]) {
 				hm.HotClasses = append(hm.HotClasses, i+1)
 			}
 		}
@@ -170,7 +174,7 @@ func (s *Server) refineOnce() {
 // sloWatcher evaluates the SLO burn state once per telemetry window.
 func (s *Server) sloWatcher() {
 	defer s.workerWG.Done()
-	t := time.NewTicker(s.cfg.TelemetryWindow)
+	t := time.NewTicker(s.tel.Window())
 	defer t.Stop()
 	for {
 		select {

@@ -143,6 +143,9 @@ func (t *Telemetry) Profiler() *Profiler { return t.prof }
 // Now returns the configured clock's current time.
 func (t *Telemetry) Now() time.Time { return t.cfg.Now() }
 
+// Window returns the width of one aggregation window.
+func (t *Telemetry) Window() time.Duration { return t.cfg.Window }
+
 // Plane is one traffic plane (e.g. the unary or streaming estimate path)
 // with its own window ring and SLO.
 type Plane struct {
