@@ -218,7 +218,7 @@ var ErrNoWorkers = errors.New("fleet: no live workers")
 // options. It blocks until the build converges, ctx is cancelled or the
 // workers are gone (the merge session then saves its checkpoint, so a
 // later run of the job, on the fleet or locally, continues where this one
-// stopped), or the merge fails.
+// stopped).
 func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec, opts RunOptions) (*core.Model, error) {
 	select {
 	case c.jobSem <- struct{}{}:
@@ -273,10 +273,7 @@ func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec, opts RunOptions)
 		now := time.Now()
 		live = c.pruneWorkersLocked(now)
 		c.expireLocked(js, now)
-		if err := c.mergeReadyLocked(js); err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
+		c.mergeReadyLocked(js)
 		if js.sess.Done() {
 			c.mu.Unlock()
 			model, err := js.sess.Finish()
@@ -363,18 +360,18 @@ func (c *Coordinator) expireLocked(js *jobState, now time.Time) {
 // nothing, so a range that fails validation leaves the cursor at its
 // start. Ranges never cross a phase end; merging the range that ends a
 // phase rebuilds the lease table for the next one.
-func (c *Coordinator) mergeReadyLocked(js *jobState) error {
+func (c *Coordinator) mergeReadyLocked(js *jobState) {
 	for !js.sess.Done() {
 		r := js.rangeAtCursorLocked()
 		if r == nil || r.state != rangeUploaded {
-			return nil
+			return
 		}
 		if err := faultpoint.Hit("fleet.merge"); err != nil {
 			// Injected merge stall: leave the range uploaded and retry on
 			// the next driver tick. Nothing is lost — merging is
 			// idempotent-by-order, not time-sensitive.
 			c.log.Warn("merge deferred by fault injection", "job", js.spec.ID, "start", r.start)
-			return nil
+			return
 		}
 		phase := js.sess.Phase()
 		if err := js.sess.MergeRange(js.uploads[r.start]); err != nil {
@@ -387,7 +384,7 @@ func (c *Coordinator) mergeReadyLocked(js *jobState) error {
 			delete(js.uploads, r.start)
 			r.state = rangePending
 			r.worker = ""
-			return nil
+			return
 		}
 		delete(js.uploads, r.start)
 		r.state = rangeMerged
@@ -396,7 +393,6 @@ func (c *Coordinator) mergeReadyLocked(js *jobState) error {
 			js.rebuildRanges()
 		}
 	}
-	return nil
 }
 
 // rangeAtCursorLocked returns the range whose start sits at the merge
