@@ -284,14 +284,17 @@ func (s *MergeSession) save() {
 	s.opt.Hooks.checkpointSaved(err)
 }
 
-// tick counts a merged shard and snapshots at the periodic interval.
+// tick counts a merged shard and snapshots at the periodic interval,
+// except on a phase's last shard: complete takes the handover snapshot or
+// removes the file right after, so no resume could read that one. The
+// state stays stale, so Close still saves a run interrupted there.
 func (s *MergeSession) tick() {
 	if s.file == nil {
 		return
 	}
 	s.file.since++
 	s.file.stale = true
-	if s.file.since >= s.file.every {
+	if s.file.since >= s.file.every && s.merged < len(s.plan) {
 		s.save()
 	}
 }
