@@ -115,7 +115,7 @@ var enhancedResumeGoldens = []resumeGolden{
 	{"3f1af71c5bbc17fceae2dcb89cd30201d96da9cc870d8dd698d05c68d33d869b",
 		"b327dced97d0e4f3413099de23e296edcb9c01d3333e5435d1eb6bb4fdec3f78"},
 	{"8116e1996260e6bd40865da1030f8fd30cb282f3cab39857e33d269ea5942b56",
-		"adb7ffbe71ee72164c818eea54fb320b52af54c0c277716ade62f5629ed1697f"},
+		"2c71cb822d24d7bbf90d1803e470d297f9cc713c6ca148ffb07e4cef2220b197"},
 	{"60803554d283db1b6f1435fcea6cfa161fe10a1d4865a365252cfc79ce33ae54",
 		"54cefba87237b2bbdf76f469ffe3dc3771445dbb929ef52a4e762ab253f00a7a"},
 	{"6aeda08e377d35ea0fc1b783b404cb94f998cc5d346d2fc3e9fc7e5e5a37a352",
@@ -123,7 +123,7 @@ var enhancedResumeGoldens = []resumeGolden{
 	{"871a7933243b389033b172fdb2eabeed0bcfaa296866252d0b9dbf06955fe097",
 		"5c245518d09f38790ceb025b0e560e104c42844c2f7870be93b7258e0d65d4f4"},
 	{"d84de1ca75f55a625c9477506765a4d983f91d6b7c0d9bffe44f4525ece33e0e",
-		"954613a58540da9768e16656bd63416fcb4c087e67bfb24582e6427025d1ac97"},
+		"06b99b9b859a01b8de44c58fca7a72aff363dfd97676ac158ead636941ab98a2"},
 	{"b71ef4f4dd6622c4fc792f30c7e0749d54bf187de1d35d348cfdad1900088c6c",
 		"48af90d3876cfee9905d7584682c50ff1ba0009dbe83dbfeddaf99e7f52df1a2"},
 	{"caf9e0fc2b060186b924ba2476c42673609b7c875ac9eed1bf2ef28e38a9db00",
@@ -135,7 +135,7 @@ var enhancedResumeGoldens = []resumeGolden{
 	{"ab267af871830aea0237f769408287876ea96d2cf53f99178bb4d71fa8ea8901",
 		"5fe1388e12415cb83145734c8a88dcb0453fa6bd0d7bd2c45d119361305f2532"},
 	{"a65b96ebfbbc2dcd76830d4283e034565f382d3d8c189efac8cc9a9d3e00cfb3",
-		"cfbabacb80d475e2c7c36f8e2ae6675207459b4ea101ab02896f0fa5d76ce287"},
+		"a49a0bbdb841276d29e66186b1f56eed988ee9476af8f70e2f713e797e2a9a78"},
 	{"fb01a18a65263ee5800eb08d549191c65b0447e95b771695fe1d9ae77d5d4750",
 		"f22f4119956d0b570e91215ba0cfa46e3fb94be7f3b4c185ed7d1da32adf9d14"},
 	{"49c4e8527ec384aad79c68bec54a2bf9609bb6558069644b9fc5a4ca6114d50c",
@@ -143,7 +143,7 @@ var enhancedResumeGoldens = []resumeGolden{
 	{"4f4abb386c45b5f14f48421c66aeaf500b9e42c73f896c8188e16b39f3f82fdb",
 		"0f067ea765a3cf606e1ddcc6000618cce52c146950dd4f44d0405c410c1dda41"},
 	{"9c7322697ad7a3028f31ad644ab266938fa7b553175cb923a48bb6e40accf071",
-		"015c3d14a60777d304eecd434514f8803eb433e24d679888e15b15994f23714a"},
+		"6def3d3fad07c0067727056eaca7de6eed21a38f1432861a6fb46000f1e5afc1"},
 	{"bda4a72061661a52368ce7c49d1bfae472dfabd3333523cc655df572eb5bc52a",
 		"e2feb018aa06dc0fbc3d66aa7bb4a84eeb8208c91e1a45243f15d37d16b5c5d2"},
 	{"6f2c64e198a0e797b19bd21f48396d75bfc525ac746d25aaf35740d707357b90",
