@@ -327,6 +327,52 @@ func TestRefineOnce(t *testing.T) {
 	}
 }
 
+// TestRefineLoop drives the refinement goroutine itself: with a short
+// RefineInterval it rebuilds a hot model at a doubled budget without a
+// direct refineOnce call, and Close stops it.
+func TestRefineLoop(t *testing.T) {
+	eps := []float64{0.5, 0.02, 0.10, 0.10}
+	s, ts := newTestServer(t, Config{
+		BuildFunc:          epsBuilds(4, eps),
+		RefineInterval:     10 * time.Millisecond,
+		RefineMinEstimates: 1,
+	})
+	key := "ripple-adder/w2/s7"
+	buildReady(t, ts.URL, map[string]any{
+		"module": "ripple-adder", "width": 2, "seed": 7, "patterns": 512})
+	heatModel(s, 7)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, spec, ok := s.cache.readyEntrySpec(key); ok && spec.Patterns >= 1024 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the refinement loop never rebuilt %s (%d refine builds)", key, s.met.refineBuilds.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := s.met.refineBuilds.Value(); n < 1 {
+		t.Fatalf("refine builds = %d after a refinement rebuild, want at least 1", n)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not stop the refinement loop")
+	}
+	// The mix stays hot, so a loop still running would enqueue again.
+	n := s.met.refineBuilds.Value()
+	time.Sleep(50 * time.Millisecond)
+	if got := s.met.refineBuilds.Value(); got != n {
+		t.Errorf("refine builds rose from %d to %d after Close", n, got)
+	}
+}
+
 // heatModel records enough hot traffic on a model for refineOnce to
 // rebuild it at a doubled budget.
 func heatModel(s *Server, seed int64) {
