@@ -37,7 +37,7 @@ import (
 )
 
 // moduleIntern maps catalog module names to their canonical string, so a
-// name parsed as request-body bytes can key the LUT snapshot without
+// name parsed as request-body bytes can key the ready set without
 // allocating (map[string]x lookups with a string([]byte) index compile to
 // an allocation-free lookup; composite keys do not).
 var moduleIntern = func() map[string]string {
@@ -47,24 +47,6 @@ var moduleIntern = func() map[string]string {
 	}
 	return m
 }()
-
-// lutKey identifies one published table: the same triple BuildSpec.Key
-// renders, kept as a comparable struct so lookups need no formatting.
-type lutKey struct {
-	module string
-	width  int
-	seed   int64
-}
-
-// lutSet is one immutable RCU snapshot of every ready model's flattened
-// table. Readers load the current snapshot and index the map — the map is
-// never mutated after publication, so concurrent reads are safe without
-// locks.
-type lutSet struct {
-	tables map[lutKey]*lut.Table
-}
-
-var emptyLutSet = &lutSet{tables: map[lutKey]*lut.Table{}}
 
 // estScratch is the pooled per-request working set of the estimator:
 // request body, hand-parsed series, the rendered response and the
@@ -594,7 +576,8 @@ func (s *Server) estimate(body []byte, sc *estScratch, indent bool) ([]byte, *re
 			return nil, rerr
 		}
 	}
-	t, fallback, rerr := s.lookupModel(&req.Model)
+	key := req.Model.modelKey()
+	t, fallback, rerr := s.lookupModel(&req.Model, key)
 	if rerr != nil {
 		return nil, rerr
 	}
@@ -607,16 +590,14 @@ func (s *Server) estimate(body []byte, sc *estScratch, indent bool) ([]byte, *re
 	}
 	sc.out = appendEstimate(sc.out[:0], t, &req, cycles, fallback, indent)
 	s.met.estCycles.Add(int64(cycles))
-	// Traffic counts against the requested key: demand for a model is what
-	// the refinement loop budgets for, even while a fallback answers it.
-	// The interned module keeps the probe a plain map lookup for hot-shape
-	// bodies, and the sharded counters take atomic adds only. Model returns
-	// nil past the cap, which the record calls tolerate. A line's classes
-	// are counted in scratch and flushed before its estimates, one add per
-	// class it hits.
-	mp := s.tel.Profiler().Model(telemetry.Key{
-		Module: req.Model.Module, Width: req.Model.Width, Seed: req.Model.Seed,
-	}, t.InputBits+1)
+	// Traffic counts against the requested key, the one the ready set was
+	// probed with: demand for a model is what the refinement loop budgets
+	// for, even while a fallback answers it. The interned module keeps the
+	// probe a plain map lookup for hot-shape bodies, and the sharded
+	// counters take atomic adds only. Model returns nil past the cap, which
+	// the record calls tolerate. A line's classes are counted in scratch
+	// and flushed before its estimates, one add per class it hits.
+	mp := s.tel.Profiler().Model(key, t.InputBits+1)
 	if mp != nil {
 		countClasses(&sc.classes, &req)
 		mp.RecordClasses(sc.shard, &sc.classes)
@@ -697,7 +678,7 @@ func (r *estimateRequest) validate(m int) *requestError {
 // rung that gave it.
 func appendEstimate(out []byte, t *lut.Table, req *estimateRequest, cycles int, fallback string, indent bool) []byte {
 	enhanced := (len(req.Words) > 0 || len(req.StableZeros) > 0) && t.HasEnhanced()
-	out = appendEstimateHead(out, req.Model.Module, req.Model.Width, req.Model.Seed, cycles, enhanced, indent)
+	out = appendEstimateHead(out, req.Model.modelKey(), cycles, enhanced, indent)
 	sep := estimateSep(indent)
 	var total float64
 	switch {
@@ -747,8 +728,7 @@ func estimateSep(indent bool) string {
 // writeJSON's json.Encoder with SetIndent("", "  "), trailing newline
 // included, so estimate and error answers share one style on the wire;
 // without it the result is one compact line for the NDJSON stream.
-func appendEstimateHead(out []byte, module string, width int, seed int64,
-	cycles int, enhanced, indent bool) []byte {
+func appendEstimateHead(out []byte, key telemetry.Key, cycles int, enhanced, indent bool) []byte {
 	if indent {
 		out = append(out, "{\n  "...)
 	} else {
@@ -757,11 +737,7 @@ func appendEstimateHead(out []byte, module string, width int, seed int64,
 	sep := fieldSep(indent)
 	out = appendKey(out, "key", indent)
 	out = append(out, '"')
-	out = append(out, module...)
-	out = append(out, "/w"...)
-	out = strconv.AppendInt(out, int64(width), 10)
-	out = append(out, "/s"...)
-	out = strconv.AppendInt(out, seed, 10)
+	out = key.Append(out)
 	out = append(out, '"')
 	out = append(out, sep...)
 	out = appendKey(out, "cycles", indent)

@@ -123,7 +123,7 @@ func TestFastSlowEquivalenceLibrary(t *testing.T) {
 				t.Errorf("%s %s: fast and slow responses differ:\nfast: %s\nslow: %s",
 					name, ser, fastData, slowData)
 			}
-			model, _, ok := s.cache.readyEntrySpec(key)
+			model, _, ok := s.cache.readyEntrySpec(BuildSpec{Module: name, Width: width, Seed: 3}.modelKey())
 			req, rerr := decodeEstimateJSON([]byte(slowBody))
 			if !ok || rerr != nil {
 				t.Fatalf("%s: no model (%v) or body undecodable (%v)", name, ok, rerr)

@@ -32,7 +32,7 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 	if resp, data := buildWait(t, tsClean.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("baseline build: %d %s", resp.StatusCode, data)
 	}
-	baseModel, _, ok := clean.cache.readyEntrySpec(spec.Key())
+	baseModel, _, ok := clean.cache.readyEntrySpec(spec.modelKey())
 	if !ok {
 		t.Fatal("baseline model not cached")
 	}
@@ -81,7 +81,7 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 	if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet build: %d %s", resp.StatusCode, data)
 	}
-	fleetModel, _, ok := s.cache.readyEntrySpec(spec.Key())
+	fleetModel, _, ok := s.cache.readyEntrySpec(spec.modelKey())
 	if !ok {
 		t.Fatal("fleet model not cached")
 	}
@@ -109,7 +109,7 @@ func TestFleetDispatchBitIdentical(t *testing.T) {
 // readyModel is the JSON of the ready model s holds for spec.
 func readyModel(t *testing.T, s *Server, spec BuildSpec) string {
 	t.Helper()
-	model, _, ok := s.cache.readyEntrySpec(spec.Key())
+	model, _, ok := s.cache.readyEntrySpec(spec.modelKey())
 	if !ok {
 		t.Fatalf("no ready model for %s", spec.Key())
 	}

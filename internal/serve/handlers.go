@@ -103,7 +103,7 @@ func (s *Server) handleEstimateStats(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	t, fallback, rerr := s.lookupModel(&req.Model)
+	t, fallback, rerr := s.lookupModel(&req.Model, req.Model.modelKey())
 	if rerr != nil {
 		writeError(w, rerr.code, "%s", rerr.msg)
 		return
@@ -203,13 +203,13 @@ func (s *Server) handleModelBuild(w http.ResponseWriter, r *http.Request) {
 		}
 	} else if status := s.entryStatus(ent); status == statusReady {
 		s.met.cacheHits.Inc()
-		writeJSON(w, http.StatusOK, buildResponse{ID: ent.id, Key: ent.key, Status: statusReady})
+		writeJSON(w, http.StatusOK, buildResponse{ID: ent.id, Key: ent.key.String(), Status: statusReady})
 		return
 	} else {
 		s.met.buildsDeduped.Inc()
 	}
 	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, buildResponse{ID: ent.id, Key: ent.key, Status: statusBuilding})
+		writeJSON(w, http.StatusAccepted, buildResponse{ID: ent.id, Key: ent.key.String(), Status: statusBuilding})
 		return
 	}
 	select {
@@ -221,10 +221,10 @@ func (s *Server) handleModelBuild(w http.ResponseWriter, r *http.Request) {
 	status, buildErr := s.entryResult(ent)
 	if status == statusFailed {
 		writeJSON(w, http.StatusInternalServerError,
-			buildResponse{ID: ent.id, Key: ent.key, Status: statusFailed, Error: buildErr.Error()})
+			buildResponse{ID: ent.id, Key: ent.key.String(), Status: statusFailed, Error: buildErr.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, buildResponse{ID: ent.id, Key: ent.key, Status: status})
+	writeJSON(w, http.StatusOK, buildResponse{ID: ent.id, Key: ent.key.String(), Status: status})
 }
 
 func (s *Server) entryStatus(ent *buildEntry) string {

@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"container/list"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"hdpower/internal/dwlib"
 	"hdpower/internal/fleet"
 	"hdpower/internal/lut"
+	"hdpower/internal/telemetry"
 )
 
 // Build bounds. Width is the operand width per port, so the total input
@@ -68,9 +70,13 @@ func (b *BuildSpec) normalize() error {
 	return nil
 }
 
-// Key is the model cache key.
-func (b BuildSpec) Key() string {
-	return fmt.Sprintf("%s/w%d/s%d", b.Module, b.Width, b.Seed)
+// Key renders the model cache key, e.g. "ripple-adder/w8/s1".
+func (b BuildSpec) Key() string { return b.modelKey().String() }
+
+// modelKey is the model cache key, which the traffic profiler keys the
+// model's traffic by too.
+func (b BuildSpec) modelKey() telemetry.Key {
+	return telemetry.Key{Module: b.Module, Width: b.Width, Seed: b.Seed}
 }
 
 // buildID derives the URL-safe identifier used by the progress and
@@ -91,7 +97,7 @@ const (
 // is in flight shares it, and done closes exactly once when it settles.
 type buildEntry struct {
 	spec BuildSpec
-	key  string
+	key  telemetry.Key
 	id   string // URL-safe form of key, see buildID
 	done chan struct{}
 
@@ -106,12 +112,15 @@ type buildEntry struct {
 	attempts atomic.Int64
 	retry    atomic.Pointer[buildRetryState]
 
-	// Guarded by the owning cache's mutex.
+	// Guarded by the owning cache's mutex. Once the entry is in the
+	// ready set, model and table are never written again, so readers of
+	// the set read them without the mutex.
 	status   string
 	model    *core.Model
 	table    *lut.Table // flattened model: what estimates price with
 	err      error
 	manifest *core.RunManifest
+	stamp    uint64 // recency of a ready model: higher is newer
 }
 
 // buildRetryState is one transient build failure, published atomically
@@ -142,53 +151,44 @@ type modelSnapshot struct {
 // models and, separately, the failed builds kept (the earliest settled is
 // forgotten first); builds in flight are bounded by the build queue.
 //
-// Alongside the locked structures, the cache maintains an RCU snapshot of
-// every ready model's flattened lut.Table (luts): the snapshot is rebuilt
-// and atomically swapped whenever the ready set changes, so an exact
-// estimate hit resolves with a single atomic load and map read — never
-// the cache mutex, and never touching LRU recency, which only builds
-// refresh.
+// The ready models are one immutable map, the ready set, copied and
+// swapped under mu whenever a model goes ready or is evicted (RCU): an
+// exact estimate hit resolves with a single atomic load and map read,
+// never the mutex. Recency is a stamp on each ready entry, guarded by mu:
+// a build request for a ready key and a key's first model take a fresh
+// stamp, a rebuild keeps the stamp of the model it replaces, estimates
+// take none, and the oldest stamp is evicted first.
 type modelCache struct {
 	mu       sync.Mutex
 	capacity int
 	met      *metrics
-	order    *list.List               // ready entries, MRU at front
-	ready    map[string]*list.Element // key -> its ready entry in order
-	builds   map[string]*buildEntry   // key -> its unsettled build
-	failed   []*buildEntry            // failed builds, earliest settled first
+	clock    uint64                        // the last recency stamp handed out
+	builds   map[telemetry.Key]*buildEntry // key -> its unsettled build
+	failed   []*buildEntry                 // failed builds, earliest settled first
 
-	luts atomic.Pointer[lutSet]
+	ready atomic.Pointer[map[telemetry.Key]*buildEntry]
 }
 
 func newModelCache(capacity int, met *metrics) *modelCache {
 	c := &modelCache{
 		capacity: capacity,
 		met:      met,
-		order:    list.New(),
-		ready:    make(map[string]*list.Element),
-		builds:   make(map[string]*buildEntry),
+		builds:   make(map[telemetry.Key]*buildEntry),
 	}
-	c.luts.Store(emptyLutSet)
+	c.ready.Store(&map[telemetry.Key]*buildEntry{})
 	return c
 }
 
-// table resolves a flattened model from the current LUT snapshot without
-// taking any lock.
-func (c *modelCache) table(module string, width int, seed int64) *lut.Table {
-	return c.luts.Load().tables[lutKey{module: module, width: width, seed: seed}]
-}
+// readySet returns the current ready set. It is never written after it
+// is published, so it is read without c.mu.
+func (c *modelCache) readySet() map[telemetry.Key]*buildEntry { return *c.ready.Load() }
 
-// publishLUTs rebuilds the LUT snapshot from the ready entries and swaps
-// it in. Callers must hold c.mu; the new snapshot is immutable from birth,
-// so readers that loaded the old one keep a consistent view.
-func (c *modelCache) publishLUTs() {
-	set := &lutSet{tables: make(map[lutKey]*lut.Table, c.order.Len())}
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*buildEntry)
-		set.tables[lutKey{module: ent.spec.Module, width: ent.spec.Width, seed: ent.spec.Seed}] = ent.table
+// table resolves a ready model's flattened table without taking any lock.
+func (c *modelCache) table(key telemetry.Key) *lut.Table {
+	if ent := c.readySet()[key]; ent != nil {
+		return ent.table
 	}
-	c.luts.Store(set)
-	c.met.lutSwaps.Add(1)
+	return nil
 }
 
 // lookupID returns the entry for a build ID, if present: the key's ready
@@ -196,8 +196,8 @@ func (c *modelCache) publishLUTs() {
 func (c *modelCache) lookupID(id string) (*buildEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		if ent := e.Value.(*buildEntry); ent.id == id {
+	for _, ent := range c.readySet() {
+		if ent.id == id {
 			return ent, true
 		}
 	}
@@ -214,15 +214,9 @@ func (c *modelCache) lookupID(id string) (*buildEntry, bool) {
 // not cached — or nil. The lowest seed wins, so the fallback is
 // deterministic across requests.
 func (c *modelCache) readySibling(module string, width int) *lut.Table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var best *buildEntry
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*buildEntry)
-		if ent.spec.Module != module || ent.spec.Width != width {
-			continue
-		}
-		if best == nil || ent.spec.Seed < best.spec.Seed {
+	for key, ent := range c.readySet() {
+		if key.Module == module && key.Width == width && (best == nil || key.Seed < best.key.Seed) {
 			best = ent
 		}
 	}
@@ -238,9 +232,10 @@ func (c *modelCache) readySibling(module string, width int) *lut.Table {
 func (c *modelCache) begin(spec BuildSpec) (ent *buildEntry, started bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.ready[spec.Key()]; ok {
-		c.order.MoveToFront(e)
-		return e.Value.(*buildEntry), false
+	if ent, ok := c.readySet()[spec.modelKey()]; ok {
+		c.clock++
+		ent.stamp = c.clock
+		return ent, false
 	}
 	return c.startLocked(spec)
 }
@@ -251,7 +246,7 @@ func (c *modelCache) begin(spec BuildSpec) (ent *buildEntry, started bool) {
 func (c *modelCache) rebuild(spec BuildSpec) (*buildEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.ready[spec.Key()]; !ok {
+	if _, ok := c.readySet()[spec.modelKey()]; !ok {
 		return nil, false
 	}
 	return c.startLocked(spec)
@@ -260,29 +255,27 @@ func (c *modelCache) rebuild(spec BuildSpec) (*buildEntry, bool) {
 // startLocked returns the key's build in flight, or starts one in place of
 // a failed or absent build. Callers must hold c.mu.
 func (c *modelCache) startLocked(spec BuildSpec) (ent *buildEntry, started bool) {
-	key := spec.Key()
+	key := spec.modelKey()
 	if ent, ok := c.builds[key]; ok && ent.status == statusBuilding {
 		return ent, false
 	}
 	ent = &buildEntry{
-		spec: spec, key: key, id: buildID(key),
+		spec: spec, key: key, id: buildID(key.String()),
 		status: statusBuilding, done: make(chan struct{}),
 	}
 	c.builds[key] = ent
 	return ent, true
 }
 
-// readyEntrySpec returns the ready model and its build spec for key
-// without touching the LRU order: the telemetry hotset peeks at every
-// profiled model and must not perturb eviction.
-func (c *modelCache) readyEntrySpec(key string) (*core.Model, BuildSpec, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.ready[key]
+// readyEntrySpec returns the ready model and its build spec for key from
+// the ready set, without the mutex and without touching recency: the
+// telemetry hotset peeks at every profiled model and must not perturb
+// eviction.
+func (c *modelCache) readyEntrySpec(key telemetry.Key) (*core.Model, BuildSpec, bool) {
+	ent, ok := c.readySet()[key]
 	if !ok {
 		return nil, BuildSpec{}, false
 	}
-	ent := e.Value.(*buildEntry)
 	return ent.model, ent.spec, true
 }
 
@@ -300,10 +293,9 @@ func (c *modelCache) abandon(ent *buildEntry) {
 
 // complete settles a build and publishes its flight-recorder manifest. A
 // failed build stays as the key's unsettled build; a successful one
-// becomes the key's ready model, taking the LRU place of the model it
-// replaces (or the front, evicting beyond the capacity). The RCU snapshot
-// is republished so estimate readers see the new (or evicted) model
-// without ever blocking on c.mu.
+// becomes the key's ready model in a newly published ready set, so
+// estimate readers see the new (or evicted) model without ever blocking
+// on c.mu.
 func (c *modelCache) complete(ent *buildEntry, model *core.Model, table *lut.Table, err error, man *core.RunManifest) {
 	c.mu.Lock()
 	ent.manifest = man
@@ -316,13 +308,7 @@ func (c *modelCache) complete(ent *buildEntry, model *core.Model, table *lut.Tab
 		ent.model = model
 		ent.table = table
 		delete(c.builds, ent.key)
-		if e, ok := c.ready[ent.key]; ok {
-			e.Value = ent
-		} else {
-			c.ready[ent.key] = c.order.PushFront(ent)
-			c.evictOverCapacity()
-		}
-		c.publishLUTs()
+		c.publish(ent)
 	}
 	c.mu.Unlock()
 	close(ent.done)
@@ -339,33 +325,56 @@ func (c *modelCache) keepFailed(ent *buildEntry) {
 	}
 }
 
-// evictOverCapacity drops LRU-tail ready models beyond the capacity.
-// Callers must hold c.mu.
-func (c *modelCache) evictOverCapacity() {
-	for c.order.Len() > c.capacity {
-		ent := c.order.Remove(c.order.Back()).(*buildEntry)
-		delete(c.ready, ent.key)
+// publish swaps in a ready set holding ent as its key's model, with the
+// stamp of the model it replaces or else a fresh one, and evicts the
+// oldest stamps beyond the capacity. Callers must hold c.mu.
+func (c *modelCache) publish(ent *buildEntry) {
+	old := c.readySet()
+	next := make(map[telemetry.Key]*buildEntry, len(old)+1)
+	maps.Copy(next, old)
+	if prev, ok := old[ent.key]; ok {
+		ent.stamp = prev.stamp
+	} else {
+		c.clock++
+		ent.stamp = c.clock
+	}
+	next[ent.key] = ent
+	for len(next) > c.capacity {
+		var oldest *buildEntry
+		for _, e := range next {
+			if oldest == nil || e.stamp < oldest.stamp {
+				oldest = e
+			}
+		}
+		delete(next, oldest.key)
 		c.met.cacheEvicted.Inc()
 	}
+	c.ready.Store(&next)
+	c.met.lutSwaps.Add(1)
 }
 
-// snapshot lists every entry: ready models in MRU order first, then the
+// snapshot lists every entry: ready models newest first, then the
 // unsettled builds (building or failed), which may share a ready key.
 func (c *modelCache) snapshot() []modelSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]modelSnapshot, 0, c.order.Len()+len(c.builds))
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		out = append(out, c.entrySnapshot(e.Value.(*buildEntry)))
+	ents := make([]*buildEntry, 0, len(c.readySet())+len(c.builds))
+	for _, ent := range c.readySet() {
+		ents = append(ents, ent)
 	}
+	slices.SortFunc(ents, func(a, b *buildEntry) int { return cmp.Compare(b.stamp, a.stamp) })
 	for _, ent := range c.builds {
-		out = append(out, c.entrySnapshot(ent))
+		ents = append(ents, ent)
+	}
+	out := make([]modelSnapshot, len(ents))
+	for i, ent := range ents {
+		out[i] = c.entrySnapshot(ent)
 	}
 	return out
 }
 
 func (c *modelCache) entrySnapshot(ent *buildEntry) modelSnapshot {
-	snap := modelSnapshot{ID: ent.id, Key: ent.key, Spec: ent.spec, Status: ent.status}
+	snap := modelSnapshot{ID: ent.id, Key: ent.key.String(), Spec: ent.spec, Status: ent.status}
 	if ent.err != nil {
 		snap.Error = ent.err.Error()
 	}

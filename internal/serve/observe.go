@@ -95,7 +95,7 @@ func (s *Server) handleBuildProgress(w http.ResponseWriter, r *http.Request, id 
 	}
 	resp := buildProgressResponse{
 		ID:                ent.id,
-		Key:               ent.key,
+		Key:               ent.key.String(),
 		Status:            status,
 		ShardsTotal:       int64(p.ShardsTotal),
 		ShardsMerged:      int64(p.ShardsMerged),

@@ -15,6 +15,7 @@ import (
 
 	"hdpower/internal/atomicio"
 	"hdpower/internal/lut"
+	"hdpower/internal/telemetry"
 )
 
 // checkpointPath is the one file a build checkpoints its characterization
@@ -88,7 +89,7 @@ func (s *Server) recoverBuilds() {
 		}
 		if s.enqueue(ent, true) {
 			s.met.buildsRecovered.Inc()
-			s.log.Info("recovered interrupted build", "id", ent.id, "key", ent.key)
+			s.log.Info("recovered interrupted build", "id", ent.id, "key", ent.key.String())
 		} else {
 			s.log.Warn("build queue full; interrupted build left for next restart",
 				"id", ent.id)
@@ -116,18 +117,19 @@ func badRequest(format string, args ...any) *requestError {
 	return &requestError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// lookupModel resolves the table answering an estimate for spec: the
-// exact model from the RCU snapshot when it is cached, otherwise the
-// first rung of the degradation chain that can serve the request — a
-// rung whose model does not flatten into a table counts as absent. The
-// returned fallback string is empty for an exact answer. It performs all
-// the metric accounting (per call — the stream endpoint calls it per
-// line, so degraded batch items count item by item like unary requests).
-func (s *Server) lookupModel(spec *BuildSpec) (*lut.Table, string, *requestError) {
+// lookupModel resolves the table answering an estimate for spec, whose
+// cache key is key: the exact model from the ready set when it is
+// cached, otherwise the first rung of the degradation chain that can
+// serve the request — a rung whose model does not flatten into a table
+// counts as absent. The returned fallback string is empty for an exact
+// answer. It performs all the metric accounting (per call — the stream
+// endpoint calls it per line, so degraded batch items count item by item
+// like unary requests).
+func (s *Server) lookupModel(spec *BuildSpec, key telemetry.Key) (*lut.Table, string, *requestError) {
 	if err := spec.normalize(); err != nil {
 		return nil, "", badRequest("model spec: %v", err)
 	}
-	if t := s.cache.table(spec.Module, spec.Width, spec.Seed); t != nil {
+	if t := s.cache.table(key); t != nil {
 		s.met.cacheHits.Inc()
 		return t, "", nil
 	}

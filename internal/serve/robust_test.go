@@ -305,7 +305,7 @@ func TestResumeAcrossRestart(t *testing.T) {
 	if resp, data := buildWait(t, tsClean.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("baseline build: %d %s", resp.StatusCode, data)
 	}
-	baseModel, _, ok := clean.cache.readyEntrySpec(spec.Key())
+	baseModel, _, ok := clean.cache.readyEntrySpec(spec.modelKey())
 	if !ok {
 		t.Fatal("baseline model not cached")
 	}
@@ -359,7 +359,7 @@ func TestResumeAcrossRestart(t *testing.T) {
 	if got := restarted.met.buildsResumed.Value(); got != 1 {
 		t.Errorf("resumed = %d, want 1", got)
 	}
-	gotModel, _, _ := restarted.cache.readyEntrySpec(spec.Key())
+	gotModel, _, _ := restarted.cache.readyEntrySpec(spec.modelKey())
 	got, err := json.Marshal(gotModel)
 	if err != nil {
 		t.Fatal(err)

@@ -719,7 +719,7 @@ func (s *Server) runBuild(ent *buildEntry) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.BuildTimeout)
 	defer cancel()
 	ctx, span := s.tracer.Start(ctx, "model.build")
-	span.SetAttr("key", ent.key)
+	span.SetAttr("key", ent.key.String())
 	span.SetAttr("module", ent.spec.Module)
 	span.SetAttr("width", strconv.Itoa(ent.spec.Width))
 	span.SetAttr("backend", s.cfg.Backend.Name())
@@ -731,7 +731,7 @@ func (s *Server) runBuild(ent *buildEntry) {
 	ent.rec.Store(rec)
 	hooks := core.JoinHooks(s.hooks, rec.Hooks(), s.spanHooks(ctx))
 
-	s.log.Info("build started", "id", ent.id, "key", ent.key,
+	s.log.Info("build started", "id", ent.id, "key", ent.key.String(),
 		"trace_id", span.TraceID())
 	model, err := s.buildWithRetries(ctx, ent, hooks)
 	var table *lut.Table
@@ -749,10 +749,10 @@ func (s *Server) runBuild(ent *buildEntry) {
 		s.met.buildsFailed.Inc()
 		model = nil
 		span.SetAttr("error", err.Error())
-		s.log.Warn("build failed", "id", ent.id, "key", ent.key,
+		s.log.Warn("build failed", "id", ent.id, "key", ent.key.String(),
 			"duration", dur, "err", err)
 	} else {
-		s.log.Info("build finished", "id", ent.id, "key", ent.key,
+		s.log.Info("build finished", "id", ent.id, "key", ent.key.String(),
 			"duration", dur, "patterns", man.PatternsBasic+man.PatternsBiased)
 	}
 	span.End()

@@ -79,7 +79,7 @@ func newStreamFixture(tb testing.TB) *streamFixture {
 		if rec := serveBody(f.h, "/v1/models/build", []byte(req)); rec.Code != http.StatusOK {
 			tb.Fatalf("build %s: %d %s", req, rec.Code, rec.Body)
 		}
-		t := s.cache.table(sp.module, sp.width, sp.seed)
+		t := s.cache.table(BuildSpec{Module: sp.module, Width: sp.width, Seed: sp.seed}.modelKey())
 		if t == nil {
 			tb.Fatalf("build %s published no table", req)
 		}
@@ -260,7 +260,7 @@ func BenchmarkEstimateStream(b *testing.B) {
 			}
 			req.Hd, req.StableZeros, req.Words = slices.Clone(req.Hd), slices.Clone(req.StableZeros), slices.Clone(req.Words)
 			reqs[i] = req
-			tables[i] = f.s.cache.table(req.Model.Module, req.Model.Width, req.Model.Seed)
+			tables[i] = f.s.cache.table(req.Model.modelKey())
 			cycles[i] = max(len(req.Hd), len(req.Words)-1)
 		}
 		b.ReportAllocs()
@@ -537,7 +537,7 @@ func newLibraryServer(t *testing.T, f *streamFixture) *Server {
 		t.Fatal(err)
 	}
 	for _, sp := range fixtureSpecs {
-		key := BuildSpec{Module: sp.module, Width: sp.width, Seed: sp.seed}.Key()
+		key := BuildSpec{Module: sp.module, Width: sp.width, Seed: sp.seed}.modelKey()
 		model, _, ok := f.s.cache.readyEntrySpec(key)
 		if !ok {
 			t.Fatalf("%s not ready", key)

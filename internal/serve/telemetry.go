@@ -81,7 +81,7 @@ func (s *Server) handleTelemetryHotset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) computeHotset() hotsetResponse {
 	resp := hotsetResponse{Threshold: refineThreshold, Models: []hotsetModel{}}
 	for _, ms := range s.tel.Profiler().SnapshotModels() {
-		model, spec, ok := s.cache.readyEntrySpec(ms.Key)
+		model, spec, ok := s.cache.readyEntrySpec(telemetry.Key{Module: ms.Module, Width: ms.Width, Seed: ms.Seed})
 		if !ok {
 			continue // profiled but not (or no longer) cached; nothing to refine
 		}
@@ -166,7 +166,7 @@ func (s *Server) refineOnce() {
 			continue // evicted, already rebuilding, or the queue is full
 		}
 		s.met.refineBuilds.Inc()
-		s.log.Info("refinement rebuild enqueued", "key", ent.key,
+		s.log.Info("refinement rebuild enqueued", "key", ent.key.String(),
 			"patterns", spec.Patterns, "hot_classes", hm.HotClasses)
 	}
 }
