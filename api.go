@@ -105,14 +105,19 @@ func Characterize(nl *Netlist, name string, opts CharacterizeOptions) (*Model, e
 
 // OperandStream builds the canonical synthetic stream of a data type for a
 // module with `ports` equal-width operand ports; the ports receive
-// independently seeded streams (counter ports are phase shifted).
+// independently seeded streams, except counters, which count together
+// from phase-shifted starts: port p's from p·2^(width-2).
 func OperandStream(dt DataType, width, ports int, seed int64) Source {
 	if ports <= 1 {
 		return stimuli.NewStream(dt, width, seed)
 	}
 	srcs := make([]Source, ports)
 	for p := range srcs {
-		srcs[p] = stimuli.NewStream(dt, width, seed+int64(p)*7919)
+		if dt == TypeCounter {
+			srcs[p] = stimuli.Counter(width, uint64(p)<<uint(width-2))
+		} else {
+			srcs[p] = stimuli.NewStream(dt, width, seed+int64(p)*7919)
+		}
 	}
 	return stimuli.Concat(srcs...)
 }

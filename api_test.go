@@ -38,6 +38,24 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestOperandStreamCounterPorts: the two ports of a counter stream count
+// by one together from phase-shifted starts, port B a quarter turn of the
+// 2^(width-1) counter ahead, so a two-operand module sees two different
+// operands.
+func TestOperandStreamCounterPorts(t *testing.T) {
+	const width = 8
+	const mod = 1 << (width - 1)
+	for i, w := range TakeWords(OperandStream(TypeCounter, width, 2, 1), 3*mod) {
+		a, b := w.Uint()&(1<<width-1), w.Uint()>>width
+		if a == b {
+			t.Fatalf("cycle %d: both ports read %#x", i, a)
+		}
+		if a != uint64(i)%mod || b != uint64(i+mod/2)%mod {
+			t.Fatalf("cycle %d: ports read %#x and %#x, want %#x and %#x", i, a, b, i%mod, (i+mod/2)%mod)
+		}
+	}
+}
+
 func TestEndToEndWorkflow(t *testing.T) {
 	nl, err := Build("cla-adder", 4)
 	if err != nil {

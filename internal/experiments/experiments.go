@@ -175,17 +175,9 @@ func (s *Suite) Stream(mod dwlib.Module, width int, dt stimuli.DataType) stimuli
 	b := stimuli.NewStream(dt, width, base+7)
 	if dt == stimuli.TypeCounter {
 		// Both counters advance together but from different phases.
-		b = phaseShiftedCounter(width, 1<<uint(width-2))
+		b = stimuli.Counter(width, 1<<uint(width-2))
 	}
 	return stimuli.Concat(a, b)
-}
-
-func phaseShiftedCounter(width int, phase uint64) stimuli.Source {
-	src := stimuli.NewStream(stimuli.TypeCounter, width, 0)
-	for i := uint64(0); i < phase; i++ {
-		src.Next()
-	}
-	return src
 }
 
 // runEval plays the canonical stream for (module, width, dt) through a

@@ -88,31 +88,31 @@ func NewStream(dt DataType, width int, seed int64) Source {
 	case TypeVideo:
 		return AR1(width, 0.30*fs, 0.15*fs, 0.95, seed)
 	case TypeCounter:
-		return counterMod(width, 0, 1)
+		return Counter(width, 0)
 	}
 	panic(fmt.Sprintf("stimuli: unknown data type %d", int(dt)))
 }
 
-// counterMod counts modulo 2^(width-1) so the value stays in the
-// non-negative half of the two's-complement range.
-func counterMod(width int, start, step uint64) Source {
+// Counter is the type-V stream from start: it counts by one modulo
+// 2^(width-1), so the value stays in the non-negative half of the
+// two's-complement range.
+func Counter(width int, start uint64) Source {
+	mustWidth(width)
 	if width > 64 {
 		panic(fmt.Sprintf("stimuli: counter width %d > 64", width))
 	}
-	return &counterModSource{width: width, value: start, step: step,
-		mod: uint64(1) << uint(width-1)}
+	return &counterModSource{width: width, value: start, mod: uint64(1) << uint(width-1)}
 }
 
 type counterModSource struct {
-	width       int
-	value, step uint64
-	mod         uint64
+	width      int
+	value, mod uint64
 }
 
 func (s *counterModSource) Width() int { return s.width }
 
 func (s *counterModSource) Next() logic.Word {
 	w := logic.FromUint(s.value%s.mod, s.width)
-	s.value += s.step
+	s.value++
 	return w
 }

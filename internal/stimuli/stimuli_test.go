@@ -78,7 +78,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 
 func TestCounterSequence(t *testing.T) {
 	// The type-V counter wraps at 2^(width-1), inside the positive range.
-	src := counterMod(4, 6, 1)
+	src := Counter(4, 6)
 	want := []uint64{6, 7, 0, 1, 2}
 	for i, w := range Take(src, 5) {
 		if w.Uint() != want[i] {
@@ -145,8 +145,8 @@ func TestQuantizeRounds(t *testing.T) {
 }
 
 func TestConcatLayout(t *testing.T) {
-	a := counterMod(4, 0x3, 0)
-	b := counterMod(4, 0x5, 0)
+	a := Counter(4, 0x3)
+	b := Counter(4, 0x5)
 	src := Concat(a, b)
 	if src.Width() != 8 {
 		t.Fatalf("concat width = %d", src.Width())
