@@ -29,6 +29,7 @@ import (
 	"hdpower/internal/bdd"
 	"hdpower/internal/core"
 	"hdpower/internal/dwlib"
+	"hdpower/internal/fleet"
 	"hdpower/internal/hddist"
 	"hdpower/internal/modellib"
 	"hdpower/internal/netlist"
@@ -243,7 +244,10 @@ func cmdCharacterize(args []string) error {
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("%s-%d", *module, *width)
+	// The run name is part of a checkpoint's identity: hdserve names the
+	// same build the same way, so either tool resumes the other's
+	// checkpoint and writes the same model.
+	name := runName(*module, *width)
 	opt := hdpower.CharacterizeOptions{
 		Patterns: *patterns, Enhanced: *enhanced, ZClusters: *zclusters, Seed: *seed,
 		Workers: *workers, Backend: backend,
@@ -302,6 +306,12 @@ func cmdCharacterize(args []string) error {
 		fmt.Fprintf(os.Stderr, "stored in library %s\n", *libDir)
 	}
 	return writeJSONOutput(*out, model)
+}
+
+// runName is a characterization run's name, the one fleet.JobSpec gives
+// every hdserve build.
+func runName(module string, width int) string {
+	return (&fleet.JobSpec{Module: module, Width: width}).Name()
 }
 
 // writeJSONOutput marshals v as indented JSON to stdout (empty path) or
@@ -581,10 +591,10 @@ func cmdFit(args []string) error {
 		opt := hdpower.CharacterizeOptions{Patterns: *patterns, Seed: *seed + int64(w), Workers: *workers, Backend: backend}
 		var rec *core.RunRecorder
 		if *traceDir != "" {
-			rec = core.NewRunRecorder(fmt.Sprintf("%s-%d", *module, w), opt)
+			rec = core.NewRunRecorder(runName(*module, w), opt)
 			opt.Hooks = rec.Hooks()
 		}
-		model, err := hdpower.Characterize(nl, fmt.Sprintf("%s-%d", *module, w), opt)
+		model, err := hdpower.Characterize(nl, runName(*module, w), opt)
 		if rec != nil {
 			man := rec.Finish(model, err)
 			man.Width = w

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hdpower/internal/atomicio"
 	"hdpower/internal/core"
 	"hdpower/internal/faultpoint"
+	"hdpower/internal/serve"
 )
 
 // TestCharacterizeKillAndResume walks the checkpoint/resume flow the
@@ -76,6 +81,65 @@ func TestCharacterizeKillAndResume(t *testing.T) {
 		if left, _ := os.ReadDir(ckpt); len(left) != 0 {
 			t.Errorf("kill at merge %d: checkpoint directory not emptied after success: %v", tc.kill, left)
 		}
+	}
+}
+
+// TestServeResumesCharacterizeCheckpoint: the CLI and hdserve name a run
+// alike, so a serve build over the checkpoint directory of a killed
+// characterize run resumes its checkpoint, and the model serve stores in
+// its library is byte-identical to the one an uninterrupted characterize
+// run stores.
+func TestServeResumesCharacterizeCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	cliLib := filepath.Join(dir, "cli-lib")
+	serveLib := filepath.Join(dir, "serve-lib")
+	args := func(extra ...string) []string {
+		return append([]string{"-module", "ripple-adder", "-width", "4", "-seed", "3",
+			"-patterns", "1280", "-enhanced", "-o", filepath.Join(dir, "model.json")}, extra...)
+	}
+	if err := cmdCharacterize(args("-library", cliLib)); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultpoint.Arm("core.merge=error:after=5"); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdCharacterize(args("-checkpoint", ckpt, "-checkpoint-every", "3"))
+	faultpoint.Disarm()
+	if !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("want injected fault, got %v", err)
+	}
+
+	s := serve.New(serve.Config{CheckpointDir: ckpt, LibraryDir: serveLib, Backend: core.BackendBitParallel})
+	ts := httptest.NewServer(s.Handler())
+	defer s.Close()
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/models/build", "application/json", strings.NewReader(
+		`{"module":"ripple-adder","width":4,"seed":3,"patterns":1280,"enhanced":true,"wait":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("serve build: %d %s", resp.StatusCode, body)
+	}
+	if resp, err = http.Get(ts.URL + "/metrics"); err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(metrics, []byte("\nhdserve_builds_resumed_total 1\n")) {
+		t.Error("hdserve_builds_resumed_total is not 1: serve did not resume the CLI's checkpoint")
+	}
+
+	const model = "models/ripple-adder-w4-enhanced.json"
+	want, err := os.ReadFile(filepath.Join(cliLib, model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(serveLib, model)); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("serve library's %s differs from the CLI's (%v)", model, err)
 	}
 }
 
