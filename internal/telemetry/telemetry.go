@@ -70,9 +70,6 @@ type Config struct {
 	// Bounds are the latency bucket upper bounds in seconds. Nil selects
 	// obs.LatencyBounds.
 	Bounds []float64
-	// Shards is the profiler shard count per model. Zero selects
-	// GOMAXPROCS capped at 16.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -91,12 +88,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Bounds) == 0 {
 		c.Bounds = obs.LatencyBounds()
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 16 {
-			c.Shards = 16
-		}
-	}
 	return c
 }
 
@@ -114,8 +105,10 @@ func New(cfg Config) (*Telemetry, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &Telemetry{
-		cfg:  cfg,
-		prof: newProfiler(cfg.Shards, maxProfiledModels),
+		cfg: cfg,
+		// One counter shard per model per processor, at most 16, so
+		// concurrent recorders rarely share a cache line.
+		prof: newProfiler(min(runtime.GOMAXPROCS(0), 16), maxProfiledModels),
 	}, nil
 }
 

@@ -58,8 +58,15 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Window != 10*time.Second || cfg.Windows != 30 || cfg.FastWindows != 3 {
 		t.Fatalf("window defaults wrong: %+v", cfg)
 	}
-	if len(cfg.Bounds) == 0 || cfg.Shards < 1 {
-		t.Fatalf("bounds/shards defaults wrong: %+v", cfg)
+	if len(cfg.Bounds) == 0 {
+		t.Fatalf("bounds default wrong: %+v", cfg)
+	}
+	tel, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tel.prof.shards, min(runtime.GOMAXPROCS(0), 16); got != want {
+		t.Fatalf("profiler shards = %d, want GOMAXPROCS capped at 16 (%d)", got, want)
 	}
 	// FastWindows clamps to Windows.
 	cfg = Config{Now: cfg.Now, Windows: 2, FastWindows: 9}.withDefaults()
