@@ -71,15 +71,11 @@ const (
 func Modules() []string { return dwlib.Names() }
 
 // Build generates the gate-level netlist of a catalog module at the given
-// operand width.
+// operand width, refusing a width the catalog does not build.
 func Build(module string, width int) (*Netlist, error) {
-	mod, err := dwlib.Lookup(module)
+	mod, err := dwlib.LookupWidth(module, width)
 	if err != nil {
 		return nil, err
-	}
-	if width < mod.MinWidth {
-		return nil, fmt.Errorf("hdpower: %s requires width >= %d, got %d",
-			module, mod.MinWidth, width)
 	}
 	nl := mod.Build(width)
 	if err := nl.Finalize(); err != nil {

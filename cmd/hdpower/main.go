@@ -161,9 +161,13 @@ func cmdVerify(args []string) error {
 	}
 	failed := 0
 	for _, name := range names {
-		mod, err := dwlib.Lookup(name)
+		mod, err := dwlib.LookupWidth(name, *width)
 		if err != nil {
-			return err
+			if !*all {
+				return err
+			}
+			fmt.Printf("%s-%d: skipped: %v\n", name, *width, err)
+			continue
 		}
 		// Build without finalizing: Verify's subject matter includes
 		// netlists Finalize would reject.
@@ -230,8 +234,7 @@ func cmdCharacterize(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, err := core.ParseBackendKind(*backendName)
-	if err != nil {
+	if _, err := core.ParseBackendKind(*backendName); err != nil {
 		return err
 	}
 	if !obs.ValidLogFormat(*logFormat) {
@@ -240,25 +243,19 @@ func cmdCharacterize(args []string) error {
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint DIR to know where the checkpoint lives")
 	}
-	nl, err := hdpower.Build(*module, *width)
-	if err != nil {
-		return err
-	}
-	// The run name is part of a checkpoint's identity: hdserve names the
-	// same build the same way, so either tool resumes the other's
-	// checkpoint and writes the same model.
-	name := runName(*module, *width)
-	opt := hdpower.CharacterizeOptions{
-		Patterns: *patterns, Enhanced: *enhanced, ZClusters: *zclusters, Seed: *seed,
-		Workers: *workers, Backend: backend,
-	}
+	// The job is the build's one recipe, the one hdserve builds too: its
+	// netlist, run name, options and checkpoint file, so either tool
+	// resumes the other's checkpoint and writes the same model.
+	job := fleet.JobSpec{Module: *module, Width: *width, Seed: *seed, Patterns: *patterns,
+		Enhanced: *enhanced, ZClusters: *zclusters, Backend: *backendName}
+	opt := job.Options()
+	opt.Workers = *workers
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return fmt.Errorf("checkpoint dir: %w", err)
 		}
 		opt.Checkpoint = core.CheckpointOptions{
-			Path: filepath.Join(*ckptDir,
-				fmt.Sprintf("%s-w%d-s%d.ckpt.json", *module, *width, *seed)),
+			Path:        job.CheckpointPath(*ckptDir),
 			EveryShards: *ckptEvery,
 			Resume:      *resume,
 		}
@@ -271,14 +268,14 @@ func cmdCharacterize(args []string) error {
 	}
 	var rec *core.RunRecorder
 	if *traceOut != "" {
-		rec = core.NewRunRecorder(name, opt)
+		rec = core.NewRunRecorder(job.Name(), opt)
 		opt.Hooks = core.JoinHooks(opt.Hooks, rec.Hooks())
 	}
 	if *logFormat != "" {
 		logger := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
 		opt.Hooks = core.JoinHooks(opt.Hooks, progressLogHooks(logger))
 	}
-	model, err := hdpower.Characterize(nl, name, opt)
+	model, err := job.Characterize(opt)
 	if rec != nil {
 		// The manifest is written even when the run fails: a failed run's
 		// flight record is the one worth keeping.
@@ -306,12 +303,6 @@ func cmdCharacterize(args []string) error {
 		fmt.Fprintf(os.Stderr, "stored in library %s\n", *libDir)
 	}
 	return writeJSONOutput(*out, model)
-}
-
-// runName is a characterization run's name, the one fleet.JobSpec gives
-// every hdserve build.
-func runName(module string, width int) string {
-	return (&fleet.JobSpec{Module: module, Width: width}).Name()
 }
 
 // writeJSONOutput marshals v as indented JSON to stdout (empty path) or
@@ -403,23 +394,10 @@ func cmdEstimate(args []string) error {
 	default:
 		return fmt.Errorf("estimate needs -model or -library")
 	}
-	dt, err := parseDataType(*data)
+	nl, words, err := operandWords(*module, *width, *data, *n, *seed)
 	if err != nil {
 		return err
 	}
-	nl, err := hdpower.Build(*module, *width)
-	if err != nil {
-		return err
-	}
-	mod, err := dwlib.Lookup(*module)
-	if err != nil {
-		return err
-	}
-	ports := 1
-	if mod.TwoOperand {
-		ports = 2
-	}
-	words := hdpower.TakeWords(hdpower.OperandStream(dt, *width, ports, *seed), *n+1)
 	report, err := hdpower.Estimate(model, nl, words)
 	if err != nil {
 		return err
@@ -480,24 +458,30 @@ func cmdVCD(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dt, err := parseDataType(*data)
+	nl, words, err := operandWords(*module, *width, *data, *n, *seed)
 	if err != nil {
 		return err
 	}
-	nl, err := hdpower.Build(*module, *width)
+	return sim.DumpVCD(os.Stdout, nl, words, 0)
+}
+
+// operandWords is the set-up estimate and vcd share: a module instance
+// and the n+1 words of a data-type stream on its operand ports, which
+// drive it for n cycles.
+func operandWords(module string, width int, data string, n int, seed int64) (*netlist.Netlist, []hdpower.Word, error) {
+	dt, err := parseDataType(data)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	mod, err := dwlib.Lookup(*module)
+	nl, err := hdpower.Build(module, width)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	ports := 1
-	if mod.TwoOperand {
+	if mod, _ := dwlib.Lookup(module); mod.TwoOperand { // Build found it
 		ports = 2
 	}
-	words := hdpower.TakeWords(hdpower.OperandStream(dt, *width, ports, *seed), *n+1)
-	return sim.DumpVCD(os.Stdout, nl, words, 0)
+	return nl, hdpower.TakeWords(hdpower.OperandStream(dt, width, ports, seed), n+1), nil
 }
 
 func cmdVerilog(args []string) error {
@@ -566,8 +550,7 @@ func cmdFit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, err := core.ParseBackendKind(*backendName)
-	if err != nil {
+	if _, err := core.ParseBackendKind(*backendName); err != nil {
 		return err
 	}
 	if _, err := dwlib.Lookup(*module); err != nil {
@@ -584,21 +567,19 @@ func cmdFit(args []string) error {
 	}
 	var protos []regress.Prototype
 	for _, w := range widths {
-		nl, err := hdpower.Build(*module, w)
-		if err != nil {
-			return err
-		}
-		opt := hdpower.CharacterizeOptions{Patterns: *patterns, Seed: *seed + int64(w), Workers: *workers, Backend: backend}
+		job := fleet.JobSpec{Module: *module, Width: w, Seed: *seed + int64(w), Patterns: *patterns, Backend: *backendName}
+		opt := job.Options()
+		opt.Workers = *workers
 		var rec *core.RunRecorder
 		if *traceDir != "" {
-			rec = core.NewRunRecorder(runName(*module, w), opt)
+			rec = core.NewRunRecorder(job.Name(), opt)
 			opt.Hooks = rec.Hooks()
 		}
-		model, err := hdpower.Characterize(nl, runName(*module, w), opt)
+		model, err := job.Characterize(opt)
 		if rec != nil {
 			man := rec.Finish(model, err)
 			man.Width = w
-			path := filepath.Join(*traceDir, fmt.Sprintf("%s-w%d.manifest.json", *module, w))
+			path := filepath.Join(*traceDir, job.Name()+".manifest.json")
 			if werr := atomicio.WriteJSON(path, man); werr != nil {
 				fmt.Fprintf(os.Stderr, "hdpower: %v\n", werr)
 			}

@@ -143,6 +143,51 @@ func TestServeResumesCharacterizeCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCharacterizeRefusesUnbuildableWidth: the radix-4 Booth multiplier
+// builds at even widths only, so characterize refuses width 5 with the
+// catalog's reason instead of panicking in the generator.
+func TestCharacterizeRefusesUnbuildableWidth(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "model.json")
+	err := cmdCharacterize([]string{"-module", "booth-wallace-multiplier", "-width", "5",
+		"-patterns", "512", "-o", out})
+	if err == nil || !strings.Contains(err.Error(), "even width") {
+		t.Fatalf("width 5: %v, want the catalog's even-width refusal", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused width wrote a model: %v", err)
+	}
+}
+
+// TestVerifyAllSkipsUnbuildableWidth: verify -all at a width a module does
+// not build at lists that module as skipped with the catalog's reason, and
+// verifies the rest, instead of panicking in its generator.
+func TestVerifyAllSkipsUnbuildableWidth(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = cmdVerify([]string{"-all", "-width", "5"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(raw)
+	const skipped = "booth-wallace-multiplier-5: skipped: module booth-wallace-multiplier requires an even width, got 5\n"
+	if !strings.Contains(out, skipped) || strings.Count(out, "skipped") != 1 {
+		t.Errorf("verify -all -width 5 printed:\n%s\nwant exactly one skipped line, %q", out, skipped)
+	}
+	if !strings.Contains(out, "ripple-adder-5: ok") {
+		t.Errorf("verify -all -width 5 did not verify ripple-adder:\n%s", out)
+	}
+}
+
 // TestSynthesizeRefusesWidthBelowOne: a width of 0 would write a model
 // with no inputs and a negative one would panic, so synthesize refuses
 // both before reading the regression; width 1 still synthesizes.

@@ -30,6 +30,8 @@ type Module struct {
 	TwoOperand bool
 	// MinWidth is the smallest operand width the generator supports.
 	MinWidth int
+	// EvenWidth reports that the generator takes even widths only.
+	EvenWidth bool
 	// Build generates the netlist for operand width m.
 	Build func(m int) *netlist.Netlist
 }
@@ -68,6 +70,7 @@ var catalog = map[string]Module{
 		Description: "radix-4 Booth-coded Wallace-tree multiplier, signed m x m bits",
 		TwoOperand:  true,
 		MinWidth:    4,
+		EvenWidth:   true,
 		Build:       func(m int) *netlist.Netlist { return BoothWallaceMult(m) },
 	},
 	"ripple-subtractor": {
@@ -189,6 +192,22 @@ func Lookup(name string) (Module, error) {
 	mod, ok := catalog[name]
 	if !ok {
 		return Module{}, fmt.Errorf("dwlib: unknown module %q (have %v)", name, Names())
+	}
+	return mod, nil
+}
+
+// LookupWidth returns a catalog module by name, refusing an operand width
+// its generator does not build at. It is the one place that decides which
+// widths build; the generators' own guards panic on the same widths.
+func LookupWidth(name string, m int) (Module, error) {
+	mod, err := Lookup(name)
+	switch {
+	case err != nil:
+		return Module{}, err
+	case m < mod.MinWidth:
+		return Module{}, fmt.Errorf("module %s requires width >= %d, got %d", name, mod.MinWidth, m)
+	case mod.EvenWidth && m%2 != 0:
+		return Module{}, fmt.Errorf("module %s requires an even width, got %d", name, m)
 	}
 	return mod, nil
 }

@@ -123,6 +123,33 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+// TestCatalogWidthsMatchGenerators holds the catalog's width rule to the
+// generators' own guards: at every width up to serve's cap of 32,
+// LookupWidth accepts a width exactly when the generator builds it
+// without panicking into a netlist Finalize accepts.
+func TestCatalogWidthsMatchGenerators(t *testing.T) {
+	builds := func(mod Module, m int) (ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		return mod.Build(m).Finalize() == nil
+	}
+	for _, name := range Names() {
+		mod, _ := Lookup(name)
+		for m := 0; m <= 32; m++ {
+			_, err := LookupWidth(name, m)
+			if got := builds(mod, m); got != (err == nil) {
+				t.Errorf("%s width %d: generator builds %v, catalog says %v", name, m, got, err)
+			}
+		}
+	}
+	if _, err := LookupWidth("flux-capacitor", 8); err == nil {
+		t.Error("unknown module accepted")
+	}
+}
+
 func TestPaperModules(t *testing.T) {
 	mods := PaperModules()
 	if len(mods) != 5 {

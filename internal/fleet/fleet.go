@@ -44,6 +44,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"time"
 
 	"hdpower/internal/core"
@@ -73,10 +74,27 @@ type JobSpec struct {
 }
 
 // Name is the characterization run name of a job. It feeds the
-// fingerprint, so the coordinator, every worker and internal/serve's
-// local builds all take it from here.
+// fingerprint, so the coordinator, every worker, internal/serve's local
+// builds and the hdpower CLI all take it from here.
 func (j *JobSpec) Name() string {
 	return fmt.Sprintf("%s-w%d", j.Module, j.Width)
+}
+
+// BuildID names the build of a module at a width and seed,
+// "<module>-w<width>-s<seed>": internal/serve's build and manifest IDs,
+// the job ID it hands the coordinator, and the checkpoint file's name.
+func BuildID(module string, width int, seed int64) string {
+	return fmt.Sprintf("%s-w%d-s%d", module, width, seed)
+}
+
+// CheckpointPath is the one file in dir a build of the job checkpoints to,
+// whichever tool or path runs it, so each resumes the others' checkpoint;
+// empty, which turns checkpointing off, when dir is.
+func (j *JobSpec) CheckpointPath(dir string) string {
+	if dir == "" {
+		return ""
+	}
+	return filepath.Join(dir, BuildID(j.Module, j.Width, j.Seed)+".ckpt.json")
 }
 
 // Options derives the characterization options a job implies. Workers
@@ -94,13 +112,25 @@ func (j *JobSpec) Options() core.CharacterizeOptions {
 }
 
 // Meter reconstructs the job's netlist and reference meter from the
-// catalog.
+// catalog, refusing a width the catalog does not build.
 func (j *JobSpec) Meter() (*power.Meter, error) {
-	mod, err := dwlib.Lookup(j.Module)
+	mod, err := dwlib.LookupWidth(j.Module, j.Width)
 	if err != nil {
 		return nil, err
 	}
 	return power.NewMeter(mod.Build(j.Width), sim.EventDriven)
+}
+
+// Characterize builds the job on this process: core.Characterize over the
+// job's meter under its run name. opt is j.Options() with the process's
+// own workers, hooks, interrupt and checkpoint set. internal/serve's local
+// path and the hdpower CLI build every catalog model through it.
+func (j *JobSpec) Characterize(opt core.CharacterizeOptions) (*core.Model, error) {
+	meter, err := j.Meter()
+	if err != nil {
+		return nil, err
+	}
+	return core.Characterize(meter, j.Name(), opt)
 }
 
 // resolve rebuilds the job's meter and options for the coordinator or a

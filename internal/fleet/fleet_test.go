@@ -490,3 +490,31 @@ func TestFleetWorkerHoldsOneRuntime(t *testing.T) {
 		t.Fatalf("worker holds %+v after two jobs, want only the runtime of the second (%s)", w.job, fp)
 	}
 }
+
+// TestJobMeterRefusesUnbuildableWidth: a job naming a width the catalog
+// does not build gets an error from Meter, not a panic in the worker or
+// the coordinator that reconstructs it.
+func TestJobMeterRefusesUnbuildableWidth(t *testing.T) {
+	for _, w := range []int{5, 2} {
+		job := JobSpec{Module: "booth-wallace-multiplier", Width: w, Seed: 1, Patterns: 512}
+		if _, err := job.Meter(); err == nil {
+			t.Errorf("width %d: meter built", w)
+		}
+	}
+	job := JobSpec{Module: "booth-wallace-multiplier", Width: 6, Seed: 1, Patterns: 512}
+	if _, err := job.Meter(); err != nil {
+		t.Errorf("width 6: %v", err)
+	}
+}
+
+// TestCheckpointPath: a job checkpoints to <module>-w<width>-s<seed>.ckpt.json
+// in the directory it is given, and nowhere without one.
+func TestCheckpointPath(t *testing.T) {
+	job := JobSpec{Module: "ripple-adder", Width: 8, Seed: 3}
+	if got, want := job.CheckpointPath("ckpt"), filepath.Join("ckpt", "ripple-adder-w8-s3.ckpt.json"); got != want {
+		t.Errorf("CheckpointPath = %q, want %q", got, want)
+	}
+	if got := job.CheckpointPath(""); got != "" {
+		t.Errorf("CheckpointPath without a directory = %q, want empty", got)
+	}
+}

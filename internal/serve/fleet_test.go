@@ -190,7 +190,7 @@ type buildCounts struct {
 
 func settledCounts(t *testing.T, url string, spec BuildSpec) (buildCounts, core.RunManifest) {
 	t.Helper()
-	id := buildID(spec.Key())
+	id := fleet.BuildID(spec.Module, spec.Width, spec.Seed)
 	resp, data := postGet(t, url+"/v1/models/build/"+id)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("progress: %d %s", resp.StatusCode, data)
@@ -383,7 +383,7 @@ func TestBuildProgressRetryState(t *testing.T) {
 	if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, data)
 	}
-	resp, data := postGet(t, ts.URL+"/v1/models/build/"+buildID(spec.Key()))
+	resp, data := postGet(t, ts.URL+"/v1/models/build/"+fleet.BuildID(spec.Module, spec.Width, spec.Seed))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("progress: %d %s", resp.StatusCode, data)
 	}
@@ -410,7 +410,7 @@ func TestBuildProgressNoRetryFieldsOnCleanBuild(t *testing.T) {
 	if resp, data := buildWait(t, ts.URL, spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, data)
 	}
-	resp, data := postGet(t, ts.URL+"/v1/models/build/"+buildID(spec.Key()))
+	resp, data := postGet(t, ts.URL+"/v1/models/build/"+fleet.BuildID(spec.Module, spec.Width, spec.Seed))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("progress: %d %s", resp.StatusCode, data)
 	}
@@ -434,7 +434,7 @@ func TestBuildProgressNoRetryFieldsOnCleanBuild(t *testing.T) {
 func TestQuarantinedCheckpointRecovery(t *testing.T) {
 	spec := BuildSpec{Module: "ripple-adder", Width: 2, Seed: 7, Patterns: 1280}
 	dir := t.TempDir()
-	id := buildID(spec.Key())
+	id := fleet.BuildID(spec.Module, spec.Width, spec.Seed)
 	ckpt := filepath.Join(dir, id+".ckpt.json")
 
 	// A torn checkpoint: real-looking JSON cut mid-payload, no checksum

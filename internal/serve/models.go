@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,12 +47,8 @@ type BuildSpec struct {
 
 // normalize applies defaults and validates against the catalog.
 func (b *BuildSpec) normalize() error {
-	mod, err := dwlib.Lookup(b.Module)
-	if err != nil {
+	if _, err := dwlib.LookupWidth(b.Module, b.Width); err != nil {
 		return err
-	}
-	if b.Width < mod.MinWidth {
-		return fmt.Errorf("module %s requires width >= %d, got %d", b.Module, mod.MinWidth, b.Width)
 	}
 	if b.Width > maxBuildWidth {
 		return fmt.Errorf("width %d exceeds the serving cap %d", b.Width, maxBuildWidth)
@@ -79,13 +74,6 @@ func (b BuildSpec) modelKey() telemetry.Key {
 	return telemetry.Key{Module: b.Module, Width: b.Width, Seed: b.Seed}
 }
 
-// buildID derives the URL-safe identifier used by the progress and
-// manifest endpoints (and manifest filenames) from a cache key: the key's
-// slashes become dashes, e.g. "ripple-adder/w8/s1" -> "ripple-adder-w8-s1".
-func buildID(key string) string {
-	return strings.ReplaceAll(key, "/", "-")
-}
-
 // Build lifecycle states.
 const (
 	statusBuilding = "building"
@@ -98,7 +86,7 @@ const (
 type buildEntry struct {
 	spec BuildSpec
 	key  telemetry.Key
-	id   string // URL-safe form of key, see buildID
+	id   string // URL-safe form of key, see fleet.BuildID
 	done chan struct{}
 
 	// rec records the build once it runs; GET /v1/models/build/{id}
@@ -260,7 +248,7 @@ func (c *modelCache) startLocked(spec BuildSpec) (ent *buildEntry, started bool)
 		return ent, false
 	}
 	ent = &buildEntry{
-		spec: spec, key: key, id: buildID(key.String()),
+		spec: spec, key: key, id: fleet.BuildID(key.Module, key.Width, key.Seed),
 		status: statusBuilding, done: make(chan struct{}),
 	}
 	c.builds[key] = ent
@@ -387,11 +375,11 @@ func (c *modelCache) entrySnapshot(ent *buildEntry) modelSnapshot {
 
 // job is a build's one recipe. The local path below, the run recorder,
 // the fleet coordinator and every worker take the build's netlist, run
-// name and options from this fleet.JobSpec, so fleet builds stay
-// bit-identical to local ones.
+// name, options and checkpoint file from this fleet.JobSpec, as the
+// hdpower CLI does, so fleet builds stay bit-identical to local ones.
 func (s *Server) job(spec BuildSpec) fleet.JobSpec {
 	return fleet.JobSpec{
-		ID:        buildID(spec.Key()),
+		ID:        fleet.BuildID(spec.Module, spec.Width, spec.Seed),
 		Module:    spec.Module,
 		Width:     spec.Width,
 		Seed:      spec.Seed,
@@ -402,27 +390,23 @@ func (s *Server) job(spec BuildSpec) fleet.JobSpec {
 	}
 }
 
-// characterize is the real build backend: generate the netlist, wrap it
-// in the reference charge meter, and run the parallel characterization
-// engine with the server's observability hooks and the build context as
-// the interrupt source. With a Fleet the workers compute the shards, and
+// characterize is the real build backend: the job's own Characterize,
+// with the server's observability hooks and the build context as the
+// interrupt source. With a Fleet the workers compute the shards, and
 // the coordinator merges them through the same state machine, so the
 // model is bit-identical; a fleet with no live worker, at the start or
 // mid-build, hands the build back to this one local path, which resumes
-// the checkpoint the coordinator saved.
+// the checkpoint the coordinator saved. Without a CheckpointDir the
+// job's checkpoint path is empty, which turns checkpointing off.
 func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.Hooks) (*core.Model, error) {
 	job := s.job(spec)
-	path := s.checkpointPath(job.ID)
+	path := job.CheckpointPath(s.cfg.CheckpointDir)
 	if s.cfg.Fleet != nil {
 		model, err := s.cfg.Fleet.RunJob(ctx, job, fleet.RunOptions{Hooks: hooks, CheckpointPath: path})
 		if !errors.Is(err, fleet.ErrNoWorkers) {
 			return model, err
 		}
 		s.log.Info("no live fleet worker; building locally", "id", job.ID)
-	}
-	meter, err := job.Meter()
-	if err != nil {
-		return nil, err
 	}
 	opt := job.Options()
 	opt.Workers = s.cfg.CharWorkers
@@ -433,7 +417,7 @@ func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.H
 		EveryShards: s.cfg.CheckpointEvery,
 		Resume:      true,
 	}
-	model, err := core.Characterize(meter, job.Name(), opt)
+	model, err := job.Characterize(opt)
 	if core.IsCheckpointMismatch(err) {
 		// A stale checkpoint from a run with different options (e.g. the
 		// server was restarted with new defaults). The spec in hand is
@@ -441,7 +425,7 @@ func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.H
 		s.log.Warn("stale checkpoint does not match build; restarting fresh",
 			"key", spec.Key(), "err", err)
 		opt.Checkpoint.Resume = false
-		model, err = core.Characterize(meter, job.Name(), opt)
+		model, err = job.Characterize(opt)
 	}
 	return model, err
 }

@@ -18,16 +18,6 @@ import (
 	"hdpower/internal/telemetry"
 )
 
-// checkpointPath is the one file a build checkpoints its characterization
-// state to, whether the local path or the fleet runs it; empty, which
-// turns checkpointing off, without a CheckpointDir.
-func (s *Server) checkpointPath(id string) string {
-	if s.cfg.CheckpointDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.CheckpointDir, id+".ckpt.json")
-}
-
 // specPath is the build-spec sidecar recording an accepted build for
 // restart recovery.
 func (s *Server) specPath(id string) string {

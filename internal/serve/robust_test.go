@@ -16,6 +16,7 @@ import (
 	"hdpower/internal/atomicio"
 	"hdpower/internal/core"
 	"hdpower/internal/faultpoint"
+	"hdpower/internal/fleet"
 	"hdpower/internal/modellib"
 	"hdpower/internal/regress"
 )
@@ -238,7 +239,7 @@ func TestModelPersistedToLibrary(t *testing.T) {
 func TestRecoverBuilds(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec()
-	sidecar := filepath.Join(dir, buildID(spec.Key())+".spec.json")
+	sidecar := filepath.Join(dir, fleet.BuildID(spec.Module, spec.Width, spec.Seed)+".spec.json")
 	if err := atomicio.WriteJSON(sidecar, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestRecoverBuilds(t *testing.T) {
 	}
 
 	s, _ := newTestServer(t, Config{BuildFunc: instantBuilds(4), CheckpointDir: dir})
-	ent, ok := s.cache.lookupID(buildID(spec.Key()))
+	ent, ok := s.cache.lookupID(fleet.BuildID(spec.Module, spec.Width, spec.Seed))
 	if !ok {
 		t.Fatal("recovered build not in cache")
 	}
@@ -266,6 +267,42 @@ func TestRecoverBuilds(t *testing.T) {
 	}
 	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
 		t.Errorf("sidecar not cleaned up after settle: %v", err)
+	}
+}
+
+// TestUnbuildableWidthRefused: the radix-4 Booth multiplier builds at
+// even widths only, and serve refuses width 5 the way it refuses a width
+// below the module's minimum, so no build goroutine reaches the
+// generator's panic. The build request and an estimate naming that model
+// get a 400 and the server stays ready, and a restart record holding the
+// spec is dropped instead of re-enqueued at every start.
+func TestUnbuildableWidthRefused(t *testing.T) {
+	dir := t.TempDir()
+	spec := BuildSpec{Module: "booth-wallace-multiplier", Width: 5, Seed: 1}
+	sidecar := filepath.Join(dir, fleet.BuildID(spec.Module, spec.Width, spec.Seed)+".spec.json")
+	if err := atomicio.WriteJSON(sidecar, spec); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{CheckpointDir: dir})
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Errorf("restart record of an unbuildable spec kept: %v", err)
+	}
+	if _, ok := s.cache.lookupID(fleet.BuildID(spec.Module, spec.Width, spec.Seed)); ok {
+		t.Error("restart record of an unbuildable spec re-enqueued")
+	}
+
+	body := `{"module":"booth-wallace-multiplier","width":5,"seed":1}`
+	if resp, data := postRaw(t, ts.URL+"/v1/models/build", body); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("build: %d %s, want 400", resp.StatusCode, data)
+	}
+	if resp, data := postRaw(t, ts.URL+"/v1/estimate", `{"model":`+body+`,"hd":[1]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("estimate: %d %s, want 400", resp.StatusCode, data)
+	}
+	if resp, data := postGet(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("readyz after the refusals: %d %s", resp.StatusCode, data)
+	}
+	if got := s.met.buildsRun.Value(); got != 0 {
+		t.Errorf("%d builds ran, want none", got)
 	}
 }
 
@@ -329,13 +366,13 @@ func TestResumeAcrossRestart(t *testing.T) {
 		t.Fatalf("crashed build: %d %s", resp.StatusCode, data)
 	}
 	faultpoint.Disarm()
-	ckpt := filepath.Join(dir, buildID(spec.Key())+".ckpt.json")
+	ckpt := filepath.Join(dir, fleet.BuildID(spec.Module, spec.Width, spec.Seed)+".ckpt.json")
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("no checkpoint after crash: %v", err)
 	}
 	// A settled failure clears its sidecar; a SIGKILL would not have. Put
 	// it back to simulate the kill happening before the build settled.
-	if err := atomicio.WriteJSON(filepath.Join(dir, buildID(spec.Key())+".spec.json"), spec); err != nil {
+	if err := atomicio.WriteJSON(filepath.Join(dir, fleet.BuildID(spec.Module, spec.Width, spec.Seed)+".spec.json"), spec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -344,7 +381,7 @@ func TestResumeAcrossRestart(t *testing.T) {
 	restartCfg.CheckpointDir = dir
 	restartCfg.CheckpointEvery = 2
 	restarted, _ := newTestServer(t, restartCfg)
-	ent, ok := restarted.cache.lookupID(buildID(spec.Key()))
+	ent, ok := restarted.cache.lookupID(fleet.BuildID(spec.Module, spec.Width, spec.Seed))
 	if !ok {
 		t.Fatal("interrupted build not recovered")
 	}

@@ -17,6 +17,7 @@ import (
 
 	"hdpower/internal/core"
 	"hdpower/internal/dwlib"
+	"hdpower/internal/fleet"
 	"hdpower/internal/hddist"
 	"hdpower/internal/power"
 	"hdpower/internal/sim"
@@ -596,8 +597,8 @@ func TestFailedBuildsBounded(t *testing.T) {
 	if len(keys) > 2 || !slices.Contains(keys, last) {
 		t.Fatalf("GET /v1/models lists %q, want at most 2 failed builds, %s among them", keys, last)
 	}
-	first := BuildSpec{Module: "ripple-adder", Width: 2, Seed: 1}.Key()
-	if resp, data := httpGet(t, ts.URL+"/v1/models/build/"+buildID(first)); resp.StatusCode != http.StatusNotFound {
+	first := fleet.BuildID("ripple-adder", 2, 1)
+	if resp, data := httpGet(t, ts.URL+"/v1/models/build/"+first); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("progress of a forgotten build: %d %s, want 404", resp.StatusCode, data)
 	}
 
