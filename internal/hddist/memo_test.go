@@ -1,6 +1,7 @@
 package hddist
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -98,23 +99,20 @@ func TestMemoDefaultCapacity(t *testing.T) {
 	}
 }
 
-func TestMemoKeyHashDiffers(t *testing.T) {
-	base := MemoKey{Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 1}
-	variants := []MemoKey{
-		{Mean: 1.0000001, Std: 2, Rho: 0.5, Width: 8, Ports: 1},
-		{Mean: 1, Std: 2.5, Rho: 0.5, Width: 8, Ports: 1},
-		{Mean: 1, Std: 2, Rho: -0.5, Width: 8, Ports: 1},
-		{Mean: 1, Std: 2, Rho: 0.5, Width: 9, Ports: 1},
-		{Mean: 1, Std: 2, Rho: 0.5, Width: 8, Ports: 2},
+// TestMemoMissAllocs bounds what a fresh memo and its first misses
+// allocate: a miss copies the entries cached so far, not a table sized
+// to the capacity.
+func TestMemoMissAllocs(t *testing.T) {
+	const limit = 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMemo(0)
+	for i := 0; i < 16; i++ {
+		m.FromWordStats(testWS(float64(i)), 8)
 	}
-	h := base.Hash()
-	for _, v := range variants {
-		if v.Hash() == h {
-			t.Fatalf("key %+v hashes like the base key", v)
-		}
-	}
-	if base.Hash() != h {
-		t.Fatal("hash is not deterministic")
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+		t.Fatalf("NewMemo(0) and 16 misses allocated %d bytes, want < %d", n, limit)
 	}
 }
 
