@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,15 +46,8 @@ type Profiler struct {
 	shards  int
 	max     int
 	mu      sync.Mutex // guards registration (copy + swap of set)
-	set     atomic.Pointer[profSet]
+	set     atomic.Pointer[map[Key]*ModelProf]
 	dropped atomic.Uint64 // registrations refused by the model cap
-}
-
-// profSet is one immutable model-set snapshot. list preserves
-// registration order so snapshot code never ranges over the map.
-type profSet struct {
-	byKey map[Key]*ModelProf
-	list  []*ModelProf
 }
 
 // ModelProf holds the sharded counters of one model.
@@ -80,7 +74,7 @@ const maxProfiledModels = 128
 
 func newProfiler(shards, maxModels int) *Profiler {
 	p := &Profiler{shards: shards, max: maxModels}
-	p.set.Store(&profSet{byKey: map[Key]*ModelProf{}})
+	p.set.Store(&map[Key]*ModelProf{})
 	return p
 }
 
@@ -89,7 +83,7 @@ func newProfiler(shards, maxModels int) *Profiler {
 // allocates. Returns nil (safe to record into) when the model cap is
 // reached.
 func (p *Profiler) Model(key Key, classes int) *ModelProf {
-	if mp, ok := p.set.Load().byKey[key]; ok {
+	if mp, ok := (*p.set.Load())[key]; ok {
 		return mp
 	}
 	return p.register(key, classes)
@@ -103,25 +97,18 @@ func (p *Profiler) register(key Key, classes int) *ModelProf {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	old := p.set.Load()
-	if mp, ok := old.byKey[key]; ok { // lost a registration race
+	old := *p.set.Load()
+	if mp, ok := old[key]; ok { // lost a registration race
 		return mp
 	}
-	if len(old.list) >= p.max {
+	if len(old) >= p.max {
 		p.dropped.Add(1)
 		return nil
 	}
 	mp := &ModelProf{key: key, classes: classes, shards: make([]profShard, p.shards)}
-	next := &profSet{
-		byKey: make(map[Key]*ModelProf, len(old.list)+1),
-		list:  make([]*ModelProf, len(old.list), len(old.list)+1),
-	}
-	copy(next.list, old.list)
-	next.list = append(next.list, mp)
-	for _, m := range next.list {
-		next.byKey[m.key] = m
-	}
-	p.set.Store(next)
+	next := maps.Clone(old)
+	next[key] = mp
+	p.set.Store(&next)
 	return mp
 }
 
@@ -217,9 +204,10 @@ func (m *ModelProf) Snapshot() ModelSnapshot {
 // SnapshotModels snapshots every registered model, sorted by key for
 // deterministic output.
 func (p *Profiler) SnapshotModels() []ModelSnapshot {
-	set := p.set.Load()
-	out := make([]ModelSnapshot, 0, len(set.list))
-	for _, m := range set.list {
+	var set map[Key]*ModelProf = *p.set.Load()
+	out := make([]ModelSnapshot, 0, len(set))
+	//hdlint:allow nondeterminism sortModels orders the snapshots by key, so the walk's order never shows
+	for _, m := range set {
 		out = append(out, m.Snapshot())
 	}
 	sortModels(out)
