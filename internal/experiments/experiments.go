@@ -97,9 +97,10 @@ func New(cfg Config) *Suite {
 // Config returns the suite configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// meter builds a fresh charge meter for a module instance.
+// meter builds a fresh charge meter for a module instance, refusing a
+// width the catalog does not build at.
 func (s *Suite) meter(name string, width int) (*power.Meter, dwlib.Module, error) {
-	mod, err := dwlib.Lookup(name)
+	mod, err := dwlib.LookupWidth(name, width)
 	if err != nil {
 		return nil, dwlib.Module{}, err
 	}

@@ -282,6 +282,16 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	New(Config{})
 }
 
+// TestModelRefusesUnbuildableWidth holds the suite to the catalog's width
+// decision: an odd Booth width is an error, not a generator panic.
+func TestModelRefusesUnbuildableWidth(t *testing.T) {
+	_, err := New(Quick()).Model("booth-wallace-multiplier", 5, false)
+	const want = "module booth-wallace-multiplier requires an even width, got 5"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 // TestSuiteManifests verifies a ManifestDir-configured suite records one
 // flight-recorder manifest per characterized instance.
 func TestSuiteManifests(t *testing.T) {
