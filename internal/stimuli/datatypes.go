@@ -2,6 +2,7 @@ package stimuli
 
 import (
 	"fmt"
+	"math"
 
 	"hdpower/internal/logic"
 )
@@ -77,7 +78,7 @@ func (dt DataType) Description() string {
 // sign bits never switch.
 func NewStream(dt DataType, width int, seed int64) Source {
 	mustWidth(width)
-	fs := float64(int64(1) << uint(width-1)) // full scale of the signed range
+	fs := math.Ldexp(1, width-1) // full scale of the signed range
 	switch dt {
 	case TypeRandom:
 		return Random(width, seed)

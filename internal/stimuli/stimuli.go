@@ -117,17 +117,13 @@ func (s *arSource) Next() logic.Word {
 }
 
 // quantize rounds v to the nearest integer and clamps it into the signed
-// range of an m-bit two's-complement word.
+// range of an m-bit two's-complement word. The bounds are float64, so
+// they hold at 64 bits; the top one is the largest float64 below
+// 2^(width-1), which truncates to the largest word, 2^(width-1)-1 up to
+// 53 bits, and never overflows int64.
 func quantize(v float64, width int) logic.Word {
-	hi := float64(int64(1)<<uint(width-1) - 1)
-	lo := -float64(int64(1) << uint(width-1))
-	r := math.Round(v)
-	if r > hi {
-		r = hi
-	}
-	if r < lo {
-		r = lo
-	}
+	fs := math.Ldexp(1, width-1)
+	r := min(max(math.Round(v), -fs), math.Nextafter(fs, 0))
 	return logic.FromInt(int64(r), width)
 }
 

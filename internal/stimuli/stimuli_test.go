@@ -142,6 +142,14 @@ func TestQuantizeRounds(t *testing.T) {
 	if got := quantize(-1000, 8).Int(); got != -128 {
 		t.Errorf("quantize(-1000) = %d", got)
 	}
+	// The clamp bounds hold at 64 bits: the top one is the largest
+	// float64 below 2^63.
+	if got := quantize(1e30, 64).Int(); got != math.MaxInt64-1023 {
+		t.Errorf("quantize(1e30, 64) = %d", got)
+	}
+	if got := quantize(-1e30, 64).Int(); got != math.MinInt64 {
+		t.Errorf("quantize(-1e30, 64) = %d", got)
+	}
 }
 
 func TestConcatLayout(t *testing.T) {
@@ -170,14 +178,19 @@ func TestDataTypeLabels(t *testing.T) {
 }
 
 func TestNewStreamAllTypes(t *testing.T) {
-	for _, dt := range AllDataTypes() {
-		src := NewStream(dt, 12, 99)
-		if src.Width() != 12 {
-			t.Errorf("%s: width %d", dt, src.Width())
-		}
-		words := Take(src, 100)
-		if len(words) != 100 {
-			t.Errorf("%s: short stream", dt)
+	for _, width := range []int{12, 64} {
+		for _, dt := range AllDataTypes() {
+			src := NewStream(dt, width, 99)
+			if src.Width() != width {
+				t.Errorf("%s/%d: width %d", dt, width, src.Width())
+			}
+			words := Take(src, 100)
+			if len(words) != 100 {
+				t.Errorf("%s/%d: short stream", dt, width)
+			}
+			if words[0].Equal(words[99]) {
+				t.Errorf("%s/%d: constant stream %s", dt, width, words[0])
+			}
 		}
 	}
 }
