@@ -50,12 +50,10 @@ func main() {
 	switch os.Args[1] {
 	case "modules":
 		err = cmdModules()
-	case "stats":
-		err = cmdStats(os.Args[2:])
+	case "stats", "dot", "verilog":
+		err = cmdNetlist(os.Args[1], os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "dot":
-		err = cmdDot(os.Args[2:])
 	case "characterize":
 		err = cmdCharacterize(os.Args[2:])
 	case "estimate":
@@ -64,8 +62,6 @@ func main() {
 		err = cmdHdDist(os.Args[2:])
 	case "vcd":
 		err = cmdVCD(os.Args[2:])
-	case "verilog":
-		err = cmdVerilog(os.Args[2:])
 	case "equiv":
 		err = cmdEquiv(os.Args[2:])
 	case "library":
@@ -127,18 +123,25 @@ func moduleFlags(fs *flag.FlagSet) (*string, *int) {
 	return module, width
 }
 
-func cmdStats(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+// cmdNetlist runs stats, dot or verilog (name): it builds the module
+// instance the flags name and writes it to stdout.
+func cmdNetlist(name string, args []string) error {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	module, width := moduleFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	nl, err := hdpower.Build(*module, *width)
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
+	case name == "stats":
+		_, err = fmt.Println(nl.Stats())
+		return err
+	case name == "dot":
+		return nl.WriteDOT(os.Stdout)
 	}
-	fmt.Println(nl.Stats())
-	return nil
+	return verilog.Write(os.Stdout, nl)
 }
 
 // cmdVerify runs the static netlist linter (internal/netlist Verify)
@@ -200,19 +203,6 @@ func cmdVerify(args []string) error {
 		return fmt.Errorf("verify: %d module(s) failed", failed)
 	}
 	return nil
-}
-
-func cmdDot(args []string) error {
-	fs := flag.NewFlagSet("dot", flag.ExitOnError)
-	module, width := moduleFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	nl, err := hdpower.Build(*module, *width)
-	if err != nil {
-		return err
-	}
-	return nl.WriteDOT(os.Stdout)
 }
 
 func cmdCharacterize(args []string) error {
@@ -419,6 +409,9 @@ func cmdHdDist(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *width < 1 || *width > 64 {
+		return fmt.Errorf("hddist needs -width in 1..64, got %d", *width)
+	}
 	words := stimuli.Take(stimuli.NewStream(dt, *width, *seed), *n)
 	extracted, err := hddist.FromWords(words)
 	if err != nil {
@@ -467,11 +460,15 @@ func cmdVCD(args []string) error {
 
 // operandWords is the set-up estimate and vcd share: a module instance
 // and the n+1 words of a data-type stream on its operand ports, which
-// drive it for n cycles.
+// drive it for n cycles. Only random words (type I) come wider than 64
+// bits.
 func operandWords(module string, width int, data string, n int, seed int64) (*netlist.Netlist, []hdpower.Word, error) {
 	dt, err := parseDataType(data)
 	if err != nil {
 		return nil, nil, err
+	}
+	if width > 64 && dt != stimuli.TypeRandom {
+		return nil, nil, fmt.Errorf("data type %s needs operands of at most 64 bits, got %d", dt, width)
 	}
 	nl, err := hdpower.Build(module, width)
 	if err != nil {
@@ -482,19 +479,6 @@ func operandWords(module string, width int, data string, n int, seed int64) (*ne
 		ports = 2
 	}
 	return nl, hdpower.TakeWords(hdpower.OperandStream(dt, width, ports, seed), n+1), nil
-}
-
-func cmdVerilog(args []string) error {
-	fs := flag.NewFlagSet("verilog", flag.ExitOnError)
-	module, width := moduleFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	nl, err := hdpower.Build(*module, *width)
-	if err != nil {
-		return err
-	}
-	return verilog.Write(os.Stdout, nl)
 }
 
 func cmdEquiv(args []string) error {

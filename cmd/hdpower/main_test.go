@@ -219,3 +219,44 @@ func TestSynthesizeRefusesWidthBelowOne(t *testing.T) {
 		t.Fatalf("width-1 synthesis: %v, %+v", err, m)
 	}
 }
+
+// TestNetlistCommandsRefuseUnbuildableWidth: stats, dot and verilog return
+// the catalog's refusal of an odd Booth width instead of panicking in its
+// generator.
+func TestNetlistCommandsRefuseUnbuildableWidth(t *testing.T) {
+	const want = "module booth-wallace-multiplier requires an even width, got 5"
+	for _, name := range []string{"stats", "dot", "verilog"} {
+		err := cmdNetlist(name, []string{"-module", "booth-wallace-multiplier", "-width", "5"})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", name, err, want)
+		}
+	}
+}
+
+// TestStreamWidthRefusals: hddist refuses a width outside 1..64, and
+// estimate and vcd refuse a correlated data type on operands wider than 64
+// bits, which its generator cannot draw.
+func TestStreamWidthRefusals(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "model.json")
+	if err := cmdCharacterize([]string{"-module", "ripple-adder", "-width", "4",
+		"-patterns", "512", "-o", model}); err != nil {
+		t.Fatal(err)
+	}
+	wide := []string{"-module", "ripple-adder", "-width", "65"}
+	for _, c := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+		want string
+	}{
+		{"hddist 0", cmdHdDist, []string{"-width", "0"}, "hddist needs -width in 1..64, got 0"},
+		{"hddist 65", cmdHdDist, []string{"-width", "65"}, "hddist needs -width in 1..64, got 65"},
+		{"vcd", cmdVCD, append(wide, "-data", "III"), "data type III needs operands of at most 64 bits, got 65"},
+		{"estimate", cmdEstimate, append(wide, "-model", model, "-data", "II"),
+			"data type II needs operands of at most 64 bits, got 65"},
+	} {
+		if err := c.run(c.args); err == nil || err.Error() != c.want {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
+		}
+	}
+}
