@@ -204,6 +204,8 @@ func (m *ModelProf) Snapshot() ModelSnapshot {
 // SnapshotModels snapshots every registered model, sorted by key for
 // deterministic output.
 func (p *Profiler) SnapshotModels() []ModelSnapshot {
+	// hdlint type-checks against stub imports, so only the declared map
+	// type shows it that the walk below ranges over a map.
 	var set map[Key]*ModelProf = *p.set.Load()
 	out := make([]ModelSnapshot, 0, len(set))
 	//hdlint:allow nondeterminism sortModels orders the snapshots by key, so the walk's order never shows
